@@ -7,6 +7,14 @@ every recorded node is visited exactly once. Running a primitive with no tape
 active performs the identical numpy computation and records nothing, so
 forward values agree bitwise with and without a tape.
 
+Training is bound by the Python cost of each record, not by arithmetic, so
+the model is built from a few fused primitives with hand-derived pulls:
+`dense` (matmul, bias and an optional ReLU), `gru_cell` (both gates, the
+candidate and the state update of one GRU step), `sum_sq` (the squared
+Frobenius norm of a list of tensors), and `gather` with per-element weights
+(a decay table looked up and scaled in one record). The small elementwise
+primitives remain for the loss and the structure probe.
+
 The finite-difference checker at the bottom is the independent route for
 validating adjoints; it only ever calls the taped route to obtain analytic
 gradients and otherwise re-evaluates the loss as a black box.
@@ -86,16 +94,17 @@ class Tape:
             out.grad = None
             for t in inputs:
                 t.grad = None
-        if params is not None:
-            for p in params:
-                p.grad = np.zeros_like(p.values)
+        params = list(params or ())
+        for p in params:
+            p.grad = None
         loss.grad = np.ones_like(loss.values)
         for out, _, pull in reversed(self._entries):
             if out.grad is None:
                 continue
             pull(out.grad)
-        if params is None:
-            return []
+        for p in params:
+            if p.grad is None:
+                p.grad = np.zeros_like(p.values)
         return [p.grad for p in params]  # type: ignore[misc]
 
 
@@ -106,9 +115,9 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], pull: Callable) -> Tensor:
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+    # The first adjoint is stored as it is, so it may be shared with another
+    # tensor or be a pull's own array: later ones never add in place.
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -162,27 +171,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(out, (a,), pull)
 
 
-def one_minus(a: Tensor) -> Tensor:
-    out = Tensor(1.0 - a.values)
-
-    def pull(g):
-        _acc(a, -g)
-
-    return _record(out, (a,), pull)
-
-
-def matvec(w: Tensor, x: Tensor) -> Tensor:
-    if w.values.ndim != 2 or x.values.ndim != 1 or w.shape[1] != x.shape[0]:
-        raise ShapeError(f"matvec: incompatible shapes {w.shape} and {x.shape}")
-    out = Tensor(w.values @ x.values)
-
-    def pull(g):
-        _acc(w, np.outer(g, x.values))
-        _acc(x, w.values.T @ g)
-
-    return _record(out, (w, x), pull)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
@@ -208,35 +196,6 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     return _record(out, (m, v), pull)
 
 
-def _stable_sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = _stable_sigmoid(a.values)
-    out = Tensor(s)
-
-    def pull(g):
-        _acc(a, g * s * (1.0 - s))
-
-    return _record(out, (a,), pull)
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.values)
-    out = Tensor(t)
-
-    def pull(g):
-        _acc(a, g * (1.0 - t * t))
-
-    return _record(out, (a,), pull)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.values > 0  # subgradient 0 at the kink
     out = Tensor(np.where(mask, a.values, 0.0))
@@ -245,6 +204,90 @@ def relu(a: Tensor) -> Tensor:
         _acc(a, g * mask)
 
     return _record(out, (a,), pull)
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """x @ w + b for a (B, I) batch, (I, M) weights and an (M,) bias, then
+    max(., 0) when relu is set; one record. The ReLU passes no gradient at 0."""
+    if x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"dense: incompatible shapes {x.shape} and {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"dense: bias shape {b.shape} does not match weights {w.shape}")
+    xv, wv = x.values, w.values
+    z = xv @ wv + b.values
+    if relu:
+        mask = z > 0
+        z = np.where(mask, z, 0.0)
+    out = Tensor(z)
+
+    def pull(g):
+        if relu:
+            g = g * mask
+        _acc(x, g @ wv.T)
+        _acc(w, xv.T @ g)
+        _acc(b, g.sum(axis=0))
+
+    return _record(out, (x, w, b), pull)
+
+
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: exp only sees -|v|."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+
+def gru_cell(
+    x: Tensor, h: Tensor,
+    wu: Tensor, wr: Tensor, wh: Tensor,
+    uu: Tensor, ur: Tensor, uh: Tensor,
+    bu: Tensor, br: Tensor, bh: Tensor,
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """One GRU step on a (B, I) input batch and (B, M) state, as one record:
+
+        u  = sigmoid(x wu + h uu + bu)          update gate
+        r  = sigmoid(x wr + h ur + br)          reset gate
+        hc = tanh(x wh + (r * h) uh + bh)       candidate
+        h' = u * hc + (1 - u) * h
+
+    Returns h' and the gate values u and r, which are plain arrays, not
+    tensors: no gradient flows through them.
+    """
+    if x.values.ndim != 2 or h.values.ndim != 2 or x.shape[0] != h.shape[0]:
+        raise ShapeError(f"gru_cell: input {x.shape} does not match state {h.shape}")
+    m = h.shape[1]
+    for name, t, shape in (
+        ("wu", wu, (x.shape[1], m)), ("wr", wr, (x.shape[1], m)), ("wh", wh, (x.shape[1], m)),
+        ("uu", uu, (m, m)), ("ur", ur, (m, m)), ("uh", uh, (m, m)),
+        ("bu", bu, (m,)), ("br", br, (m,)), ("bh", bh, (m,)),
+    ):
+        if t.shape != shape:
+            raise ShapeError(f"gru_cell: {name} has shape {t.shape}, expected {shape}")
+    xv, hv = x.values, h.values
+    u = _sigmoid(xv @ wu.values + hv @ uu.values + bu.values)
+    r = _sigmoid(xv @ wr.values + hv @ ur.values + br.values)
+    rh = r * hv
+    hc = np.tanh(xv @ wh.values + rh @ uh.values + bh.values)
+    out = Tensor(u * hc + (1.0 - u) * hv)
+
+    def pull(g):
+        a_u = g * (hc - hv) * u * (1.0 - u)
+        a_h = g * u * (1.0 - hc * hc)
+        d_rh = a_h @ uh.values.T
+        a_r = d_rh * hv * r * (1.0 - r)
+        _acc(x, a_u @ wu.values.T + a_r @ wr.values.T + a_h @ wh.values.T)
+        _acc(h, g * (1.0 - u) + d_rh * r + a_u @ uu.values.T + a_r @ ur.values.T)
+        _acc(wu, xv.T @ a_u)
+        _acc(wr, xv.T @ a_r)
+        _acc(wh, xv.T @ a_h)
+        _acc(uu, hv.T @ a_u)
+        _acc(ur, hv.T @ a_r)
+        _acc(uh, rh.T @ a_h)
+        _acc(bu, a_u.sum(axis=0))
+        _acc(br, a_r.sum(axis=0))
+        _acc(bh, a_h.sum(axis=0))
+
+    _record(out, (x, h, wu, wr, wh, uu, ur, uh, bu, br, bh), pull)
+    return out, u, r
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -287,20 +330,25 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = Non
         raise ShapeError(f"conv1d: kernel width {w} exceeds input length {n}")
     if bias is not None and bias.values.ndim != 0:
         raise ShapeError(f"conv1d: bias must be a scalar, got {bias.shape}")
-    windows = np.lib.stride_tricks.sliding_window_view(x.values, w, axis=-1)[..., ::stride, :]
-    vals = windows @ kernel.values
+    out_len = (n - w) // stride + 1
+    # tap j meets x[j], x[j + stride], ...: one strided slice per kernel tap
+    taps = [(..., slice(j, j + (out_len - 1) * stride + 1, stride)) for j in range(w)]
+    xv, kv = x.values, kernel.values
+    vals = xv[taps[0]] * kv[0]
+    for j in range(1, w):
+        vals += xv[taps[j]] * kv[j]
     if bias is not None:
-        vals = vals + bias.values
+        vals += bias.values
     out = Tensor(vals)
-    out_len = vals.shape[-1]
 
     def pull(g):
-        lead = list(range(g.ndim))
-        _acc(kernel, np.tensordot(g, windows, axes=(lead, lead)))
-        dx = np.zeros_like(x.values)
-        for i in range(out_len):
-            dx[..., i * stride : i * stride + w] += g[..., i, None] * kernel.values
+        dx = np.zeros_like(xv)
+        dk = np.empty(w)
+        for j, tap in enumerate(taps):
+            dx[tap] += g * kv[j]
+            dk[j] = (g * xv[tap]).sum()
         _acc(x, dx)
+        _acc(kernel, dk)
         if bias is not None:
             _acc(bias, np.asarray(g.sum()))
 
@@ -308,8 +356,9 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = Non
     return _record(out, inputs, pull)
 
 
-def gather(vec: Tensor, idx: np.ndarray) -> Tensor:
-    """vec[idx] for a 1-D vec and an integer index array of any shape."""
+def gather(vec: Tensor, idx: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+    """vec[idx] for a 1-D vec and an integer index array of any shape, times
+    a constant array of idx's shape when weights is given."""
     if vec.values.ndim != 1:
         raise ShapeError(f"gather: source must be 1-D, got {vec.shape}")
     idx = np.asarray(idx)
@@ -319,12 +368,20 @@ def gather(vec: Tensor, idx: np.ndarray) -> Tensor:
         raise ContractError(
             f"gather: index range [{idx.min()}, {idx.max()}] outside vector of length {vec.shape[0]}"
         )
-    out = Tensor(vec.values[idx])
+    vals = vec.values[idx]
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != idx.shape:
+            raise ShapeError(f"gather: weights {weights.shape} do not match indices {idx.shape}")
+        vals = vals * weights
+    out = Tensor(vals)
+    n = vec.shape[0]
 
     def pull(g):
-        d = np.zeros_like(vec.values)
-        np.add.at(d, idx, g)
-        _acc(vec, d)
+        if weights is not None:
+            g = g * weights
+        # bincount adds in index order, the same sums np.add.at would form
+        _acc(vec, np.bincount(idx.ravel(), weights=g.ravel(), minlength=n))
 
     return _record(out, (vec,), pull)
 
@@ -346,6 +403,25 @@ def mean(a: Tensor) -> Tensor:
         _acc(a, np.broadcast_to(g * inv, a.shape).astype(np.float64))
 
     return _record(out, (a,), pull)
+
+
+def sum_sq(parts: Sequence[Tensor]) -> Tensor:
+    """Sum of the squares of every entry of every tensor in parts, as one
+    record: a squared Frobenius norm summed over a list of weights."""
+    if not parts:
+        raise ShapeError("sum_sq of zero tensors")
+    vals = [p.values for p in parts]
+    acc = (vals[0] * vals[0]).sum()
+    for v in vals[1:]:
+        acc = acc + (v * v).sum()
+    out = Tensor(acc)
+
+    def pull(g):
+        g2 = 2.0 * g
+        for p, v in zip(parts, vals):
+            _acc(p, g2 * v)
+
+    return _record(out, tuple(parts), pull)
 
 
 # ---------------------------------------------------------- gradient checking

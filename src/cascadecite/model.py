@@ -6,6 +6,12 @@ convolved (kernel 2, stride 2 by default) down to M/2, the per-level results
 are concatenated, and an MLP head emits the predicted log2(G + 1). Training
 minimizes mean squared error in that log space plus a Frobenius penalty on
 the weight matrices (biases and the decay vector are not penalized).
+
+Each block is one fused tape record: the decay is a weighted `gather`, every
+pre-embed and head layer a `dense`, each GRU step a `gru_cell`, and the
+penalty a single `sum_sq`. With the default configuration a training step
+on a 5-level schema records 41 entries: 6 per level, the concat, 3 head
+layers and 7 for the loss.
 """
 
 from __future__ import annotations
@@ -20,19 +26,17 @@ from . import checkpoint as _ckpt
 from .autodiff import (
     Tensor,
     add,
-    add_rowvec,
     concat,
     const,
     conv1d,
+    dense,
     gather,
-    matmul,
+    gru_cell,
     mul,
-    one_minus,
     relu,
     scale,
-    sigmoid,
     sub,
-    tanh,
+    sum_sq,
     total,
 )
 from .encoding import DegreeSequence, EncodingSchema, schema_from_dict, schema_to_dict
@@ -237,17 +241,8 @@ def apply_time_decay(seq: DegreeSequence, decay: Tensor) -> list[Tensor]:
             raise ContractError(
                 f"bin index outside decay table of length {decay.shape[0]}"
             )
-        out.append(mul(gather(decay, bins), const(degs)))
+        out.append(gather(decay, bins, weights=degs))
     return out
-
-
-def _pre_embed(params: ModelParams, k: int, x: Tensor) -> Tensor:
-    layers = params.pre_embed[k]
-    for i, (w, b) in enumerate(layers):
-        x = add_rowvec(matmul(x, w), b)
-        if i < len(layers) - 1:
-            x = relu(x)
-    return x
 
 
 def forward_batch(
@@ -271,24 +266,22 @@ def forward_batch(
     if trace is not None:
         trace.update({"decayed": [], "embed": [], "u": [], "r": [], "h": [], "conv": []})
 
-    g = params.gru
+    gru = [params.gru[key] for key in _GRU_KEYS]
     h = const(np.zeros((b, cfg.embed_width)))
     convs = []
     for k in range(cfg.depth):
-        lam = gather(params.decay, bin_rows[k])
-        x = mul(lam, const(deg_rows[k]))
-        x = _pre_embed(params, k, x)
-        u = sigmoid(add_rowvec(add(matmul(x, g["wu"]), matmul(h, g["uu"])), g["bu"]))
-        r = sigmoid(add_rowvec(add(matmul(x, g["wr"]), matmul(h, g["ur"])), g["br"]))
-        hc = tanh(add_rowvec(add(matmul(x, g["wh"]), matmul(mul(r, h), g["uh"])), g["bh"]))
-        h = add(mul(u, hc), mul(one_minus(u), h))
+        x = decayed = gather(params.decay, bin_rows[k], weights=deg_rows[k])
+        layers = params.pre_embed[k]
+        for i, (w, bb) in enumerate(layers):
+            x = dense(x, w, bb, relu=i < len(layers) - 1)
+        h, u, r = gru_cell(x, h, *gru)
         conv = relu(conv1d(h, params.conv_kernel, stride=cfg.conv_stride, bias=params.conv_bias))
         convs.append(conv)
         if trace is not None:
-            trace["decayed"].append(lam.values * deg_rows[k])
+            trace["decayed"].append(decayed.values.copy())
             trace["embed"].append(x.values.copy())
-            trace["u"].append(u.values.copy())
-            trace["r"].append(r.values.copy())
+            trace["u"].append(u.copy())
+            trace["r"].append(r.copy())
             trace["h"].append(h.values.copy())
             trace["conv"].append(conv.values.copy())
 
@@ -296,9 +289,7 @@ def forward_batch(
     if trace is not None:
         trace["concat"] = z.values.copy()
     for i, (w, bb) in enumerate(params.head):
-        z = add_rowvec(matmul(z, w), bb)
-        if i < len(params.head) - 1:
-            z = relu(z)
+        z = dense(z, w, bb, relu=i < len(params.head) - 1)
     return z
 
 
@@ -337,11 +328,7 @@ def loss(preds: Tensor, growths, params: ModelParams) -> Tensor:
     data = scale(total(mul(e, e)), cfg.alpha / targets.shape[0])
     if cfg.reg_weight == 0.0:
         return data
-    reg = None
-    for w in params.weight_matrices():
-        term = total(mul(w, w))
-        reg = term if reg is None else add(reg, term)
-    return add(data, scale(reg, cfg.reg_weight))
+    return add(data, scale(sum_sq(params.weight_matrices()), cfg.reg_weight))
 
 
 # -------------------------------------------------------------- checkpoints

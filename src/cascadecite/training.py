@@ -71,22 +71,33 @@ class TrainReport:
         }
 
 
-def _stacked(samples: Sequence[EncodedSample], cfg: ModelConfig):
+@dataclass(frozen=True)
+class Stacked:
+    """Labeled samples stacked once into per-level (N, L_k) arrays."""
+
+    deg_rows: list[np.ndarray]
+    bin_rows: list[np.ndarray]
+    growths: np.ndarray
+
+
+def _stacked(samples: Sequence[EncodedSample], cfg: ModelConfig) -> Stacked:
     growths = []
     for s in samples:
         if s.growth is None:
             raise EvaluationError(f"sample {s.id!r} has no growth label")
         growths.append(s.growth)
     deg_rows, bin_rows = stack_sequences([s.seq for s in samples], cfg)
-    return deg_rows, bin_rows, np.asarray(growths, dtype=np.int64)
+    return Stacked(deg_rows, bin_rows, np.asarray(growths, dtype=np.int64))
 
 
-def _predict_values(params: ModelParams, samples: Sequence[EncodedSample], chunk: int = 512) -> np.ndarray:
+def _predict_values(
+    params: ModelParams, deg_rows: list[np.ndarray], bin_rows: list[np.ndarray], chunk: int = 512
+) -> np.ndarray:
     preds = []
-    for lo in range(0, len(samples), chunk):
-        part = samples[lo : lo + chunk]
-        deg_rows, bin_rows = stack_sequences([s.seq for s in part], params.config)
-        preds.append(forward_batch(params, deg_rows, bin_rows).values[:, 0])
+    for lo in range(0, deg_rows[0].shape[0], chunk):
+        part = slice(lo, lo + chunk)
+        out = forward_batch(params, [d[part] for d in deg_rows], [b[part] for b in bin_rows])
+        preds.append(out.values[:, 0])
     return np.concatenate(preds)
 
 
@@ -102,14 +113,14 @@ def msle(pred_logs: np.ndarray, growths: np.ndarray) -> float:
     return float(np.mean(err * err))
 
 
-def evaluate(params: ModelParams, samples: Sequence[EncodedSample]) -> float:
-    """MSLE of the model over labeled encoded samples."""
-    if not samples:
-        raise EvaluationError("nothing to evaluate")
-    growths = np.asarray([s.growth for s in samples if s.growth is not None])
-    if len(growths) != len(samples):
-        raise EvaluationError("every sample must carry a growth label")
-    return msle(_predict_values(params, samples), growths)
+def evaluate(params: ModelParams, samples: Sequence[EncodedSample] | Stacked) -> float:
+    """MSLE of the model over labeled encoded samples, or over a set that
+    `train` stacked once for all its epochs."""
+    if not isinstance(samples, Stacked):
+        if not samples:
+            raise EvaluationError("nothing to evaluate")
+        samples = _stacked(samples, params.config)
+    return msle(_predict_values(params, samples.deg_rows, samples.bin_rows), samples.growths)
 
 
 def train(
@@ -132,7 +143,8 @@ def train(
     state = AdamState(
         step_size=tcfg.step_size, beta1=tcfg.beta1, beta2=tcfg.beta2, eps=tcfg.adam_eps
     )
-    deg_all, bin_all, growth_all = _stacked(train_samples, mcfg)
+    train_set = _stacked(train_samples, mcfg)
+    val_set = _stacked(val_samples, mcfg)
     rng = np.random.default_rng(tcfg.seed)
 
     best_state = params.value_state()
@@ -147,11 +159,11 @@ def train(
         batch_losses = []
         for lo in range(0, len(order), tcfg.batch_size):
             rows = order[lo : lo + tcfg.batch_size]
-            deg_rows = [d[rows] for d in deg_all]
-            bin_rows = [b[rows] for b in bin_all]
+            deg_rows = [d[rows] for d in train_set.deg_rows]
+            bin_rows = [b[rows] for b in train_set.bin_rows]
             with Tape() as tape:
                 preds = forward_batch(params, deg_rows, bin_rows)
-                batch_loss = model_loss(preds, growth_all[rows], params)
+                batch_loss = model_loss(preds, train_set.growths[rows], params)
             value = batch_loss.item()
             if not np.isfinite(value):
                 raise TrainingDivergedError(
@@ -169,7 +181,7 @@ def train(
             batch_losses.append(value)
 
         train_losses.append(float(np.mean(batch_losses)))
-        val = evaluate(params, val_samples)
+        val = evaluate(params, val_set)
         val_msles.append(val)
         if val < best_val:
             best_val = val
@@ -201,7 +213,8 @@ def predict_rows(params: ModelParams, samples: Sequence[EncodedSample]) -> list[
     """(id, predicted log2(G+1), back-transformed growth clamped at 0) rows."""
     if not samples:
         return []
-    values = _predict_values(params, samples)
+    deg_rows, bin_rows = stack_sequences([s.seq for s in samples], params.config)
+    values = _predict_values(params, deg_rows, bin_rows)
     return [
         (s.id, float(v), growth_from_log(float(v))) for s, v in zip(samples, values)
     ]

@@ -22,42 +22,118 @@ def tensors(rng, *shapes):
     return [ad.Tensor(rng.standard_normal(s), name=f"p{i}") for i, s in enumerate(shapes)]
 
 
+def gru_weights(rng, n_in, m):
+    """wu, wr, wh, uu, ur, uh, bu, br, bh for an n_in -> m GRU cell."""
+    shapes = [(n_in, m)] * 3 + [(m, m)] * 3 + [(m,)] * 3
+    return [ad.Tensor(0.5 * rng.standard_normal(s)) for s in shapes]
+
+
 def test_add_sub_mul_adjoints():
     rng = np.random.default_rng(1)
     a, b = tensors(rng, (3, 4), (3, 4))
     check(lambda: ad.total(ad.add(ad.mul(a, b), ad.sub(a, b))), [a, b])
 
 
-def test_scale_and_one_minus_adjoints():
+def test_scale_adjoint():
     rng = np.random.default_rng(2)
     (a,) = tensors(rng, (5,))
-    check(lambda: ad.total(ad.scale(ad.one_minus(a), -2.5)), [a])
-
-
-def test_matvec_adjoint():
-    rng = np.random.default_rng(3)
-    w, x = tensors(rng, (4, 6), (6,))
-    check(lambda: ad.total(ad.matvec(w, x)), [w, x])
+    check(lambda: ad.total(ad.scale(ad.mul(a, a), -2.5)), [a])
 
 
 def test_matmul_and_add_rowvec_adjoints():
     rng = np.random.default_rng(4)
     a, b, v = tensors(rng, (3, 5), (5, 4), (4,))
-    check(lambda: ad.total(ad.tanh(ad.add_rowvec(ad.matmul(a, b), v))), [a, b, v])
+
+    def f():
+        z = ad.add_rowvec(ad.matmul(a, b), v)
+        return ad.total(ad.mul(z, z))
+
+    check(f, [a, b, v])
 
 
-def test_sigmoid_tanh_adjoints():
-    rng = np.random.default_rng(5)
-    (a,) = tensors(rng, (7,))
-    check(lambda: ad.total(ad.mul(ad.sigmoid(a), ad.tanh(a))), [a])
+@pytest.mark.parametrize("relu", [False, True])
+def test_dense_adjoint(relu):
+    rng = np.random.default_rng(13)
+    x, w, b = tensors(rng, (5, 4), (4, 3), (3,))
+    assert np.abs(x.values @ w.values + b.values).min() > 1e-3  # FD away from the kink
+    c = ad.const(rng.standard_normal((5, 3)))
+    check(lambda: ad.total(ad.mul(ad.dense(x, w, b, relu=relu), c)), [x, w, b])
 
 
-def test_sigmoid_is_stable_for_large_magnitudes():
-    big = ad.Tensor(np.array([-800.0, -30.0, 0.0, 30.0, 800.0]))
-    s = ad.sigmoid(big).values
-    assert np.all(np.isfinite(s))
-    assert s[0] == 0.0 and s[-1] == 1.0
-    assert abs(s[2] - 0.5) < 1e-15
+def test_dense_relu_matches_composition():
+    rng = np.random.default_rng(13)
+    x, w, b = tensors(rng, (6, 4), (4, 3), (3,))
+    for relu in (False, True):
+        expect = ad.add_rowvec(ad.matmul(x, w), b)
+        if relu:
+            expect = ad.relu(expect)
+        np.testing.assert_array_equal(ad.dense(x, w, b, relu=relu).values, expect.values)
+
+
+def test_gru_cell_adjoint():
+    rng = np.random.default_rng(14)
+    x, h = tensors(rng, (5, 3), (5, 4))
+    weights = gru_weights(rng, 3, 4)
+    c = ad.const(rng.standard_normal((5, 4)))
+    check(lambda: ad.total(ad.mul(ad.gru_cell(x, h, *weights)[0], c)), [x, h, *weights])
+
+
+def test_gru_cell_matches_elementwise_composition():
+    rng = np.random.default_rng(15)
+    x, h = tensors(rng, (5, 3), (5, 4))
+    weights = gru_weights(rng, 3, 4)
+    wu, wr, wh, uu, ur, uh, bu, br, bh = (t.values for t in weights)
+    xv, hv = x.values, h.values
+
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    u = sigmoid(xv @ wu + hv @ uu + bu)
+    r = sigmoid(xv @ wr + hv @ ur + br)
+    hc = np.tanh(xv @ wh + (r * hv) @ uh + bh)
+    out, got_u, got_r = ad.gru_cell(x, h, *weights)
+    np.testing.assert_allclose(out.values, u * hc + (1.0 - u) * hv, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_u, u, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_r, r, rtol=0, atol=1e-12)
+
+
+def test_gru_cell_is_stable_for_large_magnitudes():
+    x = ad.Tensor(np.array([[-800.0], [0.0], [800.0]]))
+    h = ad.Tensor(np.zeros((3, 1)))
+    one, zero = ad.Tensor(np.ones((1, 1))), ad.Tensor(np.zeros(1))
+    out, u, r = ad.gru_cell(x, h, one, one, one, one, one, one, zero, zero, zero)
+    assert u[:, 0].tolist() == [0.0, 0.5, 1.0]
+    assert r[:, 0].tolist() == [0.0, 0.5, 1.0]
+    assert out.values[:, 0].tolist() == [0.0, 0.0, 1.0]
+
+
+def test_sum_sq_value_and_adjoint():
+    rng = np.random.default_rng(16)
+    a, b, c = tensors(rng, (3, 4), (4,), ())
+    expect = sum(float((t.values**2).sum()) for t in (a, b, c))
+    assert ad.sum_sq([a, b, c]).item() == pytest.approx(expect, rel=1e-15)
+    check(lambda: ad.sum_sq([a, b, c]), [a, b, c])
+    check(lambda: ad.sum_sq([a, a]), [a])  # a repeated tensor collects both terms
+
+
+@pytest.mark.parametrize("width,stride", [(2, 2), (3, 1), (3, 2)])
+def test_conv1d_adjoint_kernel_geometries(width, stride):
+    rng = np.random.default_rng(17)
+    x, k = tensors(rng, (4, 9), (width,))
+    bias = ad.Tensor(np.array(0.2))
+    c = ad.const(rng.standard_normal((4, (9 - width) // stride + 1)))
+    check(lambda: ad.total(ad.mul(ad.conv1d(x, k, stride=stride, bias=bias), c)), [x, k, bias])
+
+
+def test_weighted_gather_value_and_adjoint():
+    rng = np.random.default_rng(18)
+    (v,) = tensors(rng, (4,))
+    idx = np.array([[0, 3, 3], [1, 3, 0]])
+    weights = rng.standard_normal(idx.shape)
+    out = ad.gather(v, idx, weights=weights)
+    np.testing.assert_array_equal(out.values, v.values[idx] * weights)
+    c = ad.const(rng.standard_normal(idx.shape))
+    check(lambda: ad.total(ad.mul(ad.gather(v, idx, weights=weights), c)), [v])
 
 
 def test_relu_adjoint_away_from_kink():
@@ -141,6 +217,20 @@ def test_shape_mismatches_raise():
         ad.matmul(a, a)
     with pytest.raises(ShapeError):
         ad.conv1d(ad.Tensor(np.zeros(2)), ad.Tensor(np.zeros(5)))
+    with pytest.raises(ShapeError):
+        ad.dense(a, a, ad.Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError):
+        ad.dense(a, b, ad.Tensor(np.zeros(3)))  # bias must match the output width
+    rng = np.random.default_rng(0)
+    weights = gru_weights(rng, 3, 4)
+    with pytest.raises(ShapeError):
+        ad.gru_cell(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 4))), *weights)
+    with pytest.raises(ShapeError):
+        ad.gru_cell(ad.Tensor(np.zeros((2, 2))), ad.Tensor(np.zeros((2, 4))), *weights)
+    with pytest.raises(ShapeError):
+        ad.gather(ad.Tensor(np.zeros(3)), np.array([0, 1]), weights=np.ones(3))
+    with pytest.raises(ShapeError):
+        ad.sum_sq([])
 
 
 def test_tapes_do_not_nest():
@@ -152,11 +242,16 @@ def test_tapes_do_not_nest():
 
 def test_no_tape_means_no_recording_and_same_values():
     rng = np.random.default_rng(12)
-    a = ad.Tensor(rng.standard_normal((3, 3)))
-    bare = ad.tanh(a).values
+    x, h, w, b = tensors(rng, (3, 3), (3, 4), (3, 3), (3,))
+    weights = gru_weights(rng, 3, 4)
+
+    def f():
+        return ad.gru_cell(ad.dense(x, w, b, relu=True), h, *weights)[0].values
+
+    bare = f()
     with ad.Tape() as tape:
-        taped = ad.tanh(a).values
-    assert len(tape) == 1
+        taped = f()
+    assert len(tape) == 2
     np.testing.assert_array_equal(bare, taped)
 
 
@@ -213,10 +308,13 @@ def test_chain_of_smooth_primitives_passes_grad_check(rows, cols, seed):
     a = ad.Tensor(rng.standard_normal((rows, cols)))
     w = ad.Tensor(rng.standard_normal((cols, 3)))
     v = ad.Tensor(rng.standard_normal(3))
+    h = ad.const(rng.standard_normal((rows, 3)))
+    weights = gru_weights(rng, 3, 3)
 
     def f():
-        z = ad.add_rowvec(ad.matmul(ad.tanh(a), w), v)
-        return ad.mean(ad.mul(ad.sigmoid(z), z))
+        z = ad.add_rowvec(ad.matmul(ad.mul(a, a), w), v)
+        hz, _, _ = ad.gru_cell(z, h, *weights)
+        return ad.mean(ad.mul(hz, z))
 
     report = ad.grad_check(f, [a, w, v], eps=1e-5, tol=1e-5, seed=seed)
     assert report.passed, report

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from cascadecite import training as tr
+from cascadecite.autodiff import Tape
 from cascadecite.cascades import generate_synthetic
 from cascadecite.encoding import EncodedSample
 from cascadecite.errors import ConfigError, ContractError, EvaluationError
-from cascadecite.model import ModelConfig, init_params
+from cascadecite.model import ModelConfig, forward_batch, init_params, loss, stack_sequences
 from cascadecite.trees import to_tree
 
 
@@ -73,6 +74,20 @@ def test_train_learns_and_restores_best_state():
     assert tr.evaluate(params, val) == report.best_val_msle
     assert report.train_losses[-1] < report.train_losses[0]
     assert report.wall_time_sec > 0
+
+
+def test_default_model_step_stays_within_tape_budget():
+    # the benchmark's fit-small corpus: a 5-level schema, batches of 32
+    pairs = generate_synthetic(200, (6, 18), 80, 1.0, seed=11, window_T=40)
+    train, _, _, schema = tr.encode_split(pairs, bin_count=6, window_T=40, seed=11)
+    assert schema.level_lengths == (8, 9, 3, 2, 1)
+    mcfg = ModelConfig.from_schema(schema)
+    params = init_params(mcfg, 0)
+    batch = train[:32]
+    deg_rows, bin_rows = stack_sequences([s.seq for s in batch], mcfg)
+    with Tape() as tape:
+        loss(forward_batch(params, deg_rows, bin_rows), np.array([s.growth for s in batch]), params)
+    assert len(tape) <= 45
 
 
 def test_patience_stops_after_no_improvement(monkeypatch):
