@@ -1,5 +1,9 @@
 """Citation cascade growth prediction from per-level degree-sequence encodings."""
 
+# The one version literal: config.TOOL_VERSION and pyproject.toml read it.
+# Set before the submodule imports so any of them may import it.
+__version__ = "0.2.0"
+
 from .cascades import (
     Cascade,
     CascadeNode,
@@ -27,9 +31,7 @@ from .errors import CascadeCiteError
 from .model import ModelConfig, ModelParams, init_params, load_model, save_model
 from .probe import StructuralFeatures, probe, structural_features
 from .training import TrainConfig, TrainReport, encode_split, evaluate, msle, train
-from .trees import CascadeTree, levels, max_depth, to_tree
-
-__version__ = "0.1.0"
+from .trees import CascadeTree, to_tree
 
 __all__ = [
     "Cascade",
@@ -54,9 +56,7 @@ __all__ = [
     "evaluate",
     "generate_synthetic",
     "init_params",
-    "levels",
     "load_model",
-    "max_depth",
     "msle",
     "parse_citation_files",
     "probe",

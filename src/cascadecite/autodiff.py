@@ -12,8 +12,9 @@ the model is built from a few fused primitives with hand-derived pulls:
 `dense` (matmul, bias and an optional ReLU), `gru_cell` (both gates, the
 candidate and the state update of one GRU step), `sum_sq` (the squared
 Frobenius norm of a list of tensors), and `gather` with per-element weights
-(a decay table looked up and scaled in one record). The small elementwise
-primitives remain for the loss and the structure probe.
+(a decay table looked up and scaled in one record). The structure probe
+is built from `dense` too. The small primitives remain only for the loss
+(`add`, `sub`, `mul`, `scale`, `total`) and for the ReLU after the conv.
 
 The finite-difference checker at the bottom is the independent route for
 validating adjoints; it only ever calls the taped route to obtain analytic
@@ -169,31 +170,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         _acc(a, g * c)
 
     return _record(out, (a,), pull)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.values @ b.values)
-
-    def pull(g):
-        _acc(a, g @ b.values.T)
-        _acc(b, a.values.T @ g)
-
-    return _record(out, (a, b), pull)
-
-
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Add a length-M vector to every row of a (B, M) matrix."""
-    if m.values.ndim != 2 or v.values.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeError(f"add_rowvec: incompatible shapes {m.shape} and {v.shape}")
-    out = Tensor(m.values + v.values[None, :])
-
-    def pull(g):
-        _acc(m, g)
-        _acc(v, g.sum(axis=0))
-
-    return _record(out, (m, v), pull)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -391,16 +367,6 @@ def total(a: Tensor) -> Tensor:
 
     def pull(g):
         _acc(a, np.broadcast_to(g, a.shape).astype(np.float64))
-
-    return _record(out, (a,), pull)
-
-
-def mean(a: Tensor) -> Tensor:
-    out = Tensor(a.values.mean())
-    inv = 1.0 / a.values.size
-
-    def pull(g):
-        _acc(a, np.broadcast_to(g * inv, a.shape).astype(np.float64))
 
     return _record(out, (a,), pull)
 

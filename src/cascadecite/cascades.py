@@ -39,6 +39,7 @@ class CitationEvent:
     citing: str
     cited: str
     time: int  # days since corpus epoch; equals the citing paper's publication date
+    cited_time: int | None = None  # the cited paper's date on the same scale; None if undated
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,14 @@ def parse_citation_files(
 
     Lines starting with '#' are comments. Edges whose citing paper has no
     date, and self-citations, are dropped and counted in the warning tally.
+    Each event also carries the cited paper's date when the dates file has
+    one, so cascade roots are dated even when they cite nothing.
     """
     date_by_paper = _parse_dates(dates)
     if not date_by_paper:
         raise ParseError("dates file holds no dates")
     epoch = min(date_by_paper.values())
+    day_of = {pid: (d - epoch).days for pid, d in date_by_paper.items()}
 
     undated = 0
     self_loops = 0
@@ -143,11 +147,11 @@ def parse_citation_files(
         if citing == cited:
             self_loops += 1
             continue
-        d = date_by_paper.get(citing)
-        if d is None:
+        t = day_of.get(citing)
+        if t is None:
             undated += 1
             continue
-        events.append(CitationEvent(citing=citing, cited=cited, time=(d - epoch).days))
+        events.append(CitationEvent(citing, cited, t, day_of.get(cited)))
 
     if undated or self_loops:
         log.warning("dropped %d undated-citer edges and %d self-citations", undated, self_loops)
@@ -172,10 +176,10 @@ def build_cascades(
 
     horizon is the growth bracket width in days (growth counts citers with
     window_T < t <= window_T + horizon relative to the root); None means
-    end-of-data. A root's own date comes from any event where it is the
-    citer; roots that never cite get their window anchored one day before
-    their first citation, so the first citer still adopts strictly after
-    the root.
+    end-of-data. A paper's date comes from any event that carries it, as
+    the citer's time or as the cited paper's time. Roots with no date at
+    all get their window anchored one day before their first citation, so
+    the first citer still adopts strictly after the root.
     """
     if window_T < 1:
         raise ConfigError(f"window_T must be >= 1 day, got {window_T}")
@@ -186,12 +190,14 @@ def build_cascades(
 
     date_of: dict[str, int] = {}
     for ev in events:
-        seen = date_of.get(ev.citing)
-        if seen is not None and seen != ev.time:
-            raise MalformedCascadeError(
-                f"paper {ev.citing!r} cites at two different times ({seen} and {ev.time})"
-            )
-        date_of[ev.citing] = ev.time
+        for pid, t in ((ev.citing, ev.time), (ev.cited, ev.cited_time)):
+            if t is None:
+                continue
+            seen = date_of.setdefault(pid, t)
+            if seen != t:
+                raise MalformedCascadeError(
+                    f"paper {pid!r} is dated at two different times ({seen} and {t})"
+                )
 
     citers_of: dict[str, dict[str, int]] = {}
     cites: dict[str, set[str]] = {}

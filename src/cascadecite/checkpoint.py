@@ -62,10 +62,3 @@ def parse_arrays(doc: dict, expected_shapes: dict[str, tuple[int, ...]] | None =
                     f"array {name!r} has shape {arrays[name].shape}, expected {tuple(shape)}"
                 )
     return arrays
-
-
-def load_arrays(path: str | Path, expected_shapes: dict[str, tuple[int, ...]] | None = None) -> tuple[dict[str, np.ndarray], dict]:
-    doc = json.loads(Path(path).read_text())
-    arrays = parse_arrays(doc, expected_shapes)
-    extra = {k: v for k, v in doc.items() if k not in ("format", "version", "arrays")}
-    return arrays, extra

@@ -24,6 +24,7 @@ from .probe import FEATURE_NAMES, probe as run_probe, structural_features
 from .training import (
     TrainConfig,
     encode_split,
+    encode_trees,
     evaluate,
     predict_rows,
     sweep_time_interval,
@@ -87,14 +88,10 @@ def _load_eval_samples(args, ckpt_schema: enc.EncodingSchema) -> list[enc.Encode
                 f"cascades use window {window} but checkpoint was trained on {ckpt_schema.window_T}",
                 details={"expected_window": ckpt_schema.window_T, "got_window": window},
             )
-        out = []
-        for c, lb in pairs:
-            tree = to_tree(c)
-            growth = None if lb is None else lb.growth
-            out.append(
-                enc.EncodedSample(id=c.root, seq=enc.encode(tree, ckpt_schema, truncate=True), growth=growth)
-            )
-        return out
+        samples, clipped = encode_trees([(to_tree(c), lb) for c, lb in pairs], ckpt_schema, truncate=True)
+        if clipped:
+            log.warning("schema truncation applied to %d of %d trees", clipped, len(samples))
+        return samples
     if getattr(args, "encoded", None):
         if not getattr(args, "schema", None):
             raise ConfigError("--encoded requires --schema so the encoding can be verified")

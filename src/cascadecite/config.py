@@ -8,9 +8,8 @@ import json
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__ as TOOL_VERSION
 from .errors import ConfigError
-
-TOOL_VERSION = "0.1.0"
 
 DEFAULTS: dict = {
     "window_days": 1095,

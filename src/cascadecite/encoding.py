@@ -131,20 +131,6 @@ def encode_level(
 class DegreeSequence:
     levels: tuple[tuple[SeqEntry, ...], ...]
 
-    def degree_rows(self) -> list[np.ndarray]:
-        return [np.array([e.degree for e in lvl], dtype=np.float64) for lvl in self.levels]
-
-    def bin_rows(self) -> list[np.ndarray]:
-        return [np.array([e.bin for e in lvl], dtype=np.int64) for lvl in self.levels]
-
-    def flatten_decayed(self, decay: np.ndarray) -> np.ndarray:
-        """Concatenate all levels as degree * decay[bin] (padding stays 0)."""
-        parts = [
-            np.array([e.degree * decay[e.bin] for e in lvl], dtype=np.float64)
-            for lvl in self.levels
-        ]
-        return np.concatenate(parts) if parts else np.zeros(0)
-
 
 def fits_schema(tree: CascadeTree, schema: EncodingSchema) -> bool:
     if len(tree.levels) > schema.depth:
@@ -211,25 +197,30 @@ def load_schema(path: str | Path) -> EncodingSchema:
 
 
 def sample_to_dict(sample: EncodedSample) -> dict:
+    """One record per tree; each slot is a [degree, bin] pair."""
     return {
         "id": sample.id,
-        "levels": [[{"d": e.degree, "bin": e.bin} for e in lvl] for lvl in sample.seq.levels],
+        "levels": [[[e.degree, e.bin] for e in lvl] for lvl in sample.seq.levels],
         "label": sample.growth,
     }
 
 
+def _slot(pair) -> SeqEntry:
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ParseError(f"slot {pair!r} is not a [degree, bin] pair")
+    degree, b = int(pair[0]), int(pair[1])
+    return SeqEntry(degree=degree, bin=b, is_pad=b == PAD_BIN)
+
+
 def sample_from_dict(doc: dict) -> EncodedSample:
     try:
-        levels = tuple(
-            tuple(SeqEntry(degree=int(e["d"]), bin=int(e["bin"]), is_pad=int(e["bin"]) == PAD_BIN) for e in lvl)
-            for lvl in doc["levels"]
-        )
+        levels = tuple(tuple(_slot(e) for e in lvl) for lvl in doc["levels"])
         growth = doc.get("label")
         return EncodedSample(
             id=doc["id"], seq=DegreeSequence(levels=levels),
             growth=None if growth is None else int(growth),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad encoded record: {exc}") from None
 
 

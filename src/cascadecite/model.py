@@ -229,22 +229,6 @@ def growth_from_log(pred: float) -> float:
     return max(0.0, float(np.exp2(pred)) - 1.0)
 
 
-def apply_time_decay(seq: DegreeSequence, decay: Tensor) -> list[Tensor]:
-    """Per-level degree * decay[bin] vectors.
-
-    Padding entries gather decay[0] and carry degree 0, so they contribute
-    exactly nothing and pass no gradient to decay[0].
-    """
-    out = []
-    for degs, bins in zip(seq.degree_rows(), seq.bin_rows()):
-        if bins.size and (bins.min() < 0 or bins.max() >= decay.shape[0]):
-            raise ContractError(
-                f"bin index outside decay table of length {decay.shape[0]}"
-            )
-        out.append(gather(decay, bins, weights=degs))
-    return out
-
-
 def forward_batch(
     params: ModelParams,
     deg_rows: list[np.ndarray],
@@ -310,12 +294,6 @@ def stack_sequences(seqs: list[DegreeSequence], cfg: ModelConfig) -> tuple[list[
         deg_rows.append(np.array([[e.degree for e in s.levels[k]] for s in seqs], dtype=np.float64))
         bin_rows.append(np.array([[e.bin for e in s.levels[k]] for s in seqs], dtype=np.int64))
     return deg_rows, bin_rows
-
-
-def forward(params: ModelParams, seq: DegreeSequence, trace: dict | None = None) -> Tensor:
-    """Single-sample prediction, shape (1, 1)."""
-    deg_rows, bin_rows = stack_sequences([seq], params.config)
-    return forward_batch(params, deg_rows, bin_rows, trace=trace)
 
 
 def loss(preds: Tensor, growths, params: ModelParams) -> Tensor:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add_rowvec, const, matmul, mean, mul, relu, sub
+from .autodiff import Tape, Tensor, const, dense, mul, scale, sub, total
 from .encoding import DegreeSequence
 from .errors import ConfigError, FeatureError
 from .optim import AdamState, adam_step
@@ -91,7 +91,8 @@ def probe(
         decay = np.ones(bins)
         decay[0] = 0.0
 
-    x = np.stack([s.flatten_decayed(decay) for s in seqs])
+    # every level concatenated as degree * decay[bin]; padding stays 0
+    x = np.array([[e.degree * decay[e.bin] for lvl in s.levels for e in lvl] for s in seqs])
     y_raw = np.stack([f.as_array() for f in features])
 
     lo = y_raw.min(axis=0)
@@ -122,19 +123,19 @@ def probe(
     params = [w1, b1, w2, b2]
     state = AdamState(step_size=step_size)
 
-    xt = x[tr]
-    yt = y[tr]
+    def mlp(rows: Tensor) -> Tensor:
+        return dense(dense(rows, w1, b1, relu=True), w2, b2)
+
+    xt = const(x[tr])
+    yt = const(y[tr])
     for _ in range(epochs):
         with Tape() as tape:
-            hid = relu(add_rowvec(matmul(const(xt), w1), b1))
-            out = add_rowvec(matmul(hid, w2), b2)
-            err = sub(out, const(yt))
-            batch_loss = mean(mul(err, err))
+            err = sub(mlp(xt), yt)
+            batch_loss = scale(total(mul(err, err)), 1.0 / err.values.size)
         grads = tape.backward(batch_loss, params=params)
         adam_step(params, grads, state)
 
-    hid = relu(add_rowvec(matmul(const(x[te]), w1), b1))
-    preds = add_rowvec(matmul(hid, w2), b2).values
+    preds = mlp(const(x[te])).values
     per_feature = ((preds - y[te]) ** 2).mean(axis=0)
     mse = {}
     for j, name in enumerate(FEATURE_NAMES):

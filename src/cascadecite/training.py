@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tape
-from .cascades import LabeledCascade, split_dataset
+from .cascades import GrowthLabel, LabeledCascade, split_dataset
 from .encoding import EncodedSample, EncodingSchema, encode, fits_schema, schema_from_corpus
 from .errors import ConfigError, ContractError, EvaluationError, TrainingDivergedError
 from .model import (
@@ -25,7 +25,7 @@ from .model import (
     stack_sequences,
 )
 from .optim import AdamState, adam_step
-from .trees import to_tree
+from .trees import CascadeTree, to_tree
 
 log = logging.getLogger(__name__)
 
@@ -256,7 +256,22 @@ def msle_from_predictions(
     return msle(np.asarray(preds), np.asarray(growths))
 
 
-# --------------------------------------------------------------------- sweep
+# ------------------------------------------------------------------ encoding
+
+
+def encode_trees(
+    items: Sequence[tuple[CascadeTree, GrowthLabel | None]], schema: EncodingSchema, truncate: bool
+) -> tuple[list[EncodedSample], int]:
+    """Encode (tree, label) pairs against a schema; also returns how many
+    trees were truncated to fit it (always 0 unless truncate)."""
+    out = []
+    clipped = 0
+    for t, lb in items:
+        if truncate and not fits_schema(t, schema):
+            clipped += 1
+        growth = None if lb is None else lb.growth
+        out.append(EncodedSample(id=t.root, seq=encode(t, schema, truncate=truncate), growth=growth))
+    return out, clipped
 
 
 def encode_split(
@@ -272,23 +287,15 @@ def encode_split(
     va_trees = [(to_tree(c), lb) for c, lb in va]
     te_trees = [(to_tree(c), lb) for c, lb in te]
     schema = schema_from_corpus([t for t, _ in tr_trees], bin_count, window_T)
-
-    def enc(items, truncate):
-        out = []
-        clipped = 0
-        for t, lb in items:
-            if truncate and not fits_schema(t, schema):
-                clipped += 1
-            growth = None if lb is None else lb.growth
-            out.append(EncodedSample(id=t.root, seq=encode(t, schema, truncate=truncate), growth=growth))
-        return out, clipped
-
-    train_enc, _ = enc(tr_trees, truncate=False)
-    val_enc, cv = enc(va_trees, truncate=True)
-    test_enc, ct = enc(te_trees, truncate=True)
+    train_enc, _ = encode_trees(tr_trees, schema, truncate=False)
+    val_enc, cv = encode_trees(va_trees, schema, truncate=True)
+    test_enc, ct = encode_trees(te_trees, schema, truncate=True)
     if cv or ct:
         log.warning("schema truncation applied to %d val and %d test trees", cv, ct)
     return train_enc, val_enc, test_enc, schema
+
+
+# --------------------------------------------------------------------- sweep
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,8 @@ root, with levels defined by distance from the root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .cascades import Cascade, CascadeNode
+from .cascades import Cascade
 from .errors import MalformedCascadeError, TimeViolationError
 
 
@@ -85,27 +84,6 @@ def to_tree(cascade: Cascade) -> CascadeTree:
     )
 
 
-def levels(tree: CascadeTree) -> list[list[str]]:
-    """Level-k node lists, k = 1 first; each level in (adoption time, id) order."""
-    return [list(level) for level in tree.levels]
-
-
-def max_depth(tree: CascadeTree) -> int:
-    """Largest k with a non-empty level; 0 for a root-only tree."""
-    return len(tree.levels)
-
-
-def tree_to_cascade(tree: CascadeTree) -> Cascade:
-    """Re-express a tree as a cascade whose nodes have a single candidate."""
-    nodes = tuple(
-        CascadeNode(id=v, time=tree.adoption_time[v], parents=(tree.parent[v],))
-        for v in sorted(tree.parent, key=lambda v: (tree.adoption_time[v], v))
-    )
-    return Cascade(
-        root=tree.root, root_time=tree.root_time, window_T=tree.window_T, nodes=nodes
-    )
-
-
 def tree_to_dict(tree: CascadeTree, label=None) -> dict:
     """JSON form mirroring the cascade schema, with a single parent per node."""
     doc = {
@@ -119,7 +97,3 @@ def tree_to_dict(tree: CascadeTree, label=None) -> dict:
     }
     doc["label"] = None if label is None else {"observed": label.observed_size, "growth": label.growth}
     return doc
-
-
-def forest_from_cascades(cascades: Sequence[Cascade]) -> list[CascadeTree]:
-    return [to_tree(c) for c in cascades]

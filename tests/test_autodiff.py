@@ -40,17 +40,6 @@ def test_scale_adjoint():
     check(lambda: ad.total(ad.scale(ad.mul(a, a), -2.5)), [a])
 
 
-def test_matmul_and_add_rowvec_adjoints():
-    rng = np.random.default_rng(4)
-    a, b, v = tensors(rng, (3, 5), (5, 4), (4,))
-
-    def f():
-        z = ad.add_rowvec(ad.matmul(a, b), v)
-        return ad.total(ad.mul(z, z))
-
-    check(f, [a, b, v])
-
-
 @pytest.mark.parametrize("relu", [False, True])
 def test_dense_adjoint(relu):
     rng = np.random.default_rng(13)
@@ -63,11 +52,9 @@ def test_dense_adjoint(relu):
 def test_dense_relu_matches_composition():
     rng = np.random.default_rng(13)
     x, w, b = tensors(rng, (6, 4), (4, 3), (3,))
-    for relu in (False, True):
-        expect = ad.add_rowvec(ad.matmul(x, w), b)
-        if relu:
-            expect = ad.relu(expect)
-        np.testing.assert_array_equal(ad.dense(x, w, b, relu=relu).values, expect.values)
+    z = x.values @ w.values + b.values
+    np.testing.assert_array_equal(ad.dense(x, w, b).values, z)
+    np.testing.assert_array_equal(ad.dense(x, w, b, relu=True).values, np.maximum(z, 0.0))
 
 
 def test_gru_cell_adjoint():
@@ -203,9 +190,12 @@ def test_gather_checks_index_range():
 
 
 def test_mean_total_adjoints():
+    # a mean is a scaled total, as in the probe's loss
     rng = np.random.default_rng(11)
     (a,) = tensors(rng, (4, 3))
-    check(lambda: ad.mean(ad.mul(a, a)), [a])
+    mean_sq = lambda: ad.scale(ad.total(ad.mul(a, a)), 1.0 / a.values.size)
+    assert mean_sq().item() == pytest.approx(float(np.mean(a.values**2)), rel=1e-15)
+    check(mean_sq, [a])
 
 
 def test_shape_mismatches_raise():
@@ -213,8 +203,6 @@ def test_shape_mismatches_raise():
     for op in (ad.add, ad.sub, ad.mul):
         with pytest.raises(ShapeError):
             op(a, b)
-    with pytest.raises(ShapeError):
-        ad.matmul(a, a)
     with pytest.raises(ShapeError):
         ad.conv1d(ad.Tensor(np.zeros(2)), ad.Tensor(np.zeros(5)))
     with pytest.raises(ShapeError):
@@ -312,9 +300,9 @@ def test_chain_of_smooth_primitives_passes_grad_check(rows, cols, seed):
     weights = gru_weights(rng, 3, 3)
 
     def f():
-        z = ad.add_rowvec(ad.matmul(ad.mul(a, a), w), v)
+        z = ad.dense(ad.mul(a, a), w, v)
         hz, _, _ = ad.gru_cell(z, h, *weights)
-        return ad.mean(ad.mul(hz, z))
+        return ad.scale(ad.total(ad.mul(hz, z)), 1.0 / (rows * 3))
 
     report = ad.grad_check(f, [a, w, v], eps=1e-5, tol=1e-5, seed=seed)
     assert report.passed, report

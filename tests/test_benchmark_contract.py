@@ -1,0 +1,37 @@
+"""The benchmark's tracer still finds every name it patches and reads.
+
+perfbench/tracing.py wraps public functions of the package by name and
+counts padding by reading the encoded samples. A rename or removal there
+would only show when the benchmark runs traced; this test makes it fail
+here instead, on a tiny synth + encode run.
+"""
+
+from pathlib import Path
+
+from cascadecite import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_installs_and_counts_encoding(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        data, enc_dir = tmp_path / "casc", tmp_path / "enc"
+        assert cli.main(["synth", "--out", str(data), "--n", "20", "--size-min", "6",
+                         "--size-max", "18", "--synth-horizon", "80", "--window-days", "40",
+                         "--seed", "11"]) == 0
+        assert cli.main(["encode", "--cascades", str(data / "cascades.jsonl"),
+                         "--out", str(enc_dir), "--bins", "6", "--seed", "11"]) == 0
+        tracer.settle()
+    finally:
+        tracer.remove()
+    counts = tracer.counts[tracer.run_id]
+    assert counts["encoding.slots"] > 0
+    assert counts["encoding.pad_slots"] > 0
+    assert {"cli.synth", "cli.encode", "training.encode_split", "encoding.encode"} <= {
+        s.name for s in tracer.spans
+    }

@@ -1,8 +1,10 @@
 """Parsing, cascade building, splitting, stats, and the synthetic generator."""
 
+import datetime
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cascadecite import cascades as casc
@@ -28,8 +30,8 @@ def test_parse_drops_comments_blanks_and_counts_events():
     tally = {}
     events = casc.parse_citation_files(edges, dates, tally=tally)
     assert events == [
-        casc.CitationEvent(citing="b", cited="a", time=10),
-        casc.CitationEvent(citing="a", cited="z", time=0),
+        casc.CitationEvent(citing="b", cited="a", time=10, cited_time=0),
+        casc.CitationEvent(citing="a", cited="z", time=0),  # z has no date
     ]
     assert tally == {"undated_citer_edges": 0, "self_citations": 0, "events": 2}
 
@@ -111,6 +113,40 @@ def test_undated_root_is_anchored_before_first_citation():
     assert c.root_time == 49
     assert [n.time for n in c.nodes] == [1, 11]
     assert tally["roots_anchored_without_date"] == 1
+
+
+def test_root_that_cites_nothing_is_dated_from_the_dates_file():
+    # R cites nothing; anchoring it before its first citation would put it
+    # at day 151 and A at day 1
+    tally = {}
+    events = casc.parse_citation_files(["A\tR"], ["R\t2000-01-01", "A\t2000-06-01"], tally=tally)
+    (c, lb), = casc.build_cascades(events, window_T=365, min_observed=1, tally=tally)
+    assert (c.root, c.root_time) == ("R", 0)
+    assert [(n.id, n.time) for n in c.nodes] == [("A", 152)]
+    assert tally["roots_anchored_without_date"] == 0
+    assert tally["events"] + tally["undated_citer_edges"] + tally["self_citations"] == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    days=st.lists(st.one_of(st.none(), st.integers(0, 800)), min_size=2, max_size=10),
+    links=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40),
+)
+def test_dated_roots_keep_their_date_and_only_undated_roots_are_anchored(days, links):
+    assume(any(d is not None for d in days))
+    base = datetime.date(2000, 1, 1)
+    dates = [f"p{i}\t{base + datetime.timedelta(days=d)}" for i, d in enumerate(days) if d is not None]
+    edges = [f"p{i}\tp{j}" for i, j in links if i < len(days) and j < len(days)]
+    tally = {}
+    events = casc.parse_citation_files(edges, dates, tally=tally)
+    pairs = casc.build_cascades(events, window_T=365, min_observed=0, tally=tally)
+    epoch = min(d for d in days if d is not None)
+    for c, _ in pairs:
+        day = days[int(c.root[1:])]
+        if day is not None:
+            assert c.root_time == day - epoch
+    undated = sum(days[int(c.root[1:])] is None for c, _ in pairs)
+    assert tally["roots_anchored_without_date"] == undated
 
 
 def test_citers_at_or_before_root_date_are_dropped():

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import cascadecite
 from cascadecite import config as cf
 from cascadecite.cli import main
 from cascadecite.errors import ConfigError
@@ -164,6 +165,17 @@ def test_predict_writes_csv(pipeline):
     assert len(lines) == 31
 
 
+def test_raw_cascade_predict_logs_truncated_trees(pipeline, tmp_path, caplog):
+    # a 60-citer star is wider at level 1 than any tree the schema was built on
+    wide = {"root": "w", "root_time": 0, "window_T": 150, "label": None,
+            "nodes": [{"id": f"w{i}", "t": i, "parents": ["w"]} for i in range(1, 61)]}
+    src = tmp_path / "wide.jsonl"
+    src.write_text(json.dumps(wide) + "\n")
+    assert main(["predict", "--checkpoint", str(pipeline / "run" / "checkpoint.json"),
+                 "--cascades", str(src), "--out", str(tmp_path / "pred")]) == 0
+    assert "schema truncation applied to 1 of 1 trees" in caplog.text
+
+
 def test_probe_runs_with_and_without_checkpoint(pipeline):
     data = pipeline / "data" / "cascades.jsonl"
     out = pipeline / "probe_raw"
@@ -262,7 +274,8 @@ def test_module_entrypoint_reports_version():
         [sys.executable, "-m", "cascadecite", "--version"],
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "cascadecite 0.1.0"
+    assert out.stdout.strip() == f"cascadecite {cascadecite.__version__}"
+    assert cf.TOOL_VERSION is cascadecite.__version__
 
 
 def test_synth_rerun_is_byte_identical(tmp_path):

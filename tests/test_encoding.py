@@ -233,16 +233,6 @@ def test_encoding_matches_brute_force_on_random_trees():
         assert got == want
 
 
-def test_flatten_decayed_scales_by_bin_and_zeros_padding():
-    schema = make_schema([3], bins=2, window=10)
-    t = tree_from_parent_rows("r", [("a", 1, "r"), ("b", 6, "r")], window_T=10)
-    seq = enc.encode(t, schema)
-    decay = np.array([0.0, 0.5, 0.25])
-    flat = seq.flatten_decayed(decay)
-    # a: degree 1, bin 1 -> 0.5; b: degree 1, bin 2 -> 0.25; pad -> 0
-    assert flat.tolist() == [0.5, 0.25, 0.0]
-
-
 # ------------------------------------------------------------ serialization
 
 
@@ -276,4 +266,26 @@ def test_encoded_jsonl_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a", "levels": [], "label": null}\n{"id": "b"}\n')
     with pytest.raises(ParseError, match="line 2"):
+        enc.read_encoded_jsonl(path)
+
+
+def test_encoded_rows_are_degree_bin_pairs(tmp_path):
+    schema = make_schema([3, 1], bins=2, window=10)
+    t = tree_from_parent_rows("r", [("a", 1, "r"), ("b", 6, "r"), ("c", 7, "a")], window_T=10)
+    sample = enc.EncodedSample(id="r", seq=enc.encode(t, schema), growth=4)
+    path = tmp_path / "pairs.jsonl"
+    enc.write_encoded_jsonl(path, [sample])
+    assert path.read_text() == '{"id":"r","levels":[[[2,1],[1,2],[0,0]],[[1,2]]],"label":4}\n'
+    (back,) = enc.read_encoded_jsonl(path)
+    assert back == sample
+    assert [e.is_pad for e in back.seq.levels[0]] == [False, False, True]
+
+
+def test_encoded_jsonl_rejects_dict_slots(tmp_path):
+    path = tmp_path / "old.jsonl"
+    path.write_text(
+        '{"id":"a","levels":[[[1,1]]],"label":null}\n'
+        '{"id":"b","levels":[[{"d":1,"bin":1}]],"label":null}\n'
+    )
+    with pytest.raises(ParseError, match=r"old\.jsonl line 2: .*\[degree, bin\] pair"):
         enc.read_encoded_jsonl(path)

@@ -130,8 +130,9 @@ def test_apply_time_decay_hand_values():
     params = md.init_params(cfg, 0)
     params.decay.values = np.array([0.0, 0.5, 0.25])
     seq = DegreeSequence(levels=((SeqEntry(2, 1, False), SeqEntry(3, 2, False), SeqEntry(0, 0, True)),))
-    (out,) = md.apply_time_decay(seq, params.decay)
-    assert out.values.tolist() == [1.0, 0.75, 0.0]
+    trace = {}
+    md.forward_batch(params, *md.stack_sequences([seq], cfg), trace=trace)
+    assert trace["decayed"][0].tolist() == [[1.0, 0.75, 0.0]]
 
 
 def test_apply_time_decay_rejects_out_of_range_bins():
@@ -139,7 +140,7 @@ def test_apply_time_decay_rejects_out_of_range_bins():
     params = md.init_params(cfg, 0)
     seq = DegreeSequence(levels=((SeqEntry(1, 7, False),),))
     with pytest.raises(ContractError):
-        md.apply_time_decay(seq, params.decay)
+        md.forward_batch(params, *md.stack_sequences([seq], cfg))
 
 
 def test_forward_shape_gates_and_conv_sign():
@@ -183,7 +184,7 @@ def test_single_and_batched_forward_agree():
     seqs = [seq_for(cfg, rng) for _ in range(3)]
     deg_rows, bin_rows = md.stack_sequences(seqs, cfg)
     batched = md.forward_batch(params, deg_rows, bin_rows).values
-    singles = np.vstack([md.forward(params, s).values for s in seqs])
+    singles = np.vstack([md.forward_batch(params, *md.stack_sequences([s], cfg)).values for s in seqs])
     np.testing.assert_allclose(batched, singles, atol=1e-12)
 
 
@@ -215,7 +216,7 @@ def test_loss_matches_independent_recompute():
 def test_loss_without_regularization_is_pure_data_term():
     cfg = tiny_config(alpha=1.0, reg_weight=0.0)
     params = md.init_params(cfg, 9)
-    preds = md.forward(params, seq_for(cfg, np.random.default_rng(0)))
+    preds = md.forward_batch(params, *md.stack_sequences([seq_for(cfg, np.random.default_rng(0))], cfg))
     value = md.loss(preds, np.array([1]), params).item()
     assert value == pytest.approx(float((preds.values[0, 0] - 1.0) ** 2), rel=1e-12)
 
@@ -233,7 +234,7 @@ def test_regularizer_covers_weights_not_biases_or_decay():
 def test_loss_shape_and_label_validation():
     cfg = tiny_config()
     params = md.init_params(cfg, 11)
-    preds = md.forward(params, seq_for(cfg, np.random.default_rng(1)))
+    preds = md.forward_batch(params, *md.stack_sequences([seq_for(cfg, np.random.default_rng(1))], cfg))
     with pytest.raises(ShapeError):
         md.loss(preds, np.array([1, 2]), params)
     with pytest.raises(ContractError):
@@ -301,8 +302,10 @@ def test_model_checkpoint_roundtrip(tmp_path):
     for (n1, t1), (n2, t2) in zip(params.named(), loaded.named()):
         assert n1 == n2
         np.testing.assert_array_equal(t1.values, t2.values)
-    seq = seq_for(cfg, rng)
-    np.testing.assert_array_equal(md.forward(params, seq).values, md.forward(loaded, seq).values)
+    rows = md.stack_sequences([seq_for(cfg, rng)], cfg)
+    np.testing.assert_array_equal(
+        md.forward_batch(params, *rows).values, md.forward_batch(loaded, *rows).values
+    )
 
 
 def test_load_model_rejects_plain_array_files(tmp_path):

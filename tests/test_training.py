@@ -6,7 +6,7 @@ import pytest
 from cascadecite import training as tr
 from cascadecite.autodiff import Tape
 from cascadecite.cascades import generate_synthetic
-from cascadecite.encoding import EncodedSample
+from cascadecite.encoding import EncodedSample, fits_schema, schema_from_corpus
 from cascadecite.errors import ConfigError, ContractError, EvaluationError
 from cascadecite.model import ModelConfig, forward_batch, init_params, loss, stack_sequences
 from cascadecite.trees import to_tree
@@ -218,3 +218,16 @@ def test_sweep_needs_two_bin_counts():
     pairs = generate_synthetic(12, (6, 10), 80, 1.0, seed=4)
     with pytest.raises(ConfigError):
         tr.sweep_time_interval(pairs, [3], 40, fast_train_config())
+
+
+def test_encode_trees_counts_truncated_trees():
+    pairs = generate_synthetic(12, (6, 14), 80, 1.0, seed=4, window_T=40)
+    trees = [(to_tree(c), lb) for c, lb in pairs]
+    narrow = schema_from_corpus([t for t, _ in trees[:3]], bin_count=3, window_T=40)
+    samples, clipped = tr.encode_trees(trees, narrow, truncate=True)
+    assert clipped == sum(not fits_schema(t, narrow) for t, _ in trees) > 0
+    assert [s.id for s in samples] == [c.root for c, _ in pairs]
+    assert [s.growth for s in samples] == [lb.growth for _, lb in pairs]
+    assert all(tuple(map(len, s.seq.levels)) == narrow.level_lengths for s in samples)
+    _, none_clipped = tr.encode_trees(trees[:3], narrow, truncate=False)
+    assert none_clipped == 0

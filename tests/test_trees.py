@@ -8,13 +8,7 @@ import numpy as np
 
 from cascadecite.cascades import Cascade, CascadeNode
 from cascadecite.errors import MalformedCascadeError, TimeViolationError
-from cascadecite.trees import (
-    forest_from_cascades,
-    levels,
-    max_depth,
-    to_tree,
-    tree_to_cascade,
-)
+from cascadecite.trees import to_tree
 
 from oracles import cascade_from_rows, random_dag_cascade, random_tree
 
@@ -72,21 +66,18 @@ def test_levels_and_depth_for_chain_and_star():
         ("a", 1, ("r",)), ("b", 2, ("a",)), ("c", 3, ("b",)),
     ])
     t = to_tree(chain)
-    assert levels(t) == [["a"], ["b"], ["c"]]
-    assert max_depth(t) == 3
+    assert t.levels == (("a",), ("b",), ("c",))
 
     star = cascade_from_rows("r", [
         ("a", 1, ("r",)), ("b", 2, ("r",)), ("c", 3, ("r",)),
     ])
     t2 = to_tree(star)
-    assert levels(t2) == [["a", "b", "c"]]
-    assert max_depth(t2) == 1
+    assert t2.levels == (("a", "b", "c"),)
 
 
 def test_root_only_tree_has_no_levels():
     t = to_tree(Cascade(root="r", root_time=0, window_T=10, nodes=()))
-    assert levels(t) == []
-    assert max_depth(t) == 0
+    assert t.levels == ()
     assert t.size == 1
 
 
@@ -99,7 +90,7 @@ def test_levels_are_ordered_by_time_then_id():
         ("k1", 4, ("m",)),
     ])
     t = to_tree(c)
-    assert levels(t) == [["z", "a", "m"], ["k1", "k2"]]
+    assert t.levels == (("z", "a", "m"), ("k1", "k2"))
 
 
 def test_children_lists_follow_time_then_id():
@@ -128,7 +119,8 @@ def test_tree_to_cascade_roundtrip_is_identity():
     rng = np.random.default_rng(17)
     for _ in range(50):
         t = random_tree(rng, max_nodes=30)
-        assert to_tree(tree_to_cascade(t)) == t
+        rows = [(v, t.adoption_time[v], (t.parent[v],)) for v in t.parent]
+        assert to_tree(cascade_from_rows(t.root, rows, window_T=t.window_T)) == t
 
 
 @settings(max_examples=50, deadline=None)
@@ -149,10 +141,3 @@ def test_conversion_always_yields_a_rooted_tree(seed):
     # levels partition the non-root nodes
     flat = [v for lvl in t.levels for v in lvl]
     assert sorted(flat) == sorted(t.parent)
-
-
-def test_forest_converts_each_cascade():
-    rng = np.random.default_rng(4)
-    cs = [random_dag_cascade(rng, max_nodes=10) for _ in range(5)]
-    forest = forest_from_cascades(cs)
-    assert [t.root for t in forest] == [c.root for c in cs]
