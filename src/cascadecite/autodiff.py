@@ -7,14 +7,21 @@ every recorded node is visited exactly once. Running a primitive with no tape
 active performs the identical numpy computation and records nothing, so
 forward values agree bitwise with and without a tape.
 
+Parameters live in a ParamBuffer: one flat value vector and one flat
+gradient vector, which every parameter tensor views. Their adjoints are
+added in place, backward() clears them all by zeroing the gradient vector
+once, and an optimiser updates the value vector as a whole.
+
 Training is bound by the Python cost of each record, not by arithmetic, so
 the model is built from a few fused primitives with hand-derived pulls:
-`dense` (matmul, bias and an optional ReLU), `gru_cell` (both gates, the
-candidate and the state update of one GRU step), `sum_sq` (the squared
-Frobenius norm of a list of tensors), and `gather` with per-element weights
-(a decay table looked up and scaled in one record). The structure probe
-is built from `dense` too. The small primitives remain only for the loss
-(`add`, `sub`, `mul`, `scale`, `total`) and for the ReLU after the conv.
+`dense` (matmul, bias and an optional ReLU), `gru` (a whole GRU over a
+sequence of inputs, with every input projection in one matrix product and
+backpropagation through time inside its pull), `conv1d` (a strided
+convolution along the last axis of a stack of any rank, with an optional
+ReLU), `sum_sq` (a squared Frobenius norm), and `gather` with per-element
+weights (a decay table looked up and scaled in one record). The structure
+probe is built from `dense` too. The small primitives remain only for the
+loss (`add`, `sub`, `mul`, `scale`, `total`).
 
 The finite-difference checker at the bottom is the independent route for
 validating adjoints; it only ever calls the taped route to obtain analytic
@@ -34,12 +41,13 @@ _ACTIVE: "Tape | None" = None
 
 
 class Tensor:
-    __slots__ = ("values", "grad", "name")
+    __slots__ = ("values", "grad", "name", "buffer")
 
     def __init__(self, values, name: str | None = None):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.name = name
+        self.buffer: ParamBuffer | None = None  # set when values and grad view a ParamBuffer
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -57,6 +65,49 @@ class Tensor:
 
 def const(values, name: str | None = None) -> Tensor:
     return Tensor(values, name=name)
+
+
+class ParamBuffer:
+    """Parameters laid end to end in one flat value vector, with their
+    gradients at the same offsets in one flat gradient vector.
+
+    `blocks` fixes the layout: each block is a contiguous run of both
+    vectors with its own shape. A tensor from `block` or `run` views the
+    same entries of both vectors, so writing its values writes the buffer
+    and its adjoints are added in place into `grad`. Rebinding a tensor's
+    `.values` detaches it from the buffer; assign into it instead.
+    """
+
+    def __init__(self, blocks: dict[str, tuple[int, ...]]):
+        self._spans: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+        size = 0
+        for key, shape in blocks.items():
+            n = int(np.prod(shape, dtype=np.int64))
+            self._spans[key] = (size, size + n, tuple(shape))
+            size += n
+        self.values = np.zeros(size)
+        self.grad = np.zeros(size)
+        self.named: list[Tensor] = []  # the tensors handed out with a name, in order
+
+    def _view(self, index: Callable[[np.ndarray], np.ndarray], name: str | None) -> Tensor:
+        t = Tensor(index(self.values), name=name)
+        t.grad = index(self.grad)
+        t.buffer = self
+        if name is not None:
+            self.named.append(t)
+        return t
+
+    def block(self, key: str, cols: slice | None = None, name: str | None = None) -> Tensor:
+        """Block `key`, or the slice `cols` of its last axis, as a tensor."""
+        lo, hi, shape = self._spans[key]
+        if cols is None:
+            return self._view(lambda a: a[lo:hi].reshape(shape), name)
+        return self._view(lambda a: a[lo:hi].reshape(shape)[..., cols], name)
+
+    def run(self, first: str, last: str) -> Tensor:
+        """Blocks first through last, in layout order, as one flat tensor."""
+        lo, hi = self._spans[first][0], self._spans[last][1]
+        return self._view(lambda a: a[lo:hi], None)
 
 
 class Tape:
@@ -80,33 +131,37 @@ class Tape:
     def __len__(self):
         return len(self._entries)
 
-    def backward(self, loss: Tensor, params: Sequence[Tensor] | None = None) -> list[np.ndarray]:
-        """Populate .grad on every tensor reachable from loss through this tape.
+    def backward(self, loss: Tensor, params: Sequence[Tensor] = ()) -> list[np.ndarray]:
+        """Pull d loss back through this tape; returns gradients aligned with params.
 
-        Returns gradients aligned with `params` when given; parameters the loss
-        never touched get exact zeros. Raises on a non-scalar loss.
+        Each ParamBuffer behind a parameter has its gradient vector zeroed
+        once, so its tensors hold exact zeros wherever the loss never
+        reached them; other parameters are reset too, and get zeros when
+        the loss never touched them. Every intermediate adjoint is dropped
+        as soon as it has been pulled, so calling backward again with the
+        same params never double-counts; a leaf tensor left out of params
+        keeps adding to its .grad. Raises on a non-scalar or non-finite
+        loss.
         """
         if loss.values.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not np.isfinite(loss.values).all():
             raise NumericError("loss is not finite")
-        # reset so repeated backward calls never double-accumulate
-        for out, inputs, _ in self._entries:
-            out.grad = None
-            for t in inputs:
-                t.grad = None
-        params = list(params or ())
+        cleared = set()
         for p in params:
-            p.grad = None
+            if p.buffer is None:
+                p.grad = None
+            elif id(p.buffer) not in cleared:
+                p.buffer.grad.fill(0.0)
+                cleared.add(id(p.buffer))
         loss.grad = np.ones_like(loss.values)
         for out, _, pull in reversed(self._entries):
-            if out.grad is None:
+            g = out.grad
+            if g is None:
                 continue
-            pull(out.grad)
-        for p in params:
-            if p.grad is None:
-                p.grad = np.zeros_like(p.values)
-        return [p.grad for p in params]  # type: ignore[misc]
+            out.grad = None
+            pull(g)
+        return [np.zeros_like(p.values) if p.grad is None else p.grad for p in params]
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], pull: Callable) -> Tensor:
@@ -116,9 +171,14 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], pull: Callable) -> Tensor:
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
-    # The first adjoint is stored as it is, so it may be shared with another
-    # tensor or be a pull's own array: later ones never add in place.
-    t.grad = g if t.grad is None else t.grad + g
+    if t.buffer is not None:
+        t.grad += g  # a view into the buffer's gradient vector
+    # Elsewhere the first adjoint is stored as it is, so it may be shared with
+    # another tensor or be a pull's own array: later ones never add in place.
+    elif t.grad is None:
+        t.grad = g
+    else:
+        t.grad = t.grad + g
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -172,24 +232,17 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(out, (a,), pull)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.values > 0  # subgradient 0 at the kink
-    out = Tensor(np.where(mask, a.values, 0.0))
-
-    def pull(g):
-        _acc(a, g * mask)
-
-    return _record(out, (a,), pull)
-
-
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """x @ w + b for a (B, I) batch, (I, M) weights and an (M,) bias, then
-    max(., 0) when relu is set; one record. The ReLU passes no gradient at 0."""
-    if x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"dense: incompatible shapes {x.shape} and {w.shape}")
-    if b.shape != (w.shape[1],):
-        raise ShapeError(f"dense: bias shape {b.shape} does not match weights {w.shape}")
+    max(., 0) when relu is set; one record. x may also be (B, ...) with its
+    trailing axes flattened to width I. The ReLU passes no gradient at 0."""
     xv, wv = x.values, w.values
+    if xv.ndim > 2:
+        xv = xv.reshape(len(xv), -1)
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
+        raise ShapeError(f"dense: incompatible shapes {x.shape} and {w.shape}")
+    if b.shape != (wv.shape[1],):
+        raise ShapeError(f"dense: bias shape {b.shape} does not match weights {w.shape}")
     z = xv @ wv + b.values
     if relu:
         mask = z > 0
@@ -199,7 +252,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     def pull(g):
         if relu:
             g = g * mask
-        _acc(x, g @ wv.T)
+        _acc(x, (g @ wv.T).reshape(x.shape))
         _acc(w, xv.T @ g)
         _acc(b, g.sum(axis=0))
 
@@ -212,92 +265,121 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
-def gru_cell(
-    x: Tensor, h: Tensor,
-    wu: Tensor, wr: Tensor, wh: Tensor,
-    uu: Tensor, ur: Tensor, uh: Tensor,
-    bu: Tensor, br: Tensor, bh: Tensor,
-) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """One GRU step on a (B, I) input batch and (B, M) state, as one record:
+def gru(
+    xs: Sequence[Tensor], w: Tensor, u: Tensor, uh: Tensor, b: Tensor
+) -> tuple[Tensor, np.ndarray]:
+    """A GRU over the D steps xs[0], ..., xs[D-1], each a (B, I) batch,
+    from a zero state, as one record. The gate weights come packed:
+    w = [wu|wr|wh] (I, 3M), u = [uu|ur] (M, 2M), uh (M, M), b = [bu|br|bh]
+    (3M,). Step k computes, from the state h before it,
 
-        u  = sigmoid(x wu + h uu + bu)          update gate
-        r  = sigmoid(x wr + h ur + br)          reset gate
-        hc = tanh(x wh + (r * h) uh + bh)       candidate
-        h' = u * hc + (1 - u) * h
+        u  = sigmoid(x wu + bu + h uu)          update gate
+        r  = sigmoid(x wr + br + h ur)          reset gate
+        hc = tanh(x wh + bh + (r * h) uh)       candidate
+        h' = h + u * (hc - h)
 
-    Returns h' and the gate values u and r, which are plain arrays, not
-    tensors: no gradient flows through them.
+    The input projections of every step are one matrix product, since they
+    do not depend on the recurrence, and the sigmoid is 1/2 + tanh(z/2)/2,
+    which cannot overflow. Returns the (B, D, M) stack of states and the
+    (D, B, 2M) gate values [u|r], a plain array that no gradient flows
+    through. With no tape active nothing is kept for the pull.
     """
-    if x.values.ndim != 2 or h.values.ndim != 2 or x.shape[0] != h.shape[0]:
-        raise ShapeError(f"gru_cell: input {x.shape} does not match state {h.shape}")
-    m = h.shape[1]
-    for name, t, shape in (
-        ("wu", wu, (x.shape[1], m)), ("wr", wr, (x.shape[1], m)), ("wh", wh, (x.shape[1], m)),
-        ("uu", uu, (m, m)), ("ur", ur, (m, m)), ("uh", uh, (m, m)),
-        ("bu", bu, (m,)), ("br", br, (m,)), ("bh", bh, (m,)),
+    if not xs:
+        raise ShapeError("gru over zero steps")
+    shape = xs[0].shape
+    if len(shape) != 2 or any(x.shape != shape for x in xs):
+        raise ShapeError(f"gru: steps must share one (B, I) shape, got {[x.shape for x in xs]}")
+    nb, n_in = shape
+    m = uh.shape[0] if uh.values.ndim else 0
+    for name, t, want in (
+        ("w", w, (n_in, 3 * m)), ("u", u, (m, 2 * m)), ("uh", uh, (m, m)), ("b", b, (3 * m,)),
     ):
-        if t.shape != shape:
-            raise ShapeError(f"gru_cell: {name} has shape {t.shape}, expected {shape}")
-    xv, hv = x.values, h.values
-    u = _sigmoid(xv @ wu.values + hv @ uu.values + bu.values)
-    r = _sigmoid(xv @ wr.values + hv @ ur.values + br.values)
-    rh = r * hv
-    hc = np.tanh(xv @ wh.values + rh @ uh.values + bh.values)
-    out = Tensor(u * hc + (1.0 - u) * hv)
+        if t.shape != want:
+            raise ShapeError(f"gru: {name} has shape {t.shape}, expected {want}")
+    depth = len(xs)
+    proj = np.stack([t.values for t in xs]).reshape(depth * nb, n_in) @ w.values
+    proj += b.values
+    proj = proj.reshape(depth, nb, 3 * m)
+    proj[:, :, : 2 * m] *= 0.5  # the gates' tanh(z/2); scaling by 1/2 is exact
+    half_u = 0.5 * u.values
+    uhv = uh.values
+    states = np.empty((nb, depth, m))
+    gates = np.empty((depth, nb, 2 * m))
+    taped = _ACTIVE is not None
+    cands = np.empty((depth, nb, m)) if taped else None
+    h = np.zeros((nb, m))
+    for k in range(depth):
+        ur = gates[k]
+        if k:
+            np.matmul(h, half_u, out=ur)
+            ur += proj[k, :, : 2 * m]
+            np.tanh(ur, out=ur)
+        else:
+            np.tanh(proj[0, :, : 2 * m], out=ur)
+        ur *= 0.5
+        ur += 0.5
+        hc = (ur[:, m:] * h) @ uhv
+        hc += proj[k, :, 2 * m :]
+        np.tanh(hc, out=hc)
+        if taped:
+            cands[k] = hc
+        step = hc - h
+        step *= ur[:, :m]
+        step += h
+        h = states[:, k] = step
+    out = Tensor(states)
+    if not taped:
+        return out, gates
 
     def pull(g):
-        a_u = g * (hc - hv) * u * (1.0 - u)
-        a_h = g * u * (1.0 - hc * hc)
-        d_rh = a_h @ uh.values.T
-        a_r = d_rh * hv * r * (1.0 - r)
-        _acc(x, a_u @ wu.values.T + a_r @ wr.values.T + a_h @ wh.values.T)
-        _acc(h, g * (1.0 - u) + d_rh * r + a_u @ uu.values.T + a_r @ ur.values.T)
-        _acc(wu, xv.T @ a_u)
-        _acc(wr, xv.T @ a_r)
-        _acc(wh, xv.T @ a_h)
-        _acc(uu, hv.T @ a_u)
-        _acc(ur, hv.T @ a_r)
-        _acc(uh, rh.T @ a_h)
-        _acc(bu, a_u.sum(axis=0))
-        _acc(br, a_r.sum(axis=0))
-        _acc(bh, a_h.sum(axis=0))
+        gate_u, gate_r = gates[:, :, :m], gates[:, :, m:]
+        prev = np.zeros((depth, nb, m))  # the state each step starts from
+        prev[1:] = states[:, :-1].transpose(1, 0, 2)
+        # everything but the adjoint flowing back along h, for all steps at once
+        keep = 1.0 - gate_u
+        d_u = (cands - prev) * gate_u * keep
+        d_hc = gate_u * (1.0 - cands * cands)
+        d_r = prev * gate_r * (1.0 - gate_r)
+        a = np.empty((depth, nb, 3 * m))  # pre-activation adjoints [u|r|hc]
+        dh = None
+        for k in reversed(range(depth)):
+            gk = g[:, k] if dh is None else g[:, k] + dh
+            np.multiply(gk, d_u[k], out=a[k, :, :m])
+            a_h = np.multiply(gk, d_hc[k], out=a[k, :, 2 * m :])
+            d_rh = a_h @ uhv.T
+            np.multiply(d_rh, d_r[k], out=a[k, :, m : 2 * m])
+            if k:
+                dh = a[k, :, : 2 * m] @ u.values.T
+                dh += gk * keep[k]
+                dh += d_rh * gate_r[k]
+        flat = a.reshape(depth * nb, 3 * m)
+        dx = (flat @ w.values.T).reshape(depth, nb, n_in)
+        for k, t in enumerate(xs):
+            _acc(t, dx[k])
+        x = np.stack([t.values for t in xs]).reshape(depth * nb, n_in)
+        _acc(w, x.T @ flat)
+        _acc(b, flat.sum(axis=0))
+        _acc(u, prev.reshape(depth * nb, m).T @ flat[:, : 2 * m])
+        _acc(uh, (gate_r * prev).reshape(depth * nb, m).T @ flat[:, 2 * m :])
 
-    _record(out, (x, h, wu, wr, wh, uu, ur, uh, bu, br, bh), pull)
-    return out, u, r
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not parts:
-        raise ShapeError("concat of zero tensors")
-    ndim = parts[0].values.ndim
-    if any(p.values.ndim != ndim for p in parts):
-        raise ShapeError(f"concat: mixed ranks {[p.shape for p in parts]}")
-    if axis >= ndim:
-        raise ShapeError(f"concat: axis {axis} out of range for rank {ndim}")
-    out = Tensor(np.concatenate([p.values for p in parts], axis=axis))
-    sizes = [p.shape[axis] for p in parts]
-
-    def pull(g):
-        offset = 0
-        for p, size in zip(parts, sizes):
-            sl = [slice(None)] * ndim
-            sl[axis] = slice(offset, offset + size)
-            _acc(p, g[tuple(sl)])
-            offset += size
-
-    return _record(out, tuple(parts), pull)
+    _record(out, (*xs, w, u, uh, b), pull)
+    return out, gates
 
 
-def conv1d(x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = None) -> Tensor:
-    """Single-channel valid convolution along the last axis.
+def conv1d(
+    x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = None, relu: bool = False
+) -> Tensor:
+    """Single-channel valid convolution along the last axis, then max(., 0)
+    when relu is set; one record.
 
-    x may be a vector (n,) or a batch of rows (B, n); output length is
-    (n - w) // stride + 1. bias, when given, is a scalar added everywhere.
+    x is any stack of rows (..., n), a single vector included; each row
+    gives (n - w) // stride + 1 outputs. bias, when given, is a scalar added
+    everywhere before the ReLU, which passes no gradient at 0.
     """
     if kernel.values.ndim != 1:
         raise ShapeError(f"conv1d: kernel must be 1-D, got {kernel.shape}")
-    if x.values.ndim not in (1, 2):
-        raise ShapeError(f"conv1d: input must be 1-D or 2-D, got {x.shape}")
+    if x.values.ndim < 1:
+        raise ShapeError(f"conv1d: input must have at least one axis, got {x.shape}")
     if stride < 1:
         raise ContractError(f"conv1d: stride must be >= 1, got {stride}")
     n = x.shape[-1]
@@ -315,9 +397,14 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = Non
         vals += xv[taps[j]] * kv[j]
     if bias is not None:
         vals += bias.values
+    if relu:
+        mask = vals > 0
+        vals = np.where(mask, vals, 0.0)
     out = Tensor(vals)
 
     def pull(g):
+        if relu:
+            g = g * mask
         dx = np.zeros_like(xv)
         dk = np.empty(w)
         for j, tap in enumerate(taps):

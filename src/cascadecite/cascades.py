@@ -22,6 +22,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import (
     ConfigError,
     ContractError,
@@ -97,8 +98,11 @@ def _lines(src: str | Path | IO[str] | Iterable[str]) -> Iterator[tuple[int, str
             yield i, line
 
 
-def _parse_dates(dates: str | Path | IO[str] | Iterable[str]) -> dict[str, _dt.date]:
+def _parse_dates(dates: str | Path | IO[str] | Iterable[str]) -> tuple[dict[str, _dt.date], int]:
+    """Paper id -> date, and how many lines repeated an id already seen;
+    a repeated id keeps the earliest of its dates."""
     out: dict[str, _dt.date] = {}
+    repeats = 0
     for lineno, raw in _lines(dates):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -111,8 +115,13 @@ def _parse_dates(dates: str | Path | IO[str] | Iterable[str]) -> dict[str, _dt.d
             d = _dt.date.fromisoformat(datestr)
         except ValueError:
             raise ParseError(f"dates line {lineno}: bad date {datestr!r}") from None
+        seen = out.get(pid)
+        if seen is not None:
+            repeats += 1
+            if seen <= d:
+                continue
         out[pid] = d
-    return out
+    return out, repeats
 
 
 def parse_citation_files(
@@ -124,10 +133,12 @@ def parse_citation_files(
 
     Lines starting with '#' are comments. Edges whose citing paper has no
     date, and self-citations, are dropped and counted in the warning tally.
-    Each event also carries the cited paper's date when the dates file has
-    one, so cascade roots are dated even when they cite nothing.
+    An id listed twice in the dates file keeps its earliest date; the
+    repeats are counted as duplicate_dates. Each event also carries the
+    cited paper's date when the dates file has one, so cascade roots are
+    dated even when they cite nothing.
     """
-    date_by_paper = _parse_dates(dates)
+    date_by_paper, duplicate_dates = _parse_dates(dates)
     if not date_by_paper:
         raise ParseError("dates file holds no dates")
     epoch = min(date_by_paper.values())
@@ -155,9 +166,12 @@ def parse_citation_files(
 
     if undated or self_loops:
         log.warning("dropped %d undated-citer edges and %d self-citations", undated, self_loops)
+    if duplicate_dates:
+        log.warning("%d repeated ids in the dates file; each keeps its earliest date", duplicate_dates)
     if tally is not None:
         tally["undated_citer_edges"] = undated
         tally["self_citations"] = self_loops
+        tally["duplicate_dates"] = duplicate_dates
         tally["events"] = len(events)
     return events
 
@@ -422,7 +436,7 @@ def cascade_from_dict(doc: dict) -> LabeledCascade | tuple[Cascade, None]:
 
 def write_cascades_jsonl(path: str | Path, pairs: Iterable[tuple[Cascade, GrowthLabel | None]]) -> int:
     count = 0
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for cascade, label in pairs:
             fh.write(json.dumps(cascade_to_dict(cascade, label), separators=(",", ":")))
             fh.write("\n")

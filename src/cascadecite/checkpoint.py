@@ -1,7 +1,9 @@
 """Versioned JSON checkpoints: named, shape-annotated flat float arrays.
 
-Floats round-trip exactly (json uses repr). Loading refuses version or shape
-mismatches instead of guessing.
+Floats round-trip exactly (json uses repr). The file is written compactly,
+with no whitespace, and atomically; any valid JSON layout of the same
+document loads. Loading refuses version or shape mismatches instead of
+guessing.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import CheckpointError
 
 FORMAT = "cascadecite-arrays"
@@ -32,7 +35,8 @@ def dump_arrays(arrays: dict[str, np.ndarray], extra: dict | None = None) -> dic
 
 
 def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], extra: dict | None = None) -> None:
-    Path(path).write_text(json.dumps(dump_arrays(arrays, extra), indent=1))
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(dump_arrays(arrays, extra), separators=(",", ":")))
 
 
 def parse_arrays(doc: dict, expected_shapes: dict[str, tuple[int, ...]] | None = None) -> dict[str, np.ndarray]:

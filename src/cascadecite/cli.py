@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import cascades as casc
 from . import encoding as enc
+from .atomic import atomic_write
 from .config import TOOL_VERSION, parse_horizon, resolve_config, utc_now, write_manifest
 from .errors import CascadeCiteError, ConfigError, EvaluationError, SchemaMismatchError
 from .model import ModelConfig, load_model, save_model
@@ -175,7 +176,7 @@ def _cmd_encode(args, cfg) -> list[Path]:
         outputs.append(path)
     if args.dump_trees:
         path = out / "trees.jsonl"
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             for c, lb in pairs:
                 fh.write(json.dumps(tree_to_dict(to_tree(c), lb), separators=(",", ":")))
                 fh.write("\n")

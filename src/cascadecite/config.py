@@ -9,6 +9,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__ as TOOL_VERSION
+from .atomic import atomic_write
 from .errors import ConfigError
 
 DEFAULTS: dict = {
@@ -158,5 +159,6 @@ def write_manifest(
         finished_utc=finished or utc_now(),
     )
     path = Path(out_dir) / f"{command}_manifest.json"
-    path.write_text(json.dumps(manifest.to_dict(), indent=1))
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(manifest.to_dict(), indent=1))
     return path

@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import BinRangeError, ParseError, SchemaError, SchemaOverflowError
 from .trees import CascadeTree
 
@@ -226,7 +227,7 @@ def sample_from_dict(doc: dict) -> EncodedSample:
 
 def write_encoded_jsonl(path: str | Path, samples: Iterable[EncodedSample]) -> int:
     count = 0
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for s in samples:
             fh.write(json.dumps(sample_to_dict(s), separators=(",", ":")))
             fh.write("\n")

@@ -3,15 +3,21 @@
 Per level: degrees scaled by a learned per-bin time decay, pre-embedded into
 a fixed width M. A GRU consumes levels shallow-to-deep; each hidden state is
 convolved (kernel 2, stride 2 by default) down to M/2, the per-level results
-are concatenated, and an MLP head emits the predicted log2(G + 1). Training
-minimizes mean squared error in that log space plus a Frobenius penalty on
-the weight matrices (biases and the decay vector are not penalized).
+are laid side by side, and an MLP head emits the predicted log2(G + 1).
+Training minimizes mean squared error in that log space plus a Frobenius
+penalty on the weight matrices (biases and the decay vector are not
+penalized).
 
-Each block is one fused tape record: the decay is a weighted `gather`, every
-pre-embed and head layer a `dense`, each GRU step a `gru_cell`, and the
-penalty a single `sum_sq`. With the default configuration a training step
-on a 5-level schema records 41 entries: 6 per level, the concat, 3 head
-layers and 7 for the loss.
+Every parameter is a view into one ParamBuffer. The penalized weights come
+first and form one contiguous slice, and the GRU gates are packed as
+[wu|wr|wh], [uu|ur] and [bu|br|bh]; checkpoints still name each gate.
+
+Each block is one fused tape record: the decay is a weighted `gather`,
+every pre-embed and head layer a `dense`, the GRU over all levels one
+`gru`, the convolution and its ReLU over all levels one `conv1d`, and the
+penalty a single `sum_sq` over the weight slice. With the default
+configuration a training step on a 5-level schema records 27 entries: 3 per
+level, the GRU, the conv, 3 head layers and 7 for the loss.
 """
 
 from __future__ import annotations
@@ -24,16 +30,15 @@ import numpy as np
 
 from . import checkpoint as _ckpt
 from .autodiff import (
+    ParamBuffer,
     Tensor,
     add,
-    concat,
     const,
     conv1d,
     dense,
     gather,
-    gru_cell,
+    gru,
     mul,
-    relu,
     scale,
     sub,
     sum_sq,
@@ -106,10 +111,37 @@ class ModelConfig:
 
 
 _GRU_KEYS = ("wu", "wr", "wh", "uu", "ur", "uh", "bu", "br", "bh")
+# gate -> (packed block, position of its M columns in that block)
+_PACKED = {
+    "gru_wu": ("gru_w", 0), "gru_wr": ("gru_w", 1), "gru_wh": ("gru_w", 2),
+    "gru_uu": ("gru_u", 0), "gru_ur": ("gru_u", 1),
+    "gru_bu": ("gru_b", 0), "gru_br": ("gru_b", 1), "gru_bh": ("gru_b", 2),
+}
+
+
+def _penalized(name: str) -> bool:
+    return name == "conv_kernel" or name.startswith(("head_w", "gru_w", "gru_u")) or (
+        name.startswith("pre") and "_w" in name
+    )
+
+
+def _layout(cfg: ModelConfig) -> tuple[dict[str, tuple[int, ...]], str, str]:
+    """Buffer blocks in flat order, penalized weights first, and the first
+    and last of those weight blocks."""
+    m = cfg.embed_width
+    packs = {"gru_w": (m, 3 * m), "gru_u": (m, 2 * m), "gru_b": (3 * m,)}
+    weights: dict[str, tuple[int, ...]] = {}
+    rest: dict[str, tuple[int, ...]] = {}
+    for name, shape in expected_shapes(cfg).items():
+        key = _PACKED[name][0] if name in _PACKED else name
+        (weights if _penalized(name) else rest)[key] = packs.get(key, shape)
+    keys = list(weights)
+    return {**weights, **rest}, keys[0], keys[-1]
 
 
 class ModelParams:
-    """Named Tensor parameters for one ModelConfig."""
+    """Named Tensor parameters for one ModelConfig, all views into one
+    ParamBuffer (`buffer`)."""
 
     def __init__(self, config: ModelConfig, tensors: dict[str, np.ndarray]):
         expected = expected_shapes(config)
@@ -118,13 +150,20 @@ class ModelParams:
         if missing or extra:
             raise ShapeError(f"parameter set mismatch: missing {missing}, unexpected {extra}")
         self.config = config
+        blocks, first, last = _layout(config)
+        self.buffer = buf = ParamBuffer(blocks)
+        m = config.embed_width
         self._by_name: dict[str, Tensor] = {}
         for name, shape in expected.items():
             arr = np.asarray(tensors[name], dtype=np.float64)
             if arr.shape != shape:
                 raise ShapeError(f"parameter {name!r} has shape {arr.shape}, expected {shape}")
-            self._by_name[name] = Tensor(arr, name=name)
+            key, pos = _PACKED.get(name, (name, None))
+            cols = None if pos is None else slice(pos * m, (pos + 1) * m)
+            t = self._by_name[name] = buf.block(key, cols, name=name)
+            t.values[...] = arr
 
+        self.weights = buf.run(first, last)  # every penalized weight, as one slice
         self.decay = self._by_name["decay"]
         self.pre_embed = [
             [
@@ -134,6 +173,7 @@ class ModelParams:
             for k in range(config.depth)
         ]
         self.gru = {key: self._by_name[f"gru_{key}"] for key in _GRU_KEYS}
+        self.gru_packed = (buf.block("gru_w"), buf.block("gru_u"), self.gru["uh"], buf.block("gru_b"))
         self.conv_kernel = self._by_name["conv_kernel"]
         self.conv_bias = self._by_name["conv_bias"]
         n_head = len(config.head_widths) + 1
@@ -148,7 +188,8 @@ class ModelParams:
         return list(self._by_name.values())
 
     def weight_matrices(self) -> list[Tensor]:
-        """Everything the Frobenius penalty covers: weights, not biases or decay."""
+        """Everything the Frobenius penalty covers: weights, not biases or
+        decay. Together they are exactly the `weights` slice."""
         out = []
         for layers in self.pre_embed:
             out.extend(w for w, _ in layers)
@@ -165,7 +206,7 @@ class ModelParams:
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != t.values.shape:
                 raise ShapeError(f"state for {name!r} has shape {arr.shape}, expected {t.values.shape}")
-            t.values = arr.copy()
+            t.values[...] = arr
 
 
 def expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -250,28 +291,27 @@ def forward_batch(
     if trace is not None:
         trace.update({"decayed": [], "embed": [], "u": [], "r": [], "h": [], "conv": []})
 
-    gru = [params.gru[key] for key in _GRU_KEYS]
-    h = const(np.zeros((b, cfg.embed_width)))
-    convs = []
+    xs = []
     for k in range(cfg.depth):
         x = decayed = gather(params.decay, bin_rows[k], weights=deg_rows[k])
         layers = params.pre_embed[k]
         for i, (w, bb) in enumerate(layers):
             x = dense(x, w, bb, relu=i < len(layers) - 1)
-        h, u, r = gru_cell(x, h, *gru)
-        conv = relu(conv1d(h, params.conv_kernel, stride=cfg.conv_stride, bias=params.conv_bias))
-        convs.append(conv)
+        xs.append(x)
         if trace is not None:
             trace["decayed"].append(decayed.values.copy())
             trace["embed"].append(x.values.copy())
-            trace["u"].append(u.copy())
-            trace["r"].append(r.copy())
-            trace["h"].append(h.values.copy())
-            trace["conv"].append(conv.values.copy())
-
-    z = concat(convs, axis=1)
+    hs, gates = gru(xs, *params.gru_packed)
+    # (B, D, M) states -> (B, D, M/2) features, which the head reads as (B, D*M/2)
+    z = conv1d(hs, params.conv_kernel, stride=cfg.conv_stride, bias=params.conv_bias, relu=True)
     if trace is not None:
-        trace["concat"] = z.values.copy()
+        m = cfg.embed_width
+        for k in range(cfg.depth):
+            trace["u"].append(gates[k, :, :m].copy())
+            trace["r"].append(gates[k, :, m:].copy())
+            trace["h"].append(hs.values[:, k].copy())
+            trace["conv"].append(z.values[:, k].copy())
+        trace["concat"] = z.values.reshape(b, -1).copy()
     for i, (w, bb) in enumerate(params.head):
         z = dense(z, w, bb, relu=i < len(params.head) - 1)
     return z
@@ -306,7 +346,7 @@ def loss(preds: Tensor, growths, params: ModelParams) -> Tensor:
     data = scale(total(mul(e, e)), cfg.alpha / targets.shape[0])
     if cfg.reg_weight == 0.0:
         return data
-    return add(data, scale(sum_sq(params.weight_matrices()), cfg.reg_weight))
+    return add(data, scale(sum_sq([params.weights]), cfg.reg_weight))
 
 
 # -------------------------------------------------------------- checkpoints

@@ -1,17 +1,17 @@
-"""Adam with bias correction, operating in place on Tensor parameters.
+"""Adam with bias correction, operating in place on a ParamBuffer.
 
-The moments of every parameter live end to end in two flat vectors, so a
-step is a handful of whole-vector operations whatever the parameter count.
+The parameters and their gradients are already two flat vectors, so a step
+is a handful of whole-vector operations into preallocated scratch, whatever
+the parameter count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import ParamBuffer
 from .errors import NumericError, ShapeError
 
 
@@ -22,52 +22,54 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: np.ndarray | None = None  # first moments, parameters flattened end to end
+    m: np.ndarray | None = None  # first moments, laid out like the buffer
     v: np.ndarray | None = None  # second moments, same layout
-    shapes: tuple[tuple[int, ...], ...] = ()  # the parameter shapes the moments belong to
+    scratch: tuple[np.ndarray, np.ndarray] = ()  # two work vectors of the same size
 
 
-def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: AdamState) -> AdamState:
-    """One Adam update. Moment buffers are allocated on first use.
+def adam_step(params: ParamBuffer, state: AdamState) -> AdamState:
+    """One Adam update of params.values from params.grad. Moment and
+    scratch vectors are allocated on first use.
 
-    Raises ShapeError when the parameters or their shapes differ from the
-    ones the state was built for, and NumericError, naming the first such
-    parameter, when a gradient is not finite; either way nothing changes.
+    Raises ShapeError when the buffer's size differs from the one the state
+    was built for, and NumericError, naming the first such parameter in
+    `params.named`, when a gradient is not finite; either way nothing
+    changes.
     """
-    if len(params) != len(grads):
-        raise ShapeError(f"adam_step: {len(params)} params but {len(grads)} grads")
-    shapes = tuple(p.values.shape for p in params)
-    for i, (shape, g) in enumerate(zip(shapes, grads)):
-        if np.shape(g) != shape:
-            raise ShapeError(f"adam_step: grad {i} has shape {np.shape(g)}, param has {shape}")
+    values, grad = params.values, params.grad
     if state.m is None:
-        size = sum(p.values.size for p in params)
-        state.m, state.v, state.shapes = np.zeros(size), np.zeros(size), shapes
-    elif shapes != state.shapes:
+        state.m, state.v = np.zeros_like(values), np.zeros_like(values)
+        state.scratch = (np.empty_like(values), np.empty_like(values))
+    elif state.m.shape != values.shape:
         raise ShapeError(
-            f"adam_step: state holds moments for {len(state.shapes)} params of shapes "
-            f"{state.shapes}, got {len(shapes)} of shapes {shapes}"
+            f"adam_step: state holds moments for {state.m.size} values, got a buffer of {values.size}"
         )
-    flat = np.concatenate([np.ravel(g) for g in grads], dtype=np.float64)
-    if not np.isfinite(flat).all():
-        i = next(i for i, g in enumerate(grads) if not np.isfinite(g).all())
-        name = params[i].name or f"param[{i}]"
+    if not np.isfinite(grad).all():
+        bad = next((t for t in params.named if not np.isfinite(t.grad).all()), None)
+        name = "param" if bad is None else bad.name
+        worst = grad if bad is None else bad.grad
         raise NumericError(
             f"non-finite gradient for {name}",
-            details={"param": name, "step": state.t + 1,
-                     "grad_norm": float(np.abs(np.asarray(grads[i], dtype=np.float64)).max())},
+            details={"param": name, "step": state.t + 1, "grad_norm": float(np.abs(worst).max())},
         )
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     m, v = state.m, state.v
+    tmp, den = state.scratch
+    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
     m *= b1
-    m += (1.0 - b1) * flat
+    np.multiply(grad, 1.0 - b1, out=tmp)
+    m += tmp
     v *= b2
-    v += (1.0 - b2) * flat * flat
-    step = state.step_size * (m / (1.0 - b1**state.t)) / (np.sqrt(v / (1.0 - b2**state.t)) + state.eps)
-    offset = 0
-    for p in params:
-        size = p.values.size
-        p.values -= step[offset : offset + size].reshape(p.values.shape)
-        offset += size
+    np.multiply(grad, 1.0 - b2, out=tmp)
+    tmp *= grad
+    v += tmp
+    # values -= step_size * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+    np.divide(v, 1.0 - b2**state.t, out=den)
+    np.sqrt(den, out=den)
+    den += state.eps
+    np.divide(m, 1.0 - b1**state.t, out=tmp)
+    tmp *= state.step_size
+    tmp /= den
+    values -= tmp
     return state

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, const, dense, mul, scale, sub, total
+from .autodiff import ParamBuffer, Tape, Tensor, const, dense, mul, scale, sub, total
 from .encoding import DegreeSequence
 from .errors import ConfigError, FeatureError
 from .optim import AdamState, adam_step
@@ -116,11 +116,14 @@ def probe(
     d = x.shape[1]
     limit1 = np.sqrt(6.0 / (d + hidden))
     limit2 = np.sqrt(6.0 / (hidden + y.shape[1]))
-    w1 = Tensor(rng.uniform(-limit1, limit1, size=(d, hidden)), name="probe_w1")
-    b1 = Tensor(np.zeros(hidden), name="probe_b1")
-    w2 = Tensor(rng.uniform(-limit2, limit2, size=(hidden, y.shape[1])), name="probe_w2")
-    b2 = Tensor(np.zeros(y.shape[1]), name="probe_b2")
-    params = [w1, b1, w2, b2]
+    shapes = {
+        "probe_w1": (d, hidden), "probe_b1": (hidden,),
+        "probe_w2": (hidden, y.shape[1]), "probe_b2": (y.shape[1],),
+    }
+    buf = ParamBuffer(shapes)
+    w1, b1, w2, b2 = params = [buf.block(key, name=key) for key in shapes]
+    w1.values[...] = rng.uniform(-limit1, limit1, size=w1.shape)
+    w2.values[...] = rng.uniform(-limit2, limit2, size=w2.shape)
     state = AdamState(step_size=step_size)
 
     def mlp(rows: Tensor) -> Tensor:
@@ -132,8 +135,8 @@ def probe(
         with Tape() as tape:
             err = sub(mlp(xt), yt)
             batch_loss = scale(total(mul(err, err)), 1.0 / err.values.size)
-        grads = tape.backward(batch_loss, params=params)
-        adam_step(params, grads, state)
+        tape.backward(batch_loss, params=params)
+        adam_step(buf, state)
 
     preds = mlp(const(x[te])).values
     per_feature = ((preds - y[te]) ** 2).mean(axis=0)

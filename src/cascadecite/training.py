@@ -91,7 +91,7 @@ def _stacked(samples: Sequence[EncodedSample], cfg: ModelConfig) -> Stacked:
 
 
 def _predict_values(
-    params: ModelParams, deg_rows: list[np.ndarray], bin_rows: list[np.ndarray], chunk: int = 512
+    params: ModelParams, deg_rows: list[np.ndarray], bin_rows: list[np.ndarray], chunk: int = 128
 ) -> np.ndarray:
     preds = []
     for lo in range(0, deg_rows[0].shape[0], chunk):
@@ -176,8 +176,8 @@ def train(
                         },
                     },
                 )
-            grads = tape.backward(batch_loss, params=tensors)
-            adam_step(tensors, grads, state)
+            tape.backward(batch_loss, params=tensors)
+            adam_step(params.buffer, state)
             batch_losses.append(value)
 
         train_losses.append(float(np.mean(batch_losses)))

@@ -1,6 +1,7 @@
 """Parsing, cascade building, splitting, stats, and the synthetic generator."""
 
 import datetime
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cascadecite import cascades as casc
+from cascadecite.cli import main
 from cascadecite.errors import (
     ConfigError,
     ContractError,
@@ -33,7 +35,7 @@ def test_parse_drops_comments_blanks_and_counts_events():
         casc.CitationEvent(citing="b", cited="a", time=10, cited_time=0),
         casc.CitationEvent(citing="a", cited="z", time=0),  # z has no date
     ]
-    assert tally == {"undated_citer_edges": 0, "self_citations": 0, "events": 2}
+    assert tally == {"undated_citer_edges": 0, "self_citations": 0, "duplicate_dates": 0, "events": 2}
 
 
 def test_parse_drops_undated_citers_and_self_citations():
@@ -53,6 +55,33 @@ def test_parse_errors_carry_line_numbers():
         casc.parse_citation_files(["a\tb"], ["# x", "a\t2000-01-01", "b\t01/02/2000"])
     with pytest.raises(ParseError):
         casc.parse_citation_files(["a\tb"], ["# only comments"])
+
+
+def test_duplicate_dates_keep_the_earliest_and_are_counted():
+    dates = ["a\t2000-03-01", "b\t2000-02-01", "a\t2000-01-01", "a\t2000-05-01"]
+    edges = ["a\tx", "b\ta"]
+    tally = {}
+    events = casc.parse_citation_files(edges, dates, tally=tally)
+    assert tally["duplicate_dates"] == 2
+    assert events == [
+        casc.CitationEvent(citing="a", cited="x", time=0),
+        casc.CitationEvent(citing="b", cited="a", time=31, cited_time=0),
+    ]
+    # the same lines in any order give the same events
+    assert casc.parse_citation_files(edges, dates[::-1]) == events
+
+
+def test_ingest_report_counts_duplicate_dates(tmp_path):
+    edges, dates = tmp_path / "edges.tsv", tmp_path / "dates.tsv"
+    edges.write_text("".join(f"c{i}\tr\n" for i in range(3)))
+    dates.write_text("r\t2000-01-01\nr\t1999-12-01\n" + "".join(f"c{i}\t2000-02-0{i + 1}\n" for i in range(3)))
+    out = tmp_path / "out"
+    assert main(["ingest", "--edges", str(edges), "--dates", str(dates), "--out", str(out),
+                 "--min-observed", "1"]) == 0
+    report = json.loads((out / "ingest_report.json").read_text())
+    assert report["duplicate_dates"] == 1
+    (c, _), = casc.read_cascades_jsonl(out / "cascades.jsonl")
+    assert [n.time for n in c.nodes] == [62, 63, 64]  # days after 1999-12-01, the earlier date
 
 
 def test_event_times_are_days_since_earliest_date():
@@ -147,6 +176,24 @@ def test_dated_roots_keep_their_date_and_only_undated_roots_are_anchored(days, l
             assert c.root_time == day - epoch
     undated = sum(days[int(c.root[1:])] is None for c, _ in pairs)
     assert tally["roots_anchored_without_date"] == undated
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    days=st.lists(st.one_of(st.none(), st.integers(0, 800)), min_size=2, max_size=10),
+    links=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40),
+    shift=st.integers(-3000, 3000),
+)
+def test_shifting_every_date_leaves_the_cascades_unchanged(days, links, shift):
+    assume(any(d is not None for d in days))
+    edges = [f"p{i}\tp{j}" for i, j in links if i < len(days) and j < len(days)]
+
+    def cascades(offset):
+        base = datetime.date(2000, 1, 1) + datetime.timedelta(days=offset)
+        dates = [f"p{i}\t{base + datetime.timedelta(days=d)}" for i, d in enumerate(days) if d is not None]
+        return casc.build_cascades(casc.parse_citation_files(edges, dates), window_T=365, min_observed=0)
+
+    assert cascades(shift) == cascades(0)
 
 
 def test_citers_at_or_before_root_date_are_dropped():

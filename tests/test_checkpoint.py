@@ -1,11 +1,16 @@
 """Array checkpoint round-trips and refusal paths."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cascadecite import cascades as casc
 from cascadecite import checkpoint as ck
+from cascadecite import encoding as enc
+from cascadecite import model as md
+from cascadecite.encoding import DegreeSequence, SeqEntry
 from cascadecite.errors import CheckpointError
 
 
@@ -65,3 +70,53 @@ def test_expected_shapes_catch_wrong_shape():
     doc = ck.dump_arrays({"w": np.ones((2, 3))})
     with pytest.raises(CheckpointError):
         ck.parse_arrays(doc, expected_shapes={"w": (3, 2)})
+
+
+def test_saved_file_is_compact_and_loads_from_any_layout(tmp_path):
+    arrays = {"w": np.random.default_rng(4).standard_normal((50, 4))}
+    path = tmp_path / "ck.json"
+    ck.save_arrays(path, arrays)
+    text = path.read_text()
+    assert "\n" not in text and ", " not in text
+    doc = json.loads(text)
+    indented = json.loads(json.dumps(doc, indent=1))
+    np.testing.assert_array_equal(ck.parse_arrays(indented)["w"], arrays["w"])
+
+
+def test_indented_checkpoint_from_version_0_2_0_predicts_the_same():
+    # written by 0.2.0, which put one float per line; want holds that version's predictions
+    params, schema = md.load_model(Path(__file__).parent / "data" / "checkpoint_indented.json")
+    assert schema.level_lengths == params.config.level_lengths == (3, 2, 1)
+    E, P = SeqEntry, SeqEntry(0, 0, True)
+    seqs = [
+        DegreeSequence(levels=((E(3, 1, False), E(2, 2, False), E(1, 1, False)), (E(2, 2, False), P), (E(1, 2, False),))),
+        DegreeSequence(levels=((E(1, 1, False), P, P), (P, P), (P,))),
+        DegreeSequence(levels=((E(4, 2, False), E(1, 2, False), P), (E(3, 1, False), E(1, 1, False)), (P,))),
+    ]
+    got = md.forward_batch(params, *md.stack_sequences(seqs, params.config)).values[:, 0]
+    want = [-0.48666297133517394, -0.5830268194066817, -0.6696299177513275]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_failed_writes_leave_no_partial_file(tmp_path):
+    pairs = casc.generate_synthetic(3, (3, 5), 20, 1.0, seed=0)
+
+    def broken(items):
+        yield from items
+        raise RuntimeError("interrupted")
+
+    path = tmp_path / "cascades.jsonl"
+    with pytest.raises(RuntimeError):
+        casc.write_cascades_jsonl(path, broken(pairs))
+    assert list(tmp_path.iterdir()) == []
+
+    casc.write_cascades_jsonl(path, pairs)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        casc.write_cascades_jsonl(path, broken(pairs[:1]))
+    assert path.read_bytes() == before  # the old file survives whole
+    with pytest.raises(RuntimeError):
+        enc.write_encoded_jsonl(tmp_path / "train.encoded.jsonl", broken([]))
+    with pytest.raises(TypeError):
+        ck.save_arrays(tmp_path / "ck.json", {"w": np.ones(2)}, extra={"bad": object()})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cascades.jsonl"]

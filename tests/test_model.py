@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cascadecite import model as md
-from cascadecite.autodiff import Tape
+from cascadecite.autodiff import Tape, sum_sq
 from cascadecite.encoding import DegreeSequence, SeqEntry, uniform_bin_edges, EncodingSchema
-from cascadecite.errors import CheckpointError, ConfigError, ContractError, ShapeError
+from cascadecite.errors import CheckpointError, ConfigError, ContractError, NumericError, ShapeError
 from cascadecite.optim import AdamState, adam_step
 
 
@@ -128,7 +128,7 @@ def test_growth_from_log_inverts_and_clamps():
 def test_apply_time_decay_hand_values():
     cfg = tiny_config(level_lengths=(3,))
     params = md.init_params(cfg, 0)
-    params.decay.values = np.array([0.0, 0.5, 0.25])
+    params.decay.values[...] = [0.0, 0.5, 0.25]  # in place: the tensor views the buffer
     seq = DegreeSequence(levels=((SeqEntry(2, 1, False), SeqEntry(3, 2, False), SeqEntry(0, 0, True)),))
     trace = {}
     md.forward_batch(params, *md.stack_sequences([seq], cfg), trace=trace)
@@ -171,7 +171,7 @@ def test_decay_scales_inputs_linearly():
 
     t1, t2 = {}, {}
     md.forward_batch(params, deg_rows, bin_rows, trace=t1)
-    params.decay.values = params.decay.values * 2.0
+    params.decay.values *= 2.0
     md.forward_batch(params, deg_rows, bin_rows, trace=t2)
     for k in range(cfg.depth):
         np.testing.assert_allclose(t2["decayed"][k], 2.0 * t1["decayed"][k], atol=1e-15)
@@ -259,8 +259,8 @@ def test_training_steps_reduce_loss_for_many_seeds():
         for _ in range(60):
             with Tape() as tape:
                 value = md.loss(md.forward_batch(params, deg_rows, bin_rows), growths, params)
-            grads = tape.backward(value, params=tensors)
-            adam_step(tensors, grads, state)
+            tape.backward(value, params=tensors)
+            adam_step(params.buffer, state)
         assert current_loss() < before, f"seed {seed} failed to descend"
 
 
@@ -287,6 +287,79 @@ def test_unused_bin_gets_zero_decay_gradient():
     (g,) = tape.backward(value, params=[params.decay])
     assert g[2] == 0.0 and g[3] == 0.0
     assert g[1] != 0.0
+
+
+# ------------------------------------------------------- the flat buffer
+
+
+def test_every_named_tensor_views_the_flat_buffers():
+    params = md.init_params(tiny_config(), 17)
+    buf = params.buffer
+    assert sum(t.values.size for t in params.tensors()) == buf.values.size
+    for name, t in params.named():
+        assert np.shares_memory(t.values, buf.values), name
+        assert np.shares_memory(t.grad, buf.grad), name
+    for packed in params.gru_packed:
+        assert np.shares_memory(packed.values, buf.values)
+    # the packed gates are the named gates side by side
+    w, u, uh, b = params.gru_packed
+    g = params.gru
+    np.testing.assert_array_equal(w.values, np.hstack([g["wu"].values, g["wr"].values, g["wh"].values]))
+    np.testing.assert_array_equal(u.values, np.hstack([g["uu"].values, g["ur"].values]))
+    assert uh is g["uh"]
+    np.testing.assert_array_equal(b.values, np.concatenate([g["bu"].values, g["br"].values, g["bh"].values]))
+
+
+def test_weight_slice_is_exactly_the_weight_matrices():
+    params = md.init_params(tiny_config(), 18)
+    weights, mats = params.weights, params.weight_matrices()
+    assert weights.values.base is not None and weights.values.flags.c_contiguous
+    assert sum(t.values.size for t in mats) == weights.values.size
+    assert all(np.shares_memory(t.values, weights.values) for t in mats)
+    others = [t for t in params.tensors() if all(t is not m for m in mats)]
+    assert not any(np.shares_memory(t.values, weights.values) for t in others)
+    assert sum_sq([weights]).item() == pytest.approx(
+        sum(float((t.values**2).sum()) for t in mats), rel=1e-14
+    )
+
+
+def test_second_backward_on_one_tape_does_not_double_count():
+    rng = np.random.default_rng(19)
+    cfg = tiny_config()
+    params = md.init_params(cfg, 20)
+    deg_rows, bin_rows = md.stack_sequences([seq_for(cfg, rng) for _ in range(3)], cfg)
+    with Tape() as tape:
+        value = md.loss(md.forward_batch(params, deg_rows, bin_rows), np.array([1, 2, 3]), params)
+    first = [g.copy() for g in tape.backward(value, params=params.tensors())]
+    flat = params.buffer.grad.copy()
+    second = tape.backward(value, params=params.tensors())
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(params.buffer.grad, flat)
+    assert np.abs(flat).max() > 0
+
+
+def test_adam_names_the_first_non_finite_model_parameter():
+    params = md.init_params(tiny_config(), 21)
+    before = params.buffer.values.copy()
+    params.buffer.grad.fill(0.0)
+    params.head[0][0].grad[0, 0] = np.inf
+    params.gru["ur"].grad[1, 2] = np.nan  # named before the head
+    with pytest.raises(NumericError) as err:
+        adam_step(params.buffer, AdamState())
+    assert err.value.details["param"] == "gru_ur"
+    np.testing.assert_array_equal(params.buffer.values, before)
+
+
+def test_loading_a_state_writes_into_the_buffer():
+    params = md.init_params(tiny_config(), 22)
+    state = md.init_params(tiny_config(), 23).value_state()
+    values = params.buffer.values
+    params.load_value_state(state)
+    assert params.buffer.values is values
+    for name, t in params.named():
+        np.testing.assert_array_equal(t.values, state[name])
+        assert np.shares_memory(t.values, values)
 
 
 def test_model_checkpoint_roundtrip(tmp_path):
