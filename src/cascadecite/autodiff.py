@@ -85,6 +85,9 @@ class ParamBuffer:
             n = int(np.prod(shape, dtype=np.int64))
             self._spans[key] = (size, size + n, tuple(shape))
             size += n
+        # (key, start, stop, shape) per block: two buffers with equal layouts
+        # hold the same parameters at the same offsets
+        self.layout = tuple((key, *span) for key, span in self._spans.items())
         self.values = np.zeros(size)
         self.grad = np.zeros(size)
         self.named: list[Tensor] = []  # the tensors handed out with a name, in order
@@ -257,12 +260,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
         _acc(b, g.sum(axis=0))
 
     return _record(out, (x, w, b), pull)
-
-
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    """Logistic function that never overflows: exp only sees -|v|."""
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def gru(

@@ -25,14 +25,15 @@ class AdamState:
     m: np.ndarray | None = None  # first moments, laid out like the buffer
     v: np.ndarray | None = None  # second moments, same layout
     scratch: tuple[np.ndarray, np.ndarray] = ()  # two work vectors of the same size
+    layout: tuple = ()  # the ParamBuffer.layout the moments were built for
 
 
 def adam_step(params: ParamBuffer, state: AdamState) -> AdamState:
     """One Adam update of params.values from params.grad. Moment and
     scratch vectors are allocated on first use.
 
-    Raises ShapeError when the buffer's size differs from the one the state
-    was built for, and NumericError, naming the first such parameter in
+    Raises ShapeError when the buffer's block layout differs from the one
+    the state was built for, and NumericError, naming the first such parameter in
     `params.named`, when a gradient is not finite; either way nothing
     changes.
     """
@@ -40,9 +41,11 @@ def adam_step(params: ParamBuffer, state: AdamState) -> AdamState:
     if state.m is None:
         state.m, state.v = np.zeros_like(values), np.zeros_like(values)
         state.scratch = (np.empty_like(values), np.empty_like(values))
-    elif state.m.shape != values.shape:
+        state.layout = params.layout
+    elif params.layout != state.layout:
         raise ShapeError(
-            f"adam_step: state holds moments for {state.m.size} values, got a buffer of {values.size}"
+            f"adam_step: state holds moments for another layout ({len(state.layout)} blocks, "
+            f"{state.m.size} values), got {len(params.layout)} blocks, {values.size} values"
         )
     if not np.isfinite(grad).all():
         bad = next((t for t in params.named if not np.isfinite(t.grad).all()), None)

@@ -98,9 +98,24 @@ def test_state_is_per_parameter_list():
     buf, _ = buffered(np.zeros(2), np.zeros((2, 2)))
     state = AdamState()
     adam_step(buf, state)
+    same, _ = buffered(np.ones(2), np.ones((2, 2)))
+    adam_step(same, state)  # another buffer with the same layout is fine
+    assert state.t == 2
     other, _ = buffered(np.zeros(2))
     with pytest.raises(ShapeError):
         adam_step(other, state)
+    # the same size, but the moments would land on other parameters
+    for values, names in [
+        ((np.zeros((2, 2)), np.zeros(2)), None),  # blocks swapped
+        ((np.zeros(2), np.zeros((2, 2))), ["a", "b"]),  # blocks renamed
+        ((np.zeros(2), np.zeros((1, 4))), None),  # a block reshaped
+    ]:
+        moved, tensors = buffered(*values, names=names)
+        tensors[0].grad[...] = 1.0
+        with pytest.raises(ShapeError):
+            adam_step(moved, state)
+        assert not moved.values.any()
+    assert state.t == 2
 
 
 def test_update_is_in_place_on_the_buffer():
