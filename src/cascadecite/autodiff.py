@@ -477,6 +477,9 @@ def sum_sq(parts: Sequence[Tensor]) -> Tensor:
 # ---------------------------------------------------------- gradient checking
 
 
+ROUNDOFF = 1e3 * np.finfo(np.float64).eps  # relative error grad_check allows in one loss value
+
+
 @dataclass
 class GradCheckReport:
     max_rel_error: float
@@ -500,8 +503,13 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare taped gradients of the scalar f() against central differences.
 
-    Relative error per coordinate is |analytic - numeric| / max(1e-8,
-    |analytic| + |numeric|). f is re-evaluated with no tape active for the
+    Relative error per coordinate is max(0, |analytic - numeric| - floor) /
+    max(1e-8, |analytic| + |numeric|). The floor is the round-off a central
+    difference cannot resolve: each loss value is taken to carry a relative
+    error of ROUNDOFF (machine epsilon times 1000, for sums whose terms
+    cancel to a much smaller loss), so floor = ROUNDOFF * (|f(x+eps)| +
+    |f(x-eps)|) / (2 eps). Without it a correct gradient below about 1e-7
+    fails for noise alone. f is re-evaluated with no tape active for the
     perturbed evaluations, so the numeric route never touches the adjoints.
     """
     with Tape() as tape:
@@ -536,7 +544,8 @@ def grad_check(
             p.values.flat[ci] = old
             numeric = (fp - fm) / (2.0 * eps)
             analytic = float(g.flat[ci])
-            rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
+            floor = ROUNDOFF * (abs(fp) + abs(fm)) / (2.0 * eps)
+            rel = max(0.0, abs(analytic - numeric) - floor) / max(1e-8, abs(analytic) + abs(numeric))
             checked += 1
             if rel > worst[0]:
                 worst = (rel, pi, int(ci))

@@ -2,8 +2,9 @@
 
 Subcommands: ingest, stats, encode, train, eval, predict, probe, sweep,
 synth. Every command writes its artifacts plus a run manifest (resolved
-config, input digests, output paths, timestamps) into --out. Failures exit
-nonzero with a one-line JSON error on stderr.
+config, input digests, output paths, data counters, timestamps) into
+--out, each file through a temporary file so that none is left half
+written. Failures exit nonzero with a one-line JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ def _model_overrides(cfg: dict) -> dict:
     }
 
 
+def _write_json(path: Path, doc) -> Path:
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, indent=1))
+    return path
+
+
 def _corpus_window(pairs) -> int:
     windows = {c.window_T for c, _ in pairs}
     if len(windows) != 1:
@@ -113,7 +120,7 @@ def _load_eval_samples(args, ckpt_schema: enc.EncodingSchema) -> list[enc.Encode
 # ------------------------------------------------------------------ commands
 
 
-def _cmd_synth(args, cfg) -> list[Path]:
+def _cmd_synth(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     pairs = casc.generate_synthetic(
         int(cfg["synth_n"]),
@@ -129,7 +136,7 @@ def _cmd_synth(args, cfg) -> list[Path]:
     return [path]
 
 
-def _cmd_ingest(args, cfg) -> list[Path]:
+def _cmd_ingest(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     tally: dict = {}
     events = casc.parse_citation_files(args.edges, args.dates, tally=tally)
@@ -142,12 +149,10 @@ def _cmd_ingest(args, cfg) -> list[Path]:
     )
     path = out / "cascades.jsonl"
     casc.write_cascades_jsonl(path, pairs)
-    report = out / "ingest_report.json"
-    report.write_text(json.dumps(tally, indent=1))
-    return [path, report]
+    return [path, _write_json(out / "ingest_report.json", tally)]
 
 
-def _cmd_stats(args, cfg) -> list[Path]:
+def _cmd_stats(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     pairs = casc.read_cascades_jsonl(args.cascades)
     tr, va, te = casc.split_dataset(pairs, int(cfg["seed"]))
@@ -158,16 +163,16 @@ def _cmd_stats(args, cfg) -> list[Path]:
             continue
         stats = casc.compute_stats([to_tree(c) for c, _ in chunk])
         doc[name] = dataclasses.asdict(stats)
-    path = out / "stats.json"
-    path.write_text(json.dumps(doc, indent=1))
-    return [path]
+    return [_write_json(out / "stats.json", doc)]
 
 
-def _cmd_encode(args, cfg) -> list[Path]:
+def _cmd_encode(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     pairs = casc.read_cascades_jsonl(args.cascades)
     window = _corpus_window(pairs)
-    tr, va, te, schema = encode_split(pairs, int(cfg["bins"]), window, int(cfg["seed"]))
+    tr, va, te, schema = encode_split(
+        pairs, int(cfg["bins"]), window, int(cfg["seed"]), tally=counters
+    )
     outputs = [out / "schema.json"]
     enc.save_schema(outputs[0], schema)
     for name, samples in (("train", tr), ("val", va), ("test", te)):
@@ -184,7 +189,7 @@ def _cmd_encode(args, cfg) -> list[Path]:
     return outputs
 
 
-def _cmd_train(args, cfg) -> list[Path]:
+def _cmd_train(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     d = Path(args.encoded_dir)
     schema = enc.load_schema(d / "schema.json")
@@ -202,26 +207,22 @@ def _cmd_train(args, cfg) -> list[Path]:
     ckpt = out / "checkpoint.json"
     save_model(ckpt, params, schema)
     metrics = out / "metrics.csv"
-    with open(metrics, "w") as fh:
+    with atomic_write(metrics) as fh:
         fh.write("epoch,train_loss,val_msle\n")
         for i, (tl, vm) in enumerate(zip(report.train_losses, report.val_msles), 1):
             fh.write(f"{i},{tl!r},{vm!r}\n")
-    report_path = out / "report.json"
-    report_path.write_text(json.dumps(report.to_dict(), indent=1))
-    return [ckpt, metrics, report_path]
+    return [ckpt, metrics, _write_json(out / "report.json", report.to_dict())]
 
 
-def _cmd_eval(args, cfg) -> list[Path]:
+def _cmd_eval(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     params, schema = load_model(args.checkpoint)
     samples = _load_eval_samples(args, schema)
     value = evaluate(params, samples)
-    path = out / "eval.json"
-    path.write_text(json.dumps({"msle": value, "count": len(samples)}, indent=1))
-    return [path]
+    return [_write_json(out / "eval.json", {"msle": value, "count": len(samples)})]
 
 
-def _cmd_predict(args, cfg) -> list[Path]:
+def _cmd_predict(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     params, schema = load_model(args.checkpoint)
     samples = _load_eval_samples(args, schema)
@@ -231,7 +232,7 @@ def _cmd_predict(args, cfg) -> list[Path]:
     return [path]
 
 
-def _cmd_probe(args, cfg) -> list[Path]:
+def _cmd_probe(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     pairs = casc.read_cascades_jsonl(args.cascades)
     trees = [to_tree(c) for c, _ in pairs]
@@ -256,15 +257,13 @@ def _cmd_probe(args, cfg) -> list[Path]:
     report = run_probe(seqs, feats, seed=int(cfg["seed"]), decay=decay)
 
     csv_path = out / "probe.csv"
-    with open(csv_path, "w") as fh:
+    with atomic_write(csv_path) as fh:
         fh.write(",".join(FEATURE_NAMES) + "\n")
         fh.write(",".join(repr(report.mse[name]) for name in FEATURE_NAMES) + "\n")
-    json_path = out / "probe.json"
-    json_path.write_text(json.dumps(report.to_dict(), indent=1))
-    return [csv_path, json_path]
+    return [csv_path, _write_json(out / "probe.json", report.to_dict())]
 
 
-def _cmd_sweep(args, cfg) -> list[Path]:
+def _cmd_sweep(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     pairs = casc.read_cascades_jsonl(args.cascades)
     window = _corpus_window(pairs)
@@ -273,7 +272,7 @@ def _cmd_sweep(args, cfg) -> list[Path]:
         pairs, bin_counts, window, _train_config(cfg), model_overrides=_model_overrides(cfg)
     )
     path = out / "sweep.csv"
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("bins,test_msle\n")
         for row in rows:
             fh.write(f"{row.bins},{row.test_msle!r}\n")
@@ -392,9 +391,10 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     started = utc_now()
+    counters: dict = {}
     try:
         cfg = resolve_config(args.config, _collect_overrides(args))
-        outputs = _HANDLERS[args.command](args, cfg)
+        outputs = _HANDLERS[args.command](args, cfg, counters)
         inputs = [
             p for p in (
                 getattr(args, "edges", None), getattr(args, "dates", None),
@@ -408,7 +408,7 @@ def main(argv=None) -> int:
             inputs.extend(
                 str(p) for p in (d / "schema.json", d / "train.encoded.jsonl", d / "val.encoded.jsonl")
             )
-        write_manifest(Path(args.out), args.command, cfg, inputs, outputs, started)
+        write_manifest(Path(args.out), args.command, cfg, inputs, outputs, started, counters=counters)
     except (CascadeCiteError, OSError) as exc:
         print(_error_json(exc), file=sys.stderr)
         return 1

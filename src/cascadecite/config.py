@@ -128,6 +128,7 @@ class RunManifest:
     config: dict
     inputs: dict[str, str]  # path -> sha256
     outputs: list[str]
+    counters: dict  # deterministic data counts from the command, e.g. encode's
     started_utc: str
     finished_utc: str
 
@@ -147,6 +148,7 @@ def write_manifest(
     outputs: list[str | Path],
     started: str,
     finished: str | None = None,
+    counters: dict | None = None,
 ) -> Path:
     manifest = RunManifest(
         command=command,
@@ -155,6 +157,7 @@ def write_manifest(
         config=config,
         inputs={str(p): file_digest(p) for p in inputs},
         outputs=[str(p) for p in outputs],
+        counters=counters or {},
         started_utc=started,
         finished_utc=finished or utc_now(),
     )

@@ -9,12 +9,11 @@ adoption times map to bins 1..L.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from .atomic import atomic_write
 from .errors import BinRangeError, ParseError, SchemaError, SchemaOverflowError
@@ -27,6 +26,9 @@ class SeqEntry(NamedTuple):
     degree: int
     bin: int
     is_pad: bool
+
+
+PAD = SeqEntry(degree=0, bin=PAD_BIN, is_pad=True)  # every padding slot is this one entry
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ def time_bin(t: float, schema: EncodingSchema) -> int:
     """Index l with edge[l-1] <= t < edge[l]; domain is [0, window_T)."""
     if not (0 <= t < schema.window_T):
         raise BinRangeError(f"time {t} outside [0, {schema.window_T})")
-    return int(np.searchsorted(schema.bin_edges, t, side="right"))
+    return bisect.bisect_right(schema.bin_edges, t)
 
 
 def node_degree(tree: CascadeTree, node: str) -> int:
@@ -123,9 +125,8 @@ def encode_level(
                 f"level holds {len(ordered)} nodes but schema allows {length}"
             )
         ordered = ordered[:length]
-    entries = [SeqEntry(degree=d, bin=time_bin(t, schema), is_pad=False) for d, t in ordered]
-    entries.extend(SeqEntry(degree=0, bin=PAD_BIN, is_pad=True) for _ in range(length - len(entries)))
-    return tuple(entries)
+    entries = tuple(SeqEntry(d, time_bin(t, schema), False) for d, t in ordered)
+    return entries + (PAD,) * (length - len(entries))
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,15 @@ class EncodedSample:
     growth: int | None
 
 
+def pad_fractions(samples: Sequence[EncodedSample], schema: EncodingSchema) -> list[float]:
+    """Share of each level's slots that hold padding, over the samples."""
+    pads = [0] * schema.depth
+    for s in samples:
+        for k, lvl in enumerate(s.seq.levels):
+            pads[k] += lvl.count(PAD)
+    return [p / (n * len(samples)) if samples else 0.0 for p, n in zip(pads, schema.level_lengths)]
+
+
 def schema_to_dict(schema: EncodingSchema) -> dict:
     return {
         "level_lengths": list(schema.level_lengths),
@@ -190,20 +200,12 @@ def schema_from_dict(doc: dict) -> EncodingSchema:
 
 
 def save_schema(path: str | Path, schema: EncodingSchema) -> None:
-    Path(path).write_text(json.dumps(schema_to_dict(schema), indent=1))
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(schema_to_dict(schema), indent=1))
 
 
 def load_schema(path: str | Path) -> EncodingSchema:
     return schema_from_dict(json.loads(Path(path).read_text()))
-
-
-def sample_to_dict(sample: EncodedSample) -> dict:
-    """One record per tree; each slot is a [degree, bin] pair."""
-    return {
-        "id": sample.id,
-        "levels": [[[e.degree, e.bin] for e in lvl] for lvl in sample.seq.levels],
-        "label": sample.growth,
-    }
 
 
 def _slot(pair) -> SeqEntry:
@@ -225,12 +227,24 @@ def sample_from_dict(doc: dict) -> EncodedSample:
         raise ParseError(f"bad encoded record: {exc}") from None
 
 
+class _SlotTexts(dict):
+    """Slot entry -> its JSON text, filled on first use."""
+
+    def __missing__(self, entry: SeqEntry) -> str:
+        text = self[entry] = json.dumps([entry.degree, entry.bin], separators=(",", ":"))
+        return text
+
+
 def write_encoded_jsonl(path: str | Path, samples: Iterable[EncodedSample]) -> int:
+    """One compact JSON record per tree: {"id", "levels", "label"}, where a
+    level is a list of [degree, bin] slots. A file repeats few distinct
+    slots (every pad is the same one), so each slot's text is made once."""
+    slot = _SlotTexts().__getitem__
     count = 0
     with atomic_write(path) as fh:
         for s in samples:
-            fh.write(json.dumps(sample_to_dict(s), separators=(",", ":")))
-            fh.write("\n")
+            levels = ",".join("[" + ",".join(map(slot, lvl)) + "]" for lvl in s.seq.levels)
+            fh.write(f'{{"id":{json.dumps(s.id)},"levels":[{levels}],"label":{json.dumps(s.growth)}}}\n')
             count += 1
     return count
 

@@ -10,9 +10,17 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .autodiff import Tape
 from .cascades import GrowthLabel, LabeledCascade, split_dataset
-from .encoding import EncodedSample, EncodingSchema, encode, fits_schema, schema_from_corpus
+from .encoding import (
+    EncodedSample,
+    EncodingSchema,
+    encode,
+    fits_schema,
+    pad_fractions,
+    schema_from_corpus,
+)
 from .errors import ConfigError, ContractError, EvaluationError, TrainingDivergedError
 from .model import (
     ModelConfig,
@@ -221,7 +229,7 @@ def predict_rows(params: ModelParams, samples: Sequence[EncodedSample]) -> list[
 
 
 def write_predictions(path: str | Path, rows: Sequence[tuple[str, float, float]]) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("id,pred_log2,pred_growth\n")
         for pid, plog, pg in rows:
             fh.write(f"{pid},{plog!r},{pg!r}\n")
@@ -275,12 +283,19 @@ def encode_trees(
 
 
 def encode_split(
-    pairs: Sequence[LabeledCascade], bin_count: int, window_T: int, seed: int
+    pairs: Sequence[LabeledCascade],
+    bin_count: int,
+    window_T: int,
+    seed: int,
+    tally: dict | None = None,
 ) -> tuple[list[EncodedSample], list[EncodedSample], list[EncodedSample], EncodingSchema]:
     """Split, build the schema on train only, encode all three splits.
 
     Validation and test trees that overflow the train-built schema are
     truncated (lowest degrees dropped per level) rather than rejected.
+    When given, `tally` receives the samples per split, the truncated val
+    and test trees, and the padding fraction of each level over all three
+    splits.
     """
     tr, va, te = split_dataset(list(pairs), seed)
     tr_trees = [(to_tree(c), lb) for c, lb in tr]
@@ -292,6 +307,10 @@ def encode_split(
     test_enc, ct = encode_trees(te_trees, schema, truncate=True)
     if cv or ct:
         log.warning("schema truncation applied to %d val and %d test trees", cv, ct)
+    if tally is not None:
+        tally["samples"] = {"train": len(train_enc), "val": len(val_enc), "test": len(test_enc)}
+        tally["truncated"] = {"val": cv, "test": ct}
+        tally["pad_fraction"] = pad_fractions([*train_enc, *val_enc, *test_enc], schema)
     return train_enc, val_enc, test_enc, schema
 
 

@@ -395,8 +395,55 @@ def test_chain_of_smooth_primitives_passes_grad_check(rows, cols, seed):
         return ad.scale(ad.total(ad.mul(hz, z)), 1.0 / (rows * 3))
 
     # eps 1e-5, not 1e-4: at 1e-4 truncation error fails rows=2, cols=2, seed=0 (5.6e-5).
-    # Gradients below about 1e-7, from an entry of a near 0, fail at either eps.
+    # Gradients below about 1e-7, from an entry of a near 0, are round-off at
+    # either eps; grad_check's floor keeps them from failing.
     report = ad.grad_check(f, [a, w, v], eps=1e-5, tol=1e-5, seed=seed)
+    assert report.passed, report
+
+
+def skewed(x, coord, factor):
+    """Identity on x whose adjoint is multiplied by factor at one coordinate:
+    a deliberately wrong gradient."""
+    out = ad.Tensor(x.values.copy())
+
+    def pull(g):
+        g = g.copy()
+        g.flat[coord] *= factor
+        ad._acc(x, g)
+
+    return ad._record(out, (x,), pull)
+
+
+def half_sum_sq(x, coord=0, factor=1.0):
+    """f = sum(x**2) / 2, so the gradient is x, taken through `skewed`."""
+    return lambda: ad.scale(ad.sum_sq([skewed(x, coord, factor)]), 0.5)
+
+
+@pytest.mark.parametrize("size", [1.3, 1e-4])
+def test_grad_check_rejects_one_wrong_coordinate(size):
+    # the other coordinates make |f| about 1, so the round-off floor is about 1e-8
+    x = ad.Tensor(np.array([0.8, size, -1.1, 0.6]))
+    f = half_sum_sq(x, coord=1, factor=1.0 + 1e-3)
+    for tol in (1e-4, 1e-5):
+        report = ad.grad_check(f, [x], eps=1e-5, tol=tol)
+        assert not report.passed, report
+        assert (report.worst_param, report.worst_coord) == (0, 1)
+        assert report.max_rel_error > 3e-4
+
+
+def test_grad_check_passes_a_correct_gradient_below_round_off():
+    # a 1e-9 gradient under |f| about 1: a central difference at eps 1e-5
+    # resolves it only to about 1e-11, which fails tol 1e-5 without the floor
+    x = ad.Tensor(np.array([0.8, 1e-9, -1.1, 0.6]))
+    f = half_sum_sq(x)
+    x.values[1] = 1e-9 + 1e-5
+    fp = float(f().values)
+    x.values[1] = 1e-9 - 1e-5
+    fm = float(f().values)
+    x.values[1] = 1e-9
+    numeric = (fp - fm) / 2e-5
+    assert abs(numeric - 1e-9) / (abs(numeric) + 1e-9) > 1e-5  # round-off alone fails it
+    report = ad.grad_check(f, [x], eps=1e-5, tol=1e-5)
     assert report.passed, report
 
 

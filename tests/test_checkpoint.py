@@ -10,6 +10,7 @@ from cascadecite import cascades as casc
 from cascadecite import checkpoint as ck
 from cascadecite import encoding as enc
 from cascadecite import model as md
+from cascadecite import training as tr
 from cascadecite.encoding import DegreeSequence, SeqEntry
 from cascadecite.errors import CheckpointError
 
@@ -120,3 +121,27 @@ def test_failed_writes_leave_no_partial_file(tmp_path):
     with pytest.raises(TypeError):
         ck.save_arrays(tmp_path / "ck.json", {"w": np.ones(2)}, extra={"bad": object()})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cascades.jsonl"]
+
+
+def test_failed_predictions_or_schema_write_keeps_the_old_file(tmp_path, monkeypatch):
+    rows = [("a", 0.5, 0.41), ("b", 1.0, 1.0)]
+    preds = tmp_path / "predictions.csv"
+    tr.write_predictions(preds, rows)
+    before = preds.read_bytes()
+
+    def broken(items):
+        yield from items
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        tr.write_predictions(preds, broken([*rows, ("c", 2.0, 3.0)]))
+    assert preds.read_bytes() == before  # not the two rows written before the failure
+
+    schema_path = tmp_path / "schema.json"
+    enc.save_schema(schema_path, enc.EncodingSchema((3, 1), 2, 10, enc.uniform_bin_edges(2, 10)))
+    before_schema = schema_path.read_bytes()
+    monkeypatch.setattr(enc, "schema_to_dict", lambda schema: {"edges": object()})
+    with pytest.raises(TypeError):
+        enc.save_schema(schema_path, enc.EncodingSchema((4,), 2, 10, enc.uniform_bin_edges(2, 10)))
+    assert schema_path.read_bytes() == before_schema
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["predictions.csv", "schema.json"]

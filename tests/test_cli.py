@@ -7,8 +7,11 @@ import sys
 import pytest
 
 import cascadecite
+from cascadecite import cascades as casc
 from cascadecite import config as cf
+from cascadecite import encoding as enc
 from cascadecite.cli import main
+from cascadecite.trees import to_tree
 from cascadecite.errors import ConfigError
 
 
@@ -125,6 +128,47 @@ def test_encode_writes_schema_and_three_splits(pipeline):
         assert lines
         rec = json.loads(lines[0])
         assert [len(lvl) for lvl in rec["levels"]] == schema["level_lengths"]
+
+
+@pytest.mark.parametrize("split_seed, truncated", [
+    (11, {"val": 0, "test": 0}),  # the benchmark's split
+    (6, {"val": 2, "test": 1}),
+])
+def test_encode_manifest_counts_samples_truncations_and_padding(tmp_path, split_seed, truncated):
+    # the fit-small benchmark corpus: synth seed 11 is the overfit gate's 200 cascades
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n", "200", "--size-min", "6",
+                 "--size-max", "18", "--synth-horizon", "80", "--window-days", "40",
+                 "--seed", "11"]) == 0
+    counters = []
+    for name in ("a", "b"):
+        assert main(["encode", "--cascades", str(data / "cascades.jsonl"), "--out",
+                     str(tmp_path / name), "--bins", "6", "--seed", str(split_seed)]) == 0
+        manifest = json.loads((tmp_path / name / "encode_manifest.json").read_text())
+        counters.append(manifest["counters"])
+    assert counters[0] == counters[1]  # deterministic, unlike the manifest's timestamps
+    counters = counters[0]
+    assert counters["truncated"] == truncated
+
+    # recount from the written files and the cascades
+    out = tmp_path / "a"
+    schema = enc.load_schema(out / "schema.json")
+    rows = {
+        name: [json.loads(line) for line in (out / f"{name}.encoded.jsonl").read_text().splitlines()]
+        for name in ("train", "val", "test")
+    }
+    assert counters["samples"] == {name: len(r) for name, r in rows.items()}
+    assert sum(counters["samples"].values()) == 200
+    trees = {c.root: to_tree(c) for c, _ in casc.read_cascades_jsonl(data / "cascades.jsonl")}
+    assert truncated == {
+        name: sum(not enc.fits_schema(trees[r["id"]], schema) for r in rows[name])
+        for name in ("val", "test")
+    }
+    assert len(counters["pad_fraction"]) == schema.depth
+    for k, frac in enumerate(counters["pad_fraction"]):
+        slots = [slot for r in (*rows["train"], *rows["val"], *rows["test"]) for slot in r["levels"][k]]
+        assert frac == sum(b == enc.PAD_BIN for _, b in slots) / len(slots)
+    assert 0.0 < min(counters["pad_fraction"]) <= max(counters["pad_fraction"]) < 1.0
 
 
 def test_train_writes_checkpoint_metrics_report(pipeline):

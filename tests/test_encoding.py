@@ -1,8 +1,10 @@
 """Schema building, time binning, level sorting, padding, serialization."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cascadecite import encoding as enc
@@ -127,6 +129,34 @@ def test_binary_search_bin_matches_linear_scan(bins, window, frac):
     assert enc.time_bin(t, schema) == expect
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    edges=st.one_of(
+        st.tuples(st.integers(1, 12), st.integers(1, 4000)).map(
+            lambda bw: enc.uniform_bin_edges(*bw)),
+        st.tuples(
+            st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True), max_size=8),
+            st.integers(1, 4000),
+        ).map(lambda fw: (0.0, *sorted({f * fw[1] for f in fw[0]} - {0.0, float(fw[1])}),
+                          float(fw[1]))),
+    ),
+    fracs=st.lists(st.floats(0, 1, exclude_max=True), max_size=8),
+    ints=st.lists(st.integers(-2, 4001), max_size=8),
+)
+def test_time_bin_agrees_with_searchsorted(edges, fracs, ints):
+    window = int(edges[-1])
+    schema = enc.EncodingSchema((1,), len(edges) - 1, window, edges)
+    at = np.asarray(edges)
+    ts = [*at, *np.nextafter(at, -np.inf), *np.nextafter(at, np.inf),
+          *(f * window for f in fracs), *ints]
+    for t in ts:
+        if 0 <= t < window:
+            assert enc.time_bin(t, schema) == int(np.searchsorted(at, t, side="right")), t
+        else:
+            with pytest.raises(BinRangeError):
+                enc.time_bin(t, schema)
+
+
 # ------------------------------------------------------------------ degrees
 
 
@@ -223,6 +253,39 @@ def test_fits_schema_flags_overflow():
     )
 
 
+def per_slot_encode_level(pairs, length, schema):
+    """encode_level as it was before the shared pad: one new entry per slot,
+    bins from np.searchsorted."""
+    ordered = sorted(pairs, key=lambda p: (-p[0], p[1]))[:length]
+    entries = [
+        enc.SeqEntry(d, int(np.searchsorted(schema.bin_edges, t, side="right")), False)
+        for d, t in ordered
+    ]
+    entries.extend(enc.SeqEntry(0, enc.PAD_BIN, True) for _ in range(length - len(entries)))
+    return tuple(entries)
+
+
+def test_every_pad_is_the_shared_entry_and_levels_equal_per_slot_ones():
+    rng = np.random.default_rng(29)
+    pads = 0
+    for _ in range(60):
+        t = random_tree(rng, max_nodes=30)
+        schema = schema_with_slack([t], bin_count=int(rng.integers(1, 7)), window_T=90, rng=rng)
+        # cut one level short so truncation runs too
+        lengths = list(schema.level_lengths)
+        lengths[0] = max(1, lengths[0] - 2)
+        schema = enc.EncodingSchema(tuple(lengths), schema.bin_count, 90, schema.bin_edges)
+        seq = enc.encode(t, schema, truncate=True)
+        for k, lvl in enumerate(seq.levels):
+            nodes = t.levels[k] if k < len(t.levels) else ()
+            pairs = [(enc.node_degree(t, v), t.adoption_time[v]) for v in nodes]
+            assert lvl == per_slot_encode_level(pairs, schema.level_lengths[k], schema)
+            for e in lvl:
+                assert (e is enc.PAD) == e.is_pad
+                pads += e.is_pad
+    assert pads > 0
+
+
 def test_encoding_matches_brute_force_on_random_trees():
     rng = np.random.default_rng(23)
     for _ in range(60):
@@ -289,3 +352,37 @@ def test_encoded_jsonl_rejects_dict_slots(tmp_path):
     )
     with pytest.raises(ParseError, match=r"old\.jsonl line 2: .*\[degree, bin\] pair"):
         enc.read_encoded_jsonl(path)
+
+
+def dict_form_row(sample):
+    """An encoded row as the writer used to make it: json.dumps of a dict."""
+    doc = {
+        "id": sample.id,
+        "levels": [[[e.degree, e.bin] for e in lvl] for lvl in sample.seq.levels],
+        "label": sample.growth,
+    }
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+slot_entries = st.one_of(
+    st.just(enc.PAD),
+    st.just(enc.SeqEntry(0, enc.PAD_BIN, True)),  # equal to the shared pad, not it
+    st.builds(enc.SeqEntry, st.integers(0, 10**6), st.integers(0, 10**4), st.booleans()),
+)
+samples = st.builds(
+    enc.EncodedSample,
+    id=st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\u00e9\u2028\U0001f600'),
+                         st.characters()), max_size=12),
+    seq=st.builds(enc.DegreeSequence, st.lists(
+        st.lists(slot_entries, max_size=6).map(tuple), max_size=4).map(tuple)),
+    growth=st.none() | st.integers(0, 10**12),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(batch=st.lists(samples, max_size=5))
+def test_writer_is_byte_identical_to_json_dumps_of_the_dict_form(tmp_path, batch):
+    path = tmp_path / "enc.jsonl"
+    assert enc.write_encoded_jsonl(path, batch) == len(batch)
+    assert path.read_text() == "".join(map(dict_form_row, batch))

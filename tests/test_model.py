@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cascadecite import model as md
-from cascadecite.autodiff import Tape, sum_sq
+from cascadecite.autodiff import Tape, Tensor, _acc, _record, grad_check, sum_sq
 from cascadecite.encoding import DegreeSequence, SeqEntry, uniform_bin_edges, EncodingSchema
 from cascadecite.errors import CheckpointError, ConfigError, ContractError, NumericError, ShapeError
 from cascadecite.optim import AdamState, adam_step
@@ -287,6 +287,40 @@ def test_unused_bin_gets_zero_decay_gradient():
     (g,) = tape.backward(value, params=[params.decay])
     assert g[2] == 0.0 and g[3] == 0.0
     assert g[1] != 0.0
+
+
+def scaled_adjoint(x, factor):
+    """Identity on x whose adjoint is multiplied by factor: a wrong gradient."""
+    return _record(Tensor(x.values), (x,), lambda g: _acc(x, g * factor))
+
+
+@pytest.mark.parametrize("which", range(4))  # packed w, u, uh, b
+def test_full_model_grad_check_rejects_one_gru_gradient_scaled_by_1_001(monkeypatch, which):
+    # the gradient-check gate's setup at its eps, tol and sampling
+    rng = np.random.default_rng(31)
+    cfg = tiny_config(reg_weight=1e-3)
+    params = md.init_params(cfg, 5)
+    for t in params.tensors():
+        t.values += rng.normal(0.0, 0.1, size=t.values.shape)  # off the relu kinks
+    params.decay.values[0] = 0.0
+    seqs = [seq_for(cfg, rng) for _ in range(4)]
+    deg_rows, bin_rows = md.stack_sequences(seqs, cfg)
+    growths = rng.integers(0, 40, size=4).astype(np.float64)
+
+    def f():
+        return md.loss(md.forward_batch(params, deg_rows, bin_rows), growths, params)
+
+    def check():
+        return grad_check(f, params.tensors(), eps=1e-5, tol=1e-4, max_per_param=6, seed=3)
+
+    assert check().passed
+    target, gru = params.gru_packed[which], md.gru
+    monkeypatch.setattr(md, "gru", lambda xs, *weights: gru(
+        xs, *(scaled_adjoint(w, 1.001) if w is target else w for w in weights)))
+    report = check()
+    assert not report.passed, report
+    names = [name for name, _ in params.named()]
+    assert names[report.worst_param].startswith("gru_"), names[report.worst_param]
 
 
 # ------------------------------------------------------- the flat buffer
