@@ -17,8 +17,9 @@ import datetime as _dt
 import json
 import logging
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,23 +36,17 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class CitationEvent:
+class CitationEvent(NamedTuple):
     citing: str
     cited: str
     time: int  # days since corpus epoch; equals the citing paper's publication date
     cited_time: int | None = None  # the cited paper's date on the same scale; None if undated
 
 
-@dataclass(frozen=True)
-class CascadeNode:
+class CascadeNode(NamedTuple):
     id: str
     time: int  # days since the root's publication
-    parents: tuple[str, ...]  # candidate parents, all adopted strictly earlier
-
-    def __post_init__(self):
-        if not self.parents:
-            raise ContractError(f"node {self.id!r} has no parent candidates")
+    parents: tuple[str, ...]  # candidate parents, adopted strictly earlier; root first, never empty
 
 
 @dataclass(frozen=True)
@@ -179,6 +174,33 @@ def parse_citation_files(
 # ------------------------------------------------------------ cascade build
 
 
+def _paper_dates(ids: list[str], src, dst, when, cited_when) -> np.ndarray:
+    """Each paper's day (NaN if no event dates it), from the citing times and
+    the cited times the events carry; a paper dated twice differently raises,
+    naming the first mention that disagrees with an earlier one."""
+    who = np.column_stack([src, dst]).ravel()  # every mention, in event order
+    at = np.column_stack([when, cited_when]).ravel()
+    dated = ~np.isnan(at)
+    who, at = who[dated], at[dated]
+    date_of = np.full(len(ids), np.nan)
+    date_of[who] = at
+    if (date_of[who] != at).any():
+        first = np.unique(who, return_index=True)[1]
+        date_of[who[first]] = at[first]
+        k = np.flatnonzero(date_of[who] != at)[0]
+        pid, seen, t = ids[who[k]], int(date_of[who[k]]), int(at[k])
+        raise MalformedCascadeError(f"paper {pid!r} is dated at two different times ({seen} and {t})")
+    return date_of
+
+
+def _cites(names: np.ndarray, citer: np.ndarray, cited: np.ndarray) -> dict[str, set[str]]:
+    """Paper id -> the set of ids it cites, from parallel index columns."""
+    order = np.argsort(citer)
+    cuts = np.flatnonzero(np.diff(citer[order], prepend=-1)).tolist() + [len(order)]
+    citer_ids, cited_ids = names[citer[order][cuts[:-1]]], names[cited[order]].tolist()
+    return {pid: set(cited_ids[a:b]) for pid, a, b in zip(citer_ids, cuts, cuts[1:])}
+
+
 def build_cascades(
     events: Sequence[CitationEvent],
     window_T: int,
@@ -193,7 +215,10 @@ def build_cascades(
     end-of-data. A paper's date comes from any event that carries it, as
     the citer's time or as the cited paper's time. Roots with no date at
     all get their window anchored one day before their first citation, so
-    the first citer still adopts strictly after the root.
+    the first citer still adopts strictly after the root. A repeated
+    citation counts once and is tallied in duplicate_edges. Everything but the
+    parent candidates is computed on integer columns, one row per distinct
+    (root, citer) pair; each member's candidates are a set intersection.
     """
     if window_T < 1:
         raise ConfigError(f"window_T must be >= 1 day, got {window_T}")
@@ -202,72 +227,76 @@ def build_cascades(
     if min_observed < 0:
         raise ConfigError(f"min_observed must be >= 0, got {min_observed}")
 
-    date_of: dict[str, int] = {}
-    for ev in events:
-        for pid, t in ((ev.citing, ev.time), (ev.cited, ev.cited_time)):
-            if t is None:
-                continue
-            seen = date_of.setdefault(pid, t)
-            if seen != t:
-                raise MalformedCascadeError(
-                    f"paper {pid!r} is dated at two different times ({seen} and {t})"
-                )
+    # papers as integers, numbered in id order
+    ids = sorted({*map(attrgetter("citing"), events), *map(attrgetter("cited"), events)})
+    index = {pid: i for i, pid in enumerate(ids)}.__getitem__
+    src = np.fromiter(map(index, map(attrgetter("citing"), events)), np.int64, len(events))
+    dst = np.fromiter(map(index, map(attrgetter("cited"), events)), np.int64, len(events))
+    when = np.fromiter(map(attrgetter("time"), events), np.int64, len(events))
+    cited_when = np.array([e.cited_time for e in events], dtype=float)  # None -> NaN
+    date_of = _paper_dates(ids, src, dst, when, cited_when)
+    names = np.array(ids, dtype=object)
 
-    citers_of: dict[str, dict[str, int]] = {}
-    cites: dict[str, set[str]] = {}
-    for ev in events:
-        citers_of.setdefault(ev.cited, {})[ev.citing] = ev.time
-        cites.setdefault(ev.citing, set()).add(ev.cited)
+    # one row per distinct (root, citer) pair, sorted by root then citer
+    key, row = np.unique(dst * len(ids) + src, return_index=True)
+    root, citer = np.divmod(key, len(ids))
+    cites = _cites(names, citer, root)
+    t = when[row]
+    is_start = np.diff(root, prepend=-1) != 0
+    starts, group = np.flatnonzero(is_start), np.cumsum(is_start) - 1
+    roots = root[starts]
+    root_time = date_of[roots]
+    undated = np.isnan(root_time)
+    root_time = np.where(undated, np.minimum.reduceat(t, starts) - 1, root_time).astype(np.int64)
+    r = t - root_time[group]  # days after root publication
+    member = (r >= 1) & (r < window_T)
+    late = r > window_T  # r == window_T falls in neither the window nor the growth bracket
+    if horizon is not None:
+        late &= r <= window_T + horizon
+    observed = np.bincount(group[member], minlength=len(roots))
+    growth = np.bincount(group[late], minlength=len(roots))
+    keep = observed >= min_observed
+    rows = np.flatnonzero(member & keep[group])
+    rows = rows[np.lexsort((citer[rows], r[rows], group[rows]))]  # (root, time, id)
+    member_ids, member_r = names[citer[rows]].tolist(), r[rows].tolist()
+    duplicate_edges, dropped_not_after_root = len(events) - len(key), int((r < 1).sum())
+    kept = zip(*(col[keep].tolist() for col in (names[roots], root_time, observed, growth)))
+    # free the per-edge columns before the nodes are built
+    del src, dst, when, cited_when, key, row, root, citer, t, group, r, member, late, rows
 
-    anchored = 0
-    dropped_not_after_root = 0
-    filtered_small = 0
     out: list[LabeledCascade] = []
-    for root in sorted(citers_of):
-        citers = citers_of[root]
-        root_time = date_of.get(root)
-        if root_time is None:
-            root_time = min(citers.values()) - 1
-            anchored += 1
-
-        rel = {}  # member -> days after root publication
-        growth = 0
-        for pid, t in citers.items():
-            r = t - root_time
-            if r < 1:
-                dropped_not_after_root += 1
-            elif r < window_T:
-                rel[pid] = r
-            elif r > window_T and (horizon is None or r <= window_T + horizon):
-                growth += 1
-            # r == window_T falls in neither the window nor the growth bracket
-
-        if len(rel) < min_observed:
-            filtered_small += 1
-            continue
-
+    lo = 0
+    for root_id, root_day, n_obs, n_growth in kept:
+        hi = lo + n_obs
+        row_of = {m: i for i, m in enumerate(member_ids[lo:hi], lo)}
+        members = set(row_of)  # a set, so each & below walks the smaller side
         nodes = []
-        for pid in sorted(rel, key=lambda p: (rel[p], p)):
-            cands = [(0, root)]  # root adopts at 0 and is cited by every member
-            for q in cites.get(pid, ()):
-                if q in rel and rel[q] < rel[pid]:
-                    cands.append((rel[q], q))
-            cands.sort()
-            nodes.append(CascadeNode(id=pid, time=rel[pid], parents=tuple(c[1] for c in cands)))
-
-        cascade = Cascade(root=root, root_time=root_time, window_T=window_T, nodes=tuple(nodes))
-        label = GrowthLabel(observed_size=len(rel), final_size=len(rel) + growth, growth=growth)
+        for i in range(lo, hi):
+            # root adopts at 0 and is cited by every member; then the earlier members it cites
+            cited = members & cites[member_ids[i]]
+            if cited:
+                t_i = member_r[i]
+                rows_cited = sorted(map(row_of.__getitem__, cited))  # (time, id) order
+                parents = (root_id, *[member_ids[j] for j in rows_cited if member_r[j] < t_i])
+            else:
+                parents = (root_id,)
+            nodes.append(CascadeNode(member_ids[i], member_r[i], parents))
+        lo = hi
+        cascade = Cascade(root=root_id, root_time=root_day, window_T=window_T, nodes=tuple(nodes))
+        label = GrowthLabel(observed_size=n_obs, final_size=n_obs + n_growth, growth=n_growth)
         out.append((cascade, label))
 
+    anchored = int(undated.sum())
     if anchored or dropped_not_after_root:
         log.warning(
             "%d roots anchored at first citation minus one day; %d citers at or before root date dropped",
             anchored, dropped_not_after_root,
         )
     if tally is not None:
+        tally["duplicate_edges"] = duplicate_edges
         tally["roots_anchored_without_date"] = anchored
         tally["citers_not_after_root"] = dropped_not_after_root
-        tally["roots_below_min_observed"] = filtered_small
+        tally["roots_below_min_observed"] = int(len(roots) - keep.sum())
         tally["cascades"] = len(out)
     return out
 
@@ -398,25 +427,12 @@ def generate_synthetic(
 # -------------------------------------------------------------------- jsonl
 
 
-def cascade_to_dict(cascade: Cascade, label: GrowthLabel | None) -> dict:
-    doc = {
-        "root": cascade.root,
-        "root_time": cascade.root_time,
-        "window_T": cascade.window_T,
-        "nodes": [{"id": n.id, "t": n.time, "parents": list(n.parents)} for n in cascade.nodes],
-    }
-    doc["label"] = (
-        None if label is None else {"observed": label.observed_size, "growth": label.growth}
-    )
-    return doc
-
-
 def cascade_from_dict(doc: dict) -> LabeledCascade | tuple[Cascade, None]:
     try:
-        nodes = tuple(
-            CascadeNode(id=n["id"], time=int(n["t"]), parents=tuple(n["parents"]))
-            for n in doc["nodes"]
-        )
+        nodes = tuple(CascadeNode(n["id"], int(n["t"]), tuple(n["parents"])) for n in doc["nodes"])
+        orphan = next((n.id for n in nodes if not n.parents), None)
+        if orphan is not None:
+            raise ContractError(f"node {orphan!r} has no parent candidates")
         cascade = Cascade(
             root=doc["root"], root_time=int(doc["root_time"]),
             window_T=int(doc["window_T"]), nodes=nodes,
@@ -434,12 +450,32 @@ def cascade_from_dict(doc: dict) -> LabeledCascade | tuple[Cascade, None]:
     return cascade, label
 
 
+class _IdTexts(dict):
+    """Paper id -> its JSON text, filled on first use."""
+
+    def __missing__(self, pid: str) -> str:
+        text = self[pid] = json.dumps(pid)
+        return text
+
+
 def write_cascades_jsonl(path: str | Path, pairs: Iterable[tuple[Cascade, GrowthLabel | None]]) -> int:
+    """One compact JSON record per cascade: {"root", "root_time", "window_T",
+    "nodes": [{"id", "t", "parents"}], "label": {"observed", "growth"} or null},
+    byte for byte as json.dumps gives it with separators (",", ":"). A file
+    names each paper many times, so each id's text is made once."""
+    text = _IdTexts().__getitem__
     count = 0
     with atomic_write(path) as fh:
-        for cascade, label in pairs:
-            fh.write(json.dumps(cascade_to_dict(cascade, label), separators=(",", ":")))
-            fh.write("\n")
+        for c, lb in pairs:
+            nodes = ",".join(
+                f'{{"id":{text(nid)},"t":{t},"parents":[{",".join(map(text, parents))}]}}'
+                for nid, t, parents in c.nodes
+            )
+            label = "null" if lb is None else f'{{"observed":{lb.observed_size},"growth":{lb.growth}}}'
+            fh.write(
+                f'{{"root":{text(c.root)},"root_time":{c.root_time},"window_T":{c.window_T},'
+                f'"nodes":[{nodes}],"label":{label}}}\n'
+            )
             count += 1
     return count
 
@@ -457,6 +493,6 @@ def read_cascades_jsonl(path: str | Path) -> list[tuple[Cascade, GrowthLabel | N
                 raise ParseError(f"{path} line {lineno}: {exc}") from None
             try:
                 out.append(cascade_from_dict(doc))
-            except ParseError as exc:
-                raise ParseError(f"{path} line {lineno}: {exc}") from None
+            except (ParseError, ContractError) as exc:
+                raise type(exc)(f"{path} line {lineno}: {exc}") from None
     return out

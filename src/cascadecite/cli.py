@@ -138,18 +138,17 @@ def _cmd_synth(args, cfg, counters) -> list[Path]:
 
 def _cmd_ingest(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
-    tally: dict = {}
-    events = casc.parse_citation_files(args.edges, args.dates, tally=tally)
+    events = casc.parse_citation_files(args.edges, args.dates, tally=counters)
     pairs = casc.build_cascades(
         events,
         window_T=int(cfg["window_days"]),
         horizon=parse_horizon(cfg["horizon"]),
         min_observed=int(cfg["min_observed"]),
-        tally=tally,
+        tally=counters,
     )
     path = out / "cascades.jsonl"
     casc.write_cascades_jsonl(path, pairs)
-    return [path, _write_json(out / "ingest_report.json", tally)]
+    return [path, _write_json(out / "ingest_report.json", counters)]
 
 
 def _cmd_stats(args, cfg, counters) -> list[Path]:

@@ -212,6 +212,8 @@ def _slot(pair) -> SeqEntry:
     if not (isinstance(pair, list) and len(pair) == 2):
         raise ParseError(f"slot {pair!r} is not a [degree, bin] pair")
     degree, b = int(pair[0]), int(pair[1])
+    if degree == 0 and b == PAD_BIN:
+        return PAD
     return SeqEntry(degree=degree, bin=b, is_pad=b == PAD_BIN)
 
 

@@ -2,13 +2,16 @@
 
 import datetime
 import json
+import logging
+from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cascadecite import cascades as casc
+from cascadecite.cascades import Cascade, CascadeNode, CitationEvent, GrowthLabel, LabeledCascade
 from cascadecite.cli import main
 from cascadecite.errors import (
     ConfigError,
@@ -21,6 +24,120 @@ from cascadecite.errors import (
 from cascadecite.trees import to_tree
 
 from oracles import tree_from_parent_rows
+
+
+# ----------------------------------------------- reference build and writer
+#
+# The dict-based build and the dict-form writer that the columnar build and
+# the text writer replaced, kept as the specification they must reproduce.
+
+log = logging.getLogger("reference")
+
+
+def reference_build_cascades(
+    events: Sequence[CitationEvent],
+    window_T: int,
+    horizon: int | None = None,
+    min_observed: int = 10,
+    tally: dict | None = None,
+) -> list[LabeledCascade]:
+    """Group events into per-root cascades and label future growth.
+
+    horizon is the growth bracket width in days (growth counts citers with
+    window_T < t <= window_T + horizon relative to the root); None means
+    end-of-data. A paper's date comes from any event that carries it, as
+    the citer's time or as the cited paper's time. Roots with no date at
+    all get their window anchored one day before their first citation, so
+    the first citer still adopts strictly after the root.
+    """
+    if window_T < 1:
+        raise ConfigError(f"window_T must be >= 1 day, got {window_T}")
+    if horizon is not None and horizon < 1:
+        raise ConfigError(f"horizon must be >= 1 day or None, got {horizon}")
+    if min_observed < 0:
+        raise ConfigError(f"min_observed must be >= 0, got {min_observed}")
+
+    date_of: dict[str, int] = {}
+    for ev in events:
+        for pid, t in ((ev.citing, ev.time), (ev.cited, ev.cited_time)):
+            if t is None:
+                continue
+            seen = date_of.setdefault(pid, t)
+            if seen != t:
+                raise MalformedCascadeError(
+                    f"paper {pid!r} is dated at two different times ({seen} and {t})"
+                )
+
+    citers_of: dict[str, dict[str, int]] = {}
+    cites: dict[str, set[str]] = {}
+    for ev in events:
+        citers_of.setdefault(ev.cited, {})[ev.citing] = ev.time
+        cites.setdefault(ev.citing, set()).add(ev.cited)
+
+    anchored = 0
+    dropped_not_after_root = 0
+    filtered_small = 0
+    out: list[LabeledCascade] = []
+    for root in sorted(citers_of):
+        citers = citers_of[root]
+        root_time = date_of.get(root)
+        if root_time is None:
+            root_time = min(citers.values()) - 1
+            anchored += 1
+
+        rel = {}  # member -> days after root publication
+        growth = 0
+        for pid, t in citers.items():
+            r = t - root_time
+            if r < 1:
+                dropped_not_after_root += 1
+            elif r < window_T:
+                rel[pid] = r
+            elif r > window_T and (horizon is None or r <= window_T + horizon):
+                growth += 1
+            # r == window_T falls in neither the window nor the growth bracket
+
+        if len(rel) < min_observed:
+            filtered_small += 1
+            continue
+
+        nodes = []
+        for pid in sorted(rel, key=lambda p: (rel[p], p)):
+            cands = [(0, root)]  # root adopts at 0 and is cited by every member
+            for q in cites.get(pid, ()):
+                if q in rel and rel[q] < rel[pid]:
+                    cands.append((rel[q], q))
+            cands.sort()
+            nodes.append(CascadeNode(id=pid, time=rel[pid], parents=tuple(c[1] for c in cands)))
+
+        cascade = Cascade(root=root, root_time=root_time, window_T=window_T, nodes=tuple(nodes))
+        label = GrowthLabel(observed_size=len(rel), final_size=len(rel) + growth, growth=growth)
+        out.append((cascade, label))
+
+    if anchored or dropped_not_after_root:
+        log.warning(
+            "%d roots anchored at first citation minus one day; %d citers at or before root date dropped",
+            anchored, dropped_not_after_root,
+        )
+    if tally is not None:
+        tally["roots_anchored_without_date"] = anchored
+        tally["citers_not_after_root"] = dropped_not_after_root
+        tally["roots_below_min_observed"] = filtered_small
+        tally["cascades"] = len(out)
+    return out
+
+
+def cascade_to_dict(cascade: Cascade, label: GrowthLabel | None) -> dict:
+    doc = {
+        "root": cascade.root,
+        "root_time": cascade.root_time,
+        "window_T": cascade.window_T,
+        "nodes": [{"id": n.id, "t": n.time, "parents": list(n.parents)} for n in cascade.nodes],
+    }
+    doc["label"] = (
+        None if label is None else {"observed": label.observed_size, "growth": label.growth}
+    )
+    return doc
 
 
 # ----------------------------------------------------------------- parsing
@@ -261,6 +378,117 @@ def test_nodes_are_sorted_by_time_then_id_and_output_by_root():
 # ------------------------------------------------------------------- split
 
 
+# Ids drawn so that code-point order, UTF-16 order and case-folded order
+# disagree, plus ids that need JSON escaping.
+paper_ids = st.one_of(
+    st.sampled_from(["a", "B", "b", "Z", "_", "10", "9", "\u00e9", "e\u0301", "\uffff",
+                     "\U00010000", "\u00c5", "A\u030a", '"q"', "back\\slash"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
+)
+
+
+@st.composite
+def citation_graphs(draw):
+    """Events of a random graph, plus build options.
+
+    Times come from one date per paper (None for undated papers), in a range
+    small enough that members share days and land on the window and horizon
+    edges. Edges repeat and include self-citations; a citation may or may
+    not carry its cited paper's date.
+    """
+    papers = draw(st.lists(paper_ids, min_size=2, max_size=7, unique=True))
+    day = st.integers(-5, 14).map(lambda d: None if d < -3 else d)  # about one in ten undated
+    dates = draw(st.lists(day, min_size=len(papers), max_size=len(papers)))
+    index = st.integers(0, len(papers) - 1)
+    links = draw(st.lists(st.tuples(index, index, st.booleans(), st.booleans()),
+                          min_size=3 * len(papers), max_size=40))
+    links += draw(st.lists(st.sampled_from(links), max_size=5)) if links else []
+    events = []
+    for i, j, with_date, backward in links:
+        if backward and None not in (dates[i], dates[j]) and dates[i] < dates[j]:
+            i, j = j, i  # most citations point back in time
+        if dates[i] is not None:
+            events.append(CitationEvent(papers[i], papers[j], dates[i], dates[j] if with_date else None))
+    options = dict(
+        window_T=draw(st.integers(1, 10).map(lambda w: 11 - w)),  # wide windows first
+        horizon=draw(st.integers(0, 6).map(lambda h: h or None)),
+        min_observed=draw(st.integers(0, 2)),
+    )
+    return events, options
+
+
+def reference_jsonl(pairs):
+    return "".join(json.dumps(cascade_to_dict(c, lb), separators=(",", ":")) + "\n" for c, lb in pairs)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph=citation_graphs())
+def test_columnar_build_equals_the_dict_build(tmp_path, graph):
+    events, options = graph
+    tally, expected_tally = {}, {}
+    pairs = casc.build_cascades(events, **options, tally=tally)
+    expected = reference_build_cascades(events, **options, tally=expected_tally)
+    assert pairs == expected
+    for c, lb in pairs:
+        assert type(c.root_time) is int and type(lb.growth) is int and type(lb.observed_size) is int
+        assert all(type(n.time) is int and type(n.parents) is tuple for n in c.nodes)
+    assert tally.pop("duplicate_edges") == len(events) - len({(e.citing, e.cited) for e in events})
+    assert tally == expected_tally
+    path = tmp_path / "c.jsonl"
+    casc.write_cascades_jsonl(path, pairs)
+    assert path.read_text() == reference_jsonl(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    events=st.lists(
+        st.builds(CitationEvent, st.sampled_from("abcd"), st.sampled_from("abcd"),
+                  st.integers(0, 3), st.one_of(st.none(), st.integers(0, 3))),
+        max_size=8,
+    ),
+)
+def test_conflicting_dates_raise_the_dict_builds_error(events):
+    def outcome(build):
+        try:
+            return build(events, window_T=5, min_observed=0)
+        except MalformedCascadeError as exc:
+            return str(exc)
+
+    assert outcome(casc.build_cascades) == outcome(reference_build_cascades)
+
+
+def test_repeated_edge_line_is_counted_once_and_changes_no_cascade():
+    dates = ["r\t2000-01-01", "a\t2000-01-05", "b\t2000-01-09"]
+    edges = ["a\tr", "b\tr", "b\ta"]
+    once, twice = {}, {}
+    pairs = casc.build_cascades(casc.parse_citation_files(edges, dates, tally=once),
+                                window_T=30, min_observed=1, tally=once)
+    again = casc.build_cascades(casc.parse_citation_files(edges + ["b\ta"], dates, tally=twice),
+                                window_T=30, min_observed=1, tally=twice)
+    assert again == pairs
+    assert (once["duplicate_edges"], twice["duplicate_edges"]) == (0, 1)
+    assert twice["events"] + twice["undated_citer_edges"] + twice["self_citations"] == 4
+    assert {k: v for k, v in twice.items() if k not in ("events", "duplicate_edges")} == {
+        k: v for k, v in once.items() if k not in ("events", "duplicate_edges")
+    }
+
+
+def test_ingest_manifest_counters_hold_the_ingest_tally(tmp_path):
+    (tmp_path / "e.tsv").write_text("a\tr\nb\tr\nb\ta\nb\ta\nb\tb\nghost\tr\n")
+    (tmp_path / "d.tsv").write_text("r\t2000-01-01\na\t2000-01-05\nb\t2000-01-09\n")
+    counters = []
+    for run in ("one", "two"):
+        out = tmp_path / run
+        assert main(["ingest", "--edges", str(tmp_path / "e.tsv"), "--dates", str(tmp_path / "d.tsv"),
+                     "--out", str(out), "--window-days", "30", "--min-observed", "1"]) == 0
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert json.loads((out / "ingest_manifest.json").read_text())["counters"] == report
+        counters.append(report)
+    assert counters[0] == counters[1]
+    assert counters[0]["duplicate_edges"] == 1
+    assert counters[0]["events"] + counters[0]["undated_citer_edges"] + counters[0]["self_citations"] == 6
+
+
 def test_split_sizes_700_150_150():
     tr, va, te = casc.split_dataset(list(range(1000)), seed=0)
     assert (len(tr), len(va), len(te)) == (700, 150, 150)
@@ -334,7 +562,7 @@ def test_synthetic_same_seed_is_byte_identical(tmp_path):
     casc.write_cascades_jsonl(pb, b)
     assert pa.read_bytes() == pb.read_bytes()
     c = casc.generate_synthetic(25, seed=12, **kw)
-    assert casc.cascade_to_dict(*a[0]) != casc.cascade_to_dict(*c[0])
+    assert cascade_to_dict(*a[0]) != cascade_to_dict(*c[0])
 
 
 def test_synthetic_sizes_and_labels_reconcile():
@@ -430,6 +658,41 @@ def test_jsonl_parse_errors_carry_line_numbers(tmp_path):
         casc.read_cascades_jsonl(path)
     path.write_text('{"root": "a"}\n')
     with pytest.raises(ParseError, match="line 1"):
+        casc.read_cascades_jsonl(path)
+
+
+@st.composite
+def cascade_files(draw):
+    """A few cascades over a small pool of ids, so ids repeat within a file,
+    with ids that need JSON escaping, nodes with one or several parents, and
+    labels set or None."""
+    pool = draw(st.lists(
+        st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\u00e9\u2028\U0001f600'), st.characters()),
+                min_size=1, max_size=5),
+        min_size=1, max_size=6,
+    ))
+    ids = st.sampled_from(pool)
+    node = st.builds(CascadeNode, ids, st.integers(1, 10**6), st.lists(ids, min_size=1, max_size=3).map(tuple))
+    label = st.builds(lambda o, g: GrowthLabel(o, o + g, g), st.integers(0, 10**6), st.integers(0, 10**12))
+    return draw(st.lists(st.tuples(
+        st.builds(Cascade, ids, st.integers(-10**6, 10**9), st.integers(1, 10**5),
+                  st.lists(node, max_size=5).map(tuple)),
+        st.none() | label,
+    ), max_size=4))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=cascade_files())
+def test_writer_is_byte_identical_to_json_dumps_of_the_dict_form(tmp_path, rows):
+    path = tmp_path / "c.jsonl"
+    assert casc.write_cascades_jsonl(path, rows) == len(rows)
+    assert path.read_bytes() == reference_jsonl(rows).encode()
+
+
+def test_reader_rejects_a_node_without_parent_candidates(tmp_path):
+    path = tmp_path / "orphan.jsonl"
+    path.write_text('{"root":"r","root_time":0,"window_T":5,"nodes":[{"id":"a","t":1,"parents":[]}],"label":null}\n')
+    with pytest.raises(ContractError, match=r"orphan\.jsonl line 1: node 'a' has no parent candidates"):
         casc.read_cascades_jsonl(path)
 
 

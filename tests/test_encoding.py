@@ -332,6 +332,29 @@ def test_encoded_jsonl_errors_carry_line_numbers(tmp_path):
         enc.read_encoded_jsonl(path)
 
 
+def test_read_back_pads_are_the_shared_entry(tmp_path):
+    rng = np.random.default_rng(7)
+    trees = [random_tree(rng, max_nodes=15) for _ in range(12)]
+    schema = schema_with_slack(trees, bin_count=3, window_T=90, rng=rng)
+    samples = [enc.EncodedSample(id=f"t{i}", seq=enc.encode(t, schema), growth=i) for i, t in enumerate(trees)]
+    path = tmp_path / "enc.jsonl"
+    enc.write_encoded_jsonl(path, samples)
+    back = enc.read_encoded_jsonl(path)
+    assert back == samples
+    slots = [e for s in back for lvl in s.seq.levels for e in lvl]
+    pads = [e for e in slots if e.is_pad]
+    assert pads and all(e is enc.PAD for e in pads)
+    assert all(e.degree > 0 for e in slots if e is not enc.PAD)
+
+
+@pytest.mark.parametrize("slot", ["[0]", '["a",0]', "[0,0,0]"])
+def test_malformed_slots_raise_with_the_line_number(tmp_path, slot):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f'{{"id":"a","levels":[[[0,0]]],"label":null}}\n{{"id":"b","levels":[[{slot}]],"label":null}}\n')
+    with pytest.raises(ParseError, match="line 2"):
+        enc.read_encoded_jsonl(path)
+
+
 def test_encoded_rows_are_degree_bin_pairs(tmp_path):
     schema = make_schema([3, 1], bins=2, window=10)
     t = tree_from_parent_rows("r", [("a", 1, "r"), ("b", 6, "r"), ("c", 7, "a")], window_T=10)

@@ -61,6 +61,12 @@ def test_duplicate_and_unknown_ids_raise():
         to_tree(ghost)
 
 
+
+def test_node_without_parent_candidates_raises():
+    orphan = Cascade(root="r", root_time=0, window_T=10, nodes=(CascadeNode("a", 1, ()),))
+    with pytest.raises(MalformedCascadeError, match="'a' has no parent candidates"):
+        to_tree(orphan)
+
 def test_levels_and_depth_for_chain_and_star():
     chain = cascade_from_rows("r", [
         ("a", 1, ("r",)), ("b", 2, ("a",)), ("c", 3, ("b",)),
