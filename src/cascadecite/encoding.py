@@ -209,12 +209,15 @@ def load_schema(path: str | Path) -> EncodingSchema:
 
 
 def _slot(pair) -> SeqEntry:
-    if not (isinstance(pair, list) and len(pair) == 2):
-        raise ParseError(f"slot {pair!r} is not a [degree, bin] pair")
-    degree, b = int(pair[0]), int(pair[1])
-    if degree == 0 and b == PAD_BIN:
-        return PAD
-    return SeqEntry(degree=degree, bin=b, is_pad=b == PAD_BIN)
+    """[0, 0] is the pad; any other slot is two integers, both >= 1."""
+    if isinstance(pair, list) and len(pair) == 2:
+        degree, b = pair
+        if type(degree) is int and type(b) is int:  # not bool, float or str
+            if degree == 0 and b == PAD_BIN:
+                return PAD
+            if degree >= 1 and b >= 1:
+                return SeqEntry(degree=degree, bin=b, is_pad=False)
+    raise ParseError(f"slot {pair!r} is neither [0, 0] nor a [degree, bin] pair of integers >= 1")
 
 
 def sample_from_dict(doc: dict) -> EncodedSample:

@@ -187,27 +187,6 @@ class ModelParams:
     def tensors(self) -> list[Tensor]:
         return list(self._by_name.values())
 
-    def weight_matrices(self) -> list[Tensor]:
-        """Everything the Frobenius penalty covers: weights, not biases or
-        decay. Together they are exactly the `weights` slice."""
-        out = []
-        for layers in self.pre_embed:
-            out.extend(w for w, _ in layers)
-        out.extend(self.gru[k] for k in ("wu", "wr", "wh", "uu", "ur", "uh"))
-        out.append(self.conv_kernel)
-        out.extend(w for w, _ in self.head)
-        return out
-
-    def value_state(self) -> dict[str, np.ndarray]:
-        return {name: t.values.copy() for name, t in self._by_name.items()}
-
-    def load_value_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, t in self._by_name.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != t.values.shape:
-                raise ShapeError(f"state for {name!r} has shape {arr.shape}, expected {t.values.shape}")
-            t.values[...] = arr
-
 
 def expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     m = cfg.embed_width
@@ -272,28 +251,30 @@ def growth_from_log(pred: float) -> float:
 
 def forward_batch(
     params: ModelParams,
-    deg_rows: list[np.ndarray],
-    bin_rows: list[np.ndarray],
+    degrees: np.ndarray,
+    bins: np.ndarray,
     trace: dict | None = None,
 ) -> Tensor:
     """Predicted log2(G+1) for a batch of stacked encodings; shape (B, 1).
 
-    deg_rows[k] and bin_rows[k] are (B, level_lengths[k]) arrays.
+    degrees and bins are (B, total_length) arrays with the levels side by
+    side in schema order, as `stack_sequences` returns them; level k's
+    decay lookup reads its column slice.
     """
     cfg = params.config
-    if len(deg_rows) != cfg.depth or len(bin_rows) != cfg.depth:
-        raise ShapeError(f"expected {cfg.depth} levels, got {len(deg_rows)}")
-    b = deg_rows[0].shape[0]
-    for k, (d, bins) in enumerate(zip(deg_rows, bin_rows)):
-        want = (b, cfg.level_lengths[k])
-        if d.shape != want or bins.shape != want:
-            raise ShapeError(f"level {k + 1}: got {d.shape}, schema wants {want}")
+    b = degrees.shape[0]
+    want = (b, sum(cfg.level_lengths))
+    if degrees.shape != want or bins.shape != want:
+        raise ShapeError(f"got degrees {degrees.shape} and bins {bins.shape}, schema wants {want}")
     if trace is not None:
         trace.update({"decayed": [], "embed": [], "u": [], "r": [], "h": [], "conv": []})
 
     xs = []
-    for k in range(cfg.depth):
-        x = decayed = gather(params.decay, bin_rows[k], weights=deg_rows[k])
+    lo = 0
+    for k, length in enumerate(cfg.level_lengths):
+        cols = slice(lo, lo + length)
+        lo += length
+        x = decayed = gather(params.decay, bins[:, cols], weights=degrees[:, cols])
         layers = params.pre_embed[k]
         for i, (w, bb) in enumerate(layers):
             x = dense(x, w, bb, relu=i < len(layers) - 1)
@@ -317,8 +298,9 @@ def forward_batch(
     return z
 
 
-def stack_sequences(seqs: list[DegreeSequence], cfg: ModelConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Stack per-sample levels into per-level (N, L_k) matrices."""
+def stack_sequences(seqs: list[DegreeSequence], cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Stack samples into a (degrees, bins) pair of (N, total_length)
+    matrices, float64 and int64, each row its levels side by side."""
     if not seqs:
         raise ContractError("no sequences to stack")
     for s in seqs:
@@ -329,11 +311,9 @@ def stack_sequences(seqs: list[DegreeSequence], cfg: ModelConfig) -> tuple[list[
                 raise ShapeError(
                     f"level {k + 1} holds {len(lvl)} entries, schema wants {cfg.level_lengths[k]}"
                 )
-    deg_rows, bin_rows = [], []
-    for k in range(cfg.depth):
-        deg_rows.append(np.array([[e.degree for e in s.levels[k]] for s in seqs], dtype=np.float64))
-        bin_rows.append(np.array([[e.bin for e in s.levels[k]] for s in seqs], dtype=np.int64))
-    return deg_rows, bin_rows
+    degrees = np.array([[e.degree for lvl in s.levels for e in lvl] for s in seqs], dtype=np.float64)
+    bins = np.array([[e.bin for lvl in s.levels for e in lvl] for s in seqs], dtype=np.int64)
+    return degrees, bins
 
 
 def loss(preds: Tensor, growths, params: ModelParams) -> Tensor:

@@ -21,6 +21,9 @@ from .optim import AdamState, adam_step
 from .trees import CascadeTree
 
 FEATURE_NAMES = ("edges", "max_path", "ave_path", "leaves", "ave_degree")
+_HIDDEN = 64  # readout width
+_EPOCHS = 200  # full-batch Adam steps
+_STEP_SIZE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -71,9 +74,6 @@ def probe(
     features: Sequence[StructuralFeatures],
     seed: int,
     decay: np.ndarray | None = None,
-    hidden: int = 64,
-    epochs: int = 200,
-    step_size: float = 1e-2,
 ) -> ProbeReport:
     """Fit an MLP readout from flattened encodings to min-max-scaled features.
 
@@ -114,24 +114,24 @@ def probe(
         raise ConfigError("probe split left no held-out samples")
 
     d = x.shape[1]
-    limit1 = np.sqrt(6.0 / (d + hidden))
-    limit2 = np.sqrt(6.0 / (hidden + y.shape[1]))
+    limit1 = np.sqrt(6.0 / (d + _HIDDEN))
+    limit2 = np.sqrt(6.0 / (_HIDDEN + y.shape[1]))
     shapes = {
-        "probe_w1": (d, hidden), "probe_b1": (hidden,),
-        "probe_w2": (hidden, y.shape[1]), "probe_b2": (y.shape[1],),
+        "probe_w1": (d, _HIDDEN), "probe_b1": (_HIDDEN,),
+        "probe_w2": (_HIDDEN, y.shape[1]), "probe_b2": (y.shape[1],),
     }
     buf = ParamBuffer(shapes)
     w1, b1, w2, b2 = params = [buf.block(key, name=key) for key in shapes]
     w1.values[...] = rng.uniform(-limit1, limit1, size=w1.shape)
     w2.values[...] = rng.uniform(-limit2, limit2, size=w2.shape)
-    state = AdamState(step_size=step_size)
+    state = AdamState(step_size=_STEP_SIZE)
 
     def mlp(rows: Tensor) -> Tensor:
         return dense(dense(rows, w1, b1, relu=True), w2, b2)
 
     xt = const(x[tr])
     yt = const(y[tr])
-    for _ in range(epochs):
+    for _ in range(_EPOCHS):
         with Tape() as tape:
             err = sub(mlp(xt), yt)
             batch_loss = scale(total(mul(err, err)), 1.0 / err.values.size)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import logging
 import time
 from dataclasses import dataclass, field
@@ -44,9 +45,6 @@ class TrainConfig:
     max_epochs: int = 1000
     patience: int = 20
     step_size: float = 5e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -81,10 +79,11 @@ class TrainReport:
 
 @dataclass(frozen=True)
 class Stacked:
-    """Labeled samples stacked once into per-level (N, L_k) arrays."""
+    """Labeled samples stacked once into (N, total_length) degree and bin
+    matrices."""
 
-    deg_rows: list[np.ndarray]
-    bin_rows: list[np.ndarray]
+    degrees: np.ndarray
+    bins: np.ndarray
     growths: np.ndarray
 
 
@@ -94,18 +93,18 @@ def _stacked(samples: Sequence[EncodedSample], cfg: ModelConfig) -> Stacked:
         if s.growth is None:
             raise EvaluationError(f"sample {s.id!r} has no growth label")
         growths.append(s.growth)
-    deg_rows, bin_rows = stack_sequences([s.seq for s in samples], cfg)
-    return Stacked(deg_rows, bin_rows, np.asarray(growths, dtype=np.int64))
+    degrees, bins = stack_sequences([s.seq for s in samples], cfg)
+    return Stacked(degrees, bins, np.asarray(growths, dtype=np.int64))
 
 
-def _predict_values(
-    params: ModelParams, deg_rows: list[np.ndarray], bin_rows: list[np.ndarray], chunk: int = 128
-) -> np.ndarray:
+_PREDICT_CHUNK = 128  # rows per untaped forward pass
+
+
+def _predict_values(params: ModelParams, degrees: np.ndarray, bins: np.ndarray) -> np.ndarray:
     preds = []
-    for lo in range(0, deg_rows[0].shape[0], chunk):
-        part = slice(lo, lo + chunk)
-        out = forward_batch(params, [d[part] for d in deg_rows], [b[part] for b in bin_rows])
-        preds.append(out.values[:, 0])
+    for lo in range(0, degrees.shape[0], _PREDICT_CHUNK):
+        rows = slice(lo, lo + _PREDICT_CHUNK)
+        preds.append(forward_batch(params, degrees[rows], bins[rows]).values[:, 0])
     return np.concatenate(preds)
 
 
@@ -128,7 +127,7 @@ def evaluate(params: ModelParams, samples: Sequence[EncodedSample] | Stacked) ->
         if not samples:
             raise EvaluationError("nothing to evaluate")
         samples = _stacked(samples, params.config)
-    return msle(_predict_values(params, samples.deg_rows, samples.bin_rows), samples.growths)
+    return msle(_predict_values(params, samples.degrees, samples.bins), samples.growths)
 
 
 def train(
@@ -148,14 +147,12 @@ def train(
     started = time.perf_counter()
     params = init_params(mcfg, tcfg.seed)
     tensors = params.tensors()
-    state = AdamState(
-        step_size=tcfg.step_size, beta1=tcfg.beta1, beta2=tcfg.beta2, eps=tcfg.adam_eps
-    )
+    state = AdamState(step_size=tcfg.step_size)
     train_set = _stacked(train_samples, mcfg)
     val_set = _stacked(val_samples, mcfg)
     rng = np.random.default_rng(tcfg.seed)
 
-    best_state = params.value_state()
+    best_values = params.buffer.values.copy()
     best_val = float("inf")
     best_epoch = 0
     since_best = 0
@@ -167,10 +164,8 @@ def train(
         batch_losses = []
         for lo in range(0, len(order), tcfg.batch_size):
             rows = order[lo : lo + tcfg.batch_size]
-            deg_rows = [d[rows] for d in train_set.deg_rows]
-            bin_rows = [b[rows] for b in train_set.bin_rows]
             with Tape() as tape:
-                preds = forward_batch(params, deg_rows, bin_rows)
+                preds = forward_batch(params, train_set.degrees[rows], train_set.bins[rows])
                 batch_loss = model_loss(preds, train_set.growths[rows], params)
             value = batch_loss.item()
             if not np.isfinite(value):
@@ -194,7 +189,7 @@ def train(
         if val < best_val:
             best_val = val
             best_epoch = epoch
-            best_state = params.value_state()
+            best_values = params.buffer.values.copy()
             since_best = 0
         else:
             since_best += 1
@@ -202,7 +197,7 @@ def train(
         if since_best >= tcfg.patience:
             break
 
-    params.load_value_state(best_state)
+    params.buffer.values[...] = best_values  # in place: every parameter views the buffer
     report = TrainReport(
         epochs_run=len(train_losses),
         best_epoch=best_epoch,
@@ -221,31 +216,37 @@ def predict_rows(params: ModelParams, samples: Sequence[EncodedSample]) -> list[
     """(id, predicted log2(G+1), back-transformed growth clamped at 0) rows."""
     if not samples:
         return []
-    deg_rows, bin_rows = stack_sequences([s.seq for s in samples], params.config)
-    values = _predict_values(params, deg_rows, bin_rows)
+    values = _predict_values(params, *stack_sequences([s.seq for s in samples], params.config))
     return [
         (s.id, float(v), growth_from_log(float(v))) for s, v in zip(samples, values)
     ]
 
 
+_PREDICTIONS_HEADER = ["id", "pred_log2", "pred_growth"]
+
+
 def write_predictions(path: str | Path, rows: Sequence[tuple[str, float, float]]) -> None:
+    """CSV with minimal quoting, so an id holding a comma or a quote
+    survives; floats are written with repr, which keeps every bit."""
     with atomic_write(path) as fh:
-        fh.write("id,pred_log2,pred_growth\n")
-        for pid, plog, pg in rows:
-            fh.write(f"{pid},{plog!r},{pg!r}\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(_PREDICTIONS_HEADER)
+        out.writerows((pid, repr(plog), repr(pg)) for pid, plog, pg in rows)
 
 
 def read_predictions(path: str | Path) -> list[tuple[str, float, float]]:
     out = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "id,pred_log2,pred_growth":
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != _PREDICTIONS_HEADER:
             raise EvaluationError(f"unexpected predictions header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for row in reader:
+            if not row:
                 continue
-            pid, plog, pg = line.split(",")
+            if len(row) != 3:
+                raise EvaluationError(f"{path} line {reader.line_num}: expected 3 fields, got {row!r}")
+            pid, plog, pg = row
             out.append((pid, float(plog), float(pg)))
     return out
 

@@ -347,7 +347,11 @@ def test_read_back_pads_are_the_shared_entry(tmp_path):
     assert all(e.degree > 0 for e in slots if e is not enc.PAD)
 
 
-@pytest.mark.parametrize("slot", ["[0]", '["a",0]', "[0,0,0]"])
+@pytest.mark.parametrize(
+    "slot",
+    ["[0]", '["a",0]', "[0,0,0]", "[1.5,1]", '["7",1]', "[true,1]", "[1,true]", "[0,0.0]",
+     "[3,0]", "[0,2]", "[-1,1]", "[2,-1]"],
+)
 def test_malformed_slots_raise_with_the_line_number(tmp_path, slot):
     path = tmp_path / "bad.jsonl"
     path.write_text(f'{{"id":"a","levels":[[[0,0]]],"label":null}}\n{{"id":"b","levels":[[{slot}]],"label":null}}\n')

@@ -24,6 +24,14 @@ def tiny_config(**kw):
     return md.ModelConfig(**base)
 
 
+# the 13 matrices the Frobenius penalty covers under tiny_config()
+TINY_WEIGHTS = (
+    "pre0_w0", "pre0_w1", "pre1_w0", "pre1_w1",
+    "gru_wu", "gru_wr", "gru_wh", "gru_uu", "gru_ur", "gru_uh",
+    "conv_kernel", "head_w0", "head_w1",
+)
+
+
 def seq_for(cfg, rng, max_degree=4):
     levels = []
     for length in cfg.level_lengths:
@@ -135,6 +143,27 @@ def test_apply_time_decay_hand_values():
     assert trace["decayed"][0].tolist() == [[1.0, 0.75, 0.0]]
 
 
+def test_each_level_decays_its_own_columns():
+    cfg = tiny_config()  # levels of 3 and 2 slots
+    params = md.init_params(cfg, 0)
+    params.decay.values[...] = [0.0, 0.5, 0.25]
+    seq = DegreeSequence(levels=(
+        (SeqEntry(2, 1, False), SeqEntry(3, 2, False), SeqEntry(0, 0, True)),
+        (SeqEntry(4, 2, False), SeqEntry(0, 0, True)),
+    ))
+    degrees, bins = md.stack_sequences([seq], cfg)
+    assert (degrees.dtype, bins.dtype) == (np.float64, np.int64)
+    assert degrees.tolist() == [[2, 3, 0, 4, 0]] and bins.tolist() == [[1, 2, 0, 2, 0]]
+    trace = {}
+    md.forward_batch(params, degrees, bins, trace=trace)
+    assert trace["decayed"][0].tolist() == [[1.0, 0.75, 0.0]]
+    assert trace["decayed"][1].tolist() == [[1.0, 0.0]]
+    with pytest.raises(ShapeError):
+        md.forward_batch(params, degrees[:, :4], bins[:, :4])
+    with pytest.raises(ShapeError):
+        md.forward_batch(params, degrees, bins[:, :4])
+
+
 def test_apply_time_decay_rejects_out_of_range_bins():
     cfg = tiny_config(level_lengths=(1,))
     params = md.init_params(cfg, 0)
@@ -148,9 +177,9 @@ def test_forward_shape_gates_and_conv_sign():
     cfg = tiny_config()
     params = md.init_params(cfg, 2)
     seqs = [seq_for(cfg, rng) for _ in range(4)]
-    deg_rows, bin_rows = md.stack_sequences(seqs, cfg)
+    degrees, bins = md.stack_sequences(seqs, cfg)
     trace = {}
-    out = md.forward_batch(params, deg_rows, bin_rows, trace=trace)
+    out = md.forward_batch(params, degrees, bins, trace=trace)
     assert out.shape == (4, 1)
     assert np.isfinite(out.values).all()
     for k in range(cfg.depth):
@@ -167,12 +196,12 @@ def test_decay_scales_inputs_linearly():
     cfg = tiny_config()
     params = md.init_params(cfg, 4)
     seq = seq_for(cfg, rng)
-    deg_rows, bin_rows = md.stack_sequences([seq], cfg)
+    degrees, bins = md.stack_sequences([seq], cfg)
 
     t1, t2 = {}, {}
-    md.forward_batch(params, deg_rows, bin_rows, trace=t1)
+    md.forward_batch(params, degrees, bins, trace=t1)
     params.decay.values *= 2.0
-    md.forward_batch(params, deg_rows, bin_rows, trace=t2)
+    md.forward_batch(params, degrees, bins, trace=t2)
     for k in range(cfg.depth):
         np.testing.assert_allclose(t2["decayed"][k], 2.0 * t1["decayed"][k], atol=1e-15)
 
@@ -182,8 +211,8 @@ def test_single_and_batched_forward_agree():
     cfg = tiny_config()
     params = md.init_params(cfg, 6)
     seqs = [seq_for(cfg, rng) for _ in range(3)]
-    deg_rows, bin_rows = md.stack_sequences(seqs, cfg)
-    batched = md.forward_batch(params, deg_rows, bin_rows).values
+    degrees, bins = md.stack_sequences(seqs, cfg)
+    batched = md.forward_batch(params, degrees, bins).values
     singles = np.vstack([md.forward_batch(params, *md.stack_sequences([s], cfg)).values for s in seqs])
     np.testing.assert_allclose(batched, singles, atol=1e-12)
 
@@ -202,14 +231,15 @@ def test_loss_matches_independent_recompute():
     cfg = tiny_config(alpha=2.0, reg_weight=0.5)
     params = md.init_params(cfg, 8)
     seqs = [seq_for(cfg, rng) for _ in range(3)]
-    deg_rows, bin_rows = md.stack_sequences(seqs, cfg)
-    preds = md.forward_batch(params, deg_rows, bin_rows)
+    degrees, bins = md.stack_sequences(seqs, cfg)
+    preds = md.forward_batch(params, degrees, bins)
     growths = np.array([0, 3, 7])
 
     value = md.loss(preds, growths, params).item()
     err = preds.values[:, 0] - np.log2(growths + 1.0)
     expect = 2.0 * float(np.mean(err**2))
-    expect += 0.5 * sum(float((w.values**2).sum()) for w in params.weight_matrices())
+    named = dict(params.named())
+    expect += 0.5 * sum(float((named[n].values ** 2).sum()) for n in TINY_WEIGHTS)
     assert value == pytest.approx(expect, rel=1e-12)
 
 
@@ -222,13 +252,11 @@ def test_loss_without_regularization_is_pure_data_term():
 
 
 def test_regularizer_covers_weights_not_biases_or_decay():
-    cfg = tiny_config()
-    params = md.init_params(cfg, 10)
-    names = {t.name for t in params.weight_matrices()}
-    assert "decay" not in names
-    assert not any(n.endswith(("b0", "b1", "bu", "br", "bh")) or n == "conv_bias" for n in names)
-    assert "gru_wu" in names and "head_w0" in names and "conv_kernel" in names
-    assert len(names) == len(params.weight_matrices())
+    params = md.init_params(tiny_config(), 10)
+    penalized = {n for n, t in params.named() if np.shares_memory(t.values, params.weights.values)}
+    assert penalized == set(TINY_WEIGHTS)
+    rest = set(md.expected_shapes(tiny_config())) - penalized
+    assert all(n == "decay" or n == "conv_bias" or n.endswith(("b0", "b1", "bu", "br", "bh")) for n in rest)
 
 
 def test_loss_shape_and_label_validation():
@@ -248,17 +276,17 @@ def test_training_steps_reduce_loss_for_many_seeds():
         params = md.init_params(cfg, seed)
         seqs = [seq_for(cfg, rng) for _ in range(6)]
         growths = np.asarray(rng.integers(0, 20, size=6))
-        deg_rows, bin_rows = md.stack_sequences(seqs, cfg)
+        degrees, bins = md.stack_sequences(seqs, cfg)
         state = AdamState(step_size=5e-3)
         tensors = params.tensors()
 
         def current_loss():
-            return md.loss(md.forward_batch(params, deg_rows, bin_rows), growths, params).item()
+            return md.loss(md.forward_batch(params, degrees, bins), growths, params).item()
 
         before = current_loss()
         for _ in range(60):
             with Tape() as tape:
-                value = md.loss(md.forward_batch(params, deg_rows, bin_rows), growths, params)
+                value = md.loss(md.forward_batch(params, degrees, bins), growths, params)
             tape.backward(value, params=tensors)
             adam_step(params.buffer, state)
         assert current_loss() < before, f"seed {seed} failed to descend"
@@ -269,9 +297,9 @@ def test_padding_decay_slot_receives_zero_gradient():
     cfg = tiny_config()
     params = md.init_params(cfg, 13)
     seqs = [seq_for(cfg, rng) for _ in range(4)]
-    deg_rows, bin_rows = md.stack_sequences(seqs, cfg)
+    degrees, bins = md.stack_sequences(seqs, cfg)
     with Tape() as tape:
-        value = md.loss(md.forward_batch(params, deg_rows, bin_rows), np.array([1, 2, 3, 4]), params)
+        value = md.loss(md.forward_batch(params, degrees, bins), np.array([1, 2, 3, 4]), params)
     (g,) = tape.backward(value, params=[params.decay])
     assert g[0] == 0.0
 
@@ -281,9 +309,9 @@ def test_unused_bin_gets_zero_decay_gradient():
     params = md.init_params(cfg, 14)
     # both entries in bin 1; bins 2 and 3 never appear
     seq = DegreeSequence(levels=((SeqEntry(2, 1, False), SeqEntry(1, 1, False)),))
-    deg_rows, bin_rows = md.stack_sequences([seq], cfg)
+    degrees, bins = md.stack_sequences([seq], cfg)
     with Tape() as tape:
-        value = md.loss(md.forward_batch(params, deg_rows, bin_rows), np.array([2]), params)
+        value = md.loss(md.forward_batch(params, degrees, bins), np.array([2]), params)
     (g,) = tape.backward(value, params=[params.decay])
     assert g[2] == 0.0 and g[3] == 0.0
     assert g[1] != 0.0
@@ -304,11 +332,11 @@ def test_full_model_grad_check_rejects_one_gru_gradient_scaled_by_1_001(monkeypa
         t.values += rng.normal(0.0, 0.1, size=t.values.shape)  # off the relu kinks
     params.decay.values[0] = 0.0
     seqs = [seq_for(cfg, rng) for _ in range(4)]
-    deg_rows, bin_rows = md.stack_sequences(seqs, cfg)
+    degrees, bins = md.stack_sequences(seqs, cfg)
     growths = rng.integers(0, 40, size=4).astype(np.float64)
 
     def f():
-        return md.loss(md.forward_batch(params, deg_rows, bin_rows), growths, params)
+        return md.loss(md.forward_batch(params, degrees, bins), growths, params)
 
     def check():
         return grad_check(f, params.tensors(), eps=1e-5, tol=1e-4, max_per_param=6, seed=3)
@@ -346,7 +374,8 @@ def test_every_named_tensor_views_the_flat_buffers():
 
 def test_weight_slice_is_exactly_the_weight_matrices():
     params = md.init_params(tiny_config(), 18)
-    weights, mats = params.weights, params.weight_matrices()
+    named = dict(params.named())
+    weights, mats = params.weights, [named[n] for n in TINY_WEIGHTS]
     assert weights.values.base is not None and weights.values.flags.c_contiguous
     assert sum(t.values.size for t in mats) == weights.values.size
     assert all(np.shares_memory(t.values, weights.values) for t in mats)
@@ -361,9 +390,9 @@ def test_second_backward_on_one_tape_does_not_double_count():
     rng = np.random.default_rng(19)
     cfg = tiny_config()
     params = md.init_params(cfg, 20)
-    deg_rows, bin_rows = md.stack_sequences([seq_for(cfg, rng) for _ in range(3)], cfg)
+    degrees, bins = md.stack_sequences([seq_for(cfg, rng) for _ in range(3)], cfg)
     with Tape() as tape:
-        value = md.loss(md.forward_batch(params, deg_rows, bin_rows), np.array([1, 2, 3]), params)
+        value = md.loss(md.forward_batch(params, degrees, bins), np.array([1, 2, 3]), params)
     first = [g.copy() for g in tape.backward(value, params=params.tensors())]
     flat = params.buffer.grad.copy()
     second = tape.backward(value, params=params.tensors())
@@ -383,17 +412,6 @@ def test_adam_names_the_first_non_finite_model_parameter():
         adam_step(params.buffer, AdamState())
     assert err.value.details["param"] == "gru_ur"
     np.testing.assert_array_equal(params.buffer.values, before)
-
-
-def test_loading_a_state_writes_into_the_buffer():
-    params = md.init_params(tiny_config(), 22)
-    state = md.init_params(tiny_config(), 23).value_state()
-    values = params.buffer.values
-    params.load_value_state(state)
-    assert params.buffer.values is values
-    for name, t in params.named():
-        np.testing.assert_array_equal(t.values, state[name])
-        assert np.shares_memory(t.values, values)
 
 
 def test_model_checkpoint_roundtrip(tmp_path):

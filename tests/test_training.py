@@ -1,5 +1,7 @@
 """Training loop, metric fixtures, prediction files, split encoding, sweep."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -84,9 +86,9 @@ def test_default_model_step_stays_within_tape_budget():
     mcfg = ModelConfig.from_schema(schema)
     params = init_params(mcfg, 0)
     batch = train[:32]
-    deg_rows, bin_rows = stack_sequences([s.seq for s in batch], mcfg)
+    degrees, bins = stack_sequences([s.seq for s in batch], mcfg)
     with Tape() as tape:
-        loss(forward_batch(params, deg_rows, bin_rows), np.array([s.growth for s in batch]), params)
+        loss(forward_batch(params, degrees, bins), np.array([s.growth for s in batch]), params)
     # 3 per level (decay gather, 2 pre-embed layers), the GRU, the conv, 3 head layers, 7 for the loss
     assert len(tape) <= 27
 
@@ -107,9 +109,7 @@ def test_training_is_seed_deterministic():
     p2, r2 = tr.train(train, val, fast_train_config(), small_model(schema))
     assert r1.train_losses == r2.train_losses
     assert r1.val_msles == r2.val_msles
-    s1, s2 = p1.value_state(), p2.value_state()
-    for name in s1:
-        np.testing.assert_array_equal(s1[name], s2[name])
+    np.testing.assert_array_equal(p1.buffer.values, p2.buffer.values)
 
 
 def test_train_rejects_empty_sets():
@@ -145,6 +145,20 @@ def test_prediction_rows_match_evaluate_exactly(tmp_path):
     back = tr.read_predictions(path)
     assert back == rows  # repr serialization keeps every float bit
     assert tr.msle_from_predictions(back, val) == tr.evaluate(params, val)
+
+
+def test_predictions_round_trip_ids_with_commas_and_quotes(tmp_path):
+    rows = [("plain", 0.5, 0.41), ("a,b", 1.0, 1.0), ('say "hi"', -0.25, 0.0), ("'q',\"x\"", 2.0, 3.0)]
+    path = tmp_path / "preds.csv"
+    tr.write_predictions(path, rows)
+    assert tr.read_predictions(path) == rows
+    with open(path, newline="") as fh:
+        got = [(r["id"], float(r["pred_log2"]), float(r["pred_growth"])) for r in csv.DictReader(fh)]
+    assert got == rows
+    assert path.read_text().splitlines()[:2] == ["id,pred_log2,pred_growth", "plain,0.5,0.41"]
+    path.write_text("id,pred_log2,pred_growth\na,b,0.5,0.41\n")  # an id with an unquoted comma
+    with pytest.raises(EvaluationError, match="line 2"):
+        tr.read_predictions(path)
 
 
 def test_read_predictions_rejects_other_headers(tmp_path):
