@@ -13,15 +13,15 @@ added in place, backward() clears them all by zeroing the gradient vector
 once, and an optimiser updates the value vector as a whole.
 
 Training is bound by the Python cost of each record, not by arithmetic, so
-the model is built from a few fused primitives with hand-derived pulls:
-`dense` (matmul, bias and an optional ReLU), `gru` (a whole GRU over a
-sequence of inputs, with every input projection in one matrix product and
-backpropagation through time inside its pull), `conv1d` (a strided
-convolution along the last axis of a stack of any rank, with an optional
-ReLU), `sum_sq` (a squared Frobenius norm), and `gather` with per-element
-weights (a decay table looked up and scaled in one record). The structure
-probe is built from `dense` too. The small primitives remain only for the
-loss (`add`, `sub`, `mul`, `scale`, `total`).
+the model is built from five fused primitives with hand-derived pulls:
+`embed` (a time-decay lookup and a stack of per-level dense layers over
+every level at once, the later layers as one batched product), `gru` (a
+whole GRU over a stack of inputs, with every input projection in one
+matrix product and backpropagation through time inside its pull),
+`conv1d` (a strided convolution along the last axis of a stack of any
+rank, with an optional ReLU), `mlp` (a stack of dense layers) and
+`sq_loss` (a scaled squared error plus a Frobenius penalty). The
+structure probe is built from `mlp` and `sq_loss` too.
 
 The finite-difference checker at the bottom is the independent route for
 validating adjoints; it only ever calls the taped route to obtain analytic
@@ -63,10 +63,6 @@ class Tensor:
         return f"Tensor{tag}(shape={self.shape})"
 
 
-def const(values, name: str | None = None) -> Tensor:
-    return Tensor(values, name=name)
-
-
 class ParamBuffer:
     """Parameters laid end to end in one flat value vector, with their
     gradients at the same offsets in one flat gradient vector.
@@ -100,12 +96,11 @@ class ParamBuffer:
             self.named.append(t)
         return t
 
-    def block(self, key: str, cols: slice | None = None, name: str | None = None) -> Tensor:
-        """Block `key`, or the slice `cols` of its last axis, as a tensor."""
+    def block(self, key: str, index=..., name: str | None = None) -> Tensor:
+        """Block `key`, or its part `block[index]` for a basic index (an
+        int, a slice, `...` or a tuple of these), as a tensor."""
         lo, hi, shape = self._spans[key]
-        if cols is None:
-            return self._view(lambda a: a[lo:hi].reshape(shape), name)
-        return self._view(lambda a: a[lo:hi].reshape(shape)[..., cols], name)
+        return self._view(lambda a: a[lo:hi].reshape(shape)[index], name)
 
     def run(self, first: str, last: str) -> Tensor:
         """Blocks first through last, in layout order, as one flat tensor."""
@@ -184,89 +179,95 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
 # ---------------------------------------------------------------- primitives
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
-    out = Tensor(a.values + b.values)
+def embed(
+    decay: Tensor,
+    degrees: np.ndarray,
+    bins: np.ndarray,
+    lengths: Sequence[int],
+    layers: Sequence[tuple[Tensor, Tensor]],
+) -> tuple[Tensor, np.ndarray]:
+    """Every level's time decay and pre-embedding layers, as one record.
 
-    def pull(g):
-        _acc(a, g)
-        _acc(b, g)
-
-    return _record(out, (a, b), pull)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    out = Tensor(a.values - b.values)
-
-    def pull(g):
-        _acc(a, g)
-        _acc(b, -g)
-
-    return _record(out, (a, b), pull)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "mul")
-    out = Tensor(a.values * b.values)
-
-    def pull(g):
-        _acc(a, g * b.values)
-        _acc(b, g * a.values)
-
-    return _record(out, (a, b), pull)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.values * c)
-
-    def pull(g):
-        _acc(a, g * c)
-
-    return _record(out, (a,), pull)
-
-
-def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """x @ w + b for a (B, I) batch, (I, M) weights and an (M,) bias, then
-    max(., 0) when relu is set; one record. x may also be (B, ...) with its
-    trailing axes flattened to width I. The ReLU passes no gradient at 0."""
-    xv, wv = x.values, w.values
-    if xv.ndim > 2:
-        xv = xv.reshape(len(xv), -1)
-    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
-        raise ShapeError(f"dense: incompatible shapes {x.shape} and {w.shape}")
-    if b.shape != (wv.shape[1],):
-        raise ShapeError(f"dense: bias shape {b.shape} does not match weights {w.shape}")
-    z = xv @ wv + b.values
-    if relu:
-        mask = z > 0
-        z = np.where(mask, z, 0.0)
+    degrees and bins are (B, T) constants holding D levels side by side,
+    level k in the next lengths[k] columns. The inputs are x = degrees *
+    decay[bins], for a 1-D decay. Layer 0 maps level k's columns with its
+    rows of a (T, M) weight block and row k of a (D, M) bias; every later
+    layer maps all levels at once, with (D, M, M) weights and a (D, M) bias.
+    max(., 0) follows every layer but the last, passing no gradient at 0.
+    Returns the (D, B, M) stack of level embeddings and x, a plain array
+    that no gradient flows through. A bin outside decay is a ContractError.
+    """
+    if not layers:
+        raise ShapeError("embed with zero layers")
+    if decay.values.ndim != 1:
+        raise ShapeError(f"embed: decay must be 1-D, got {decay.shape}")
+    depth, width = len(lengths), sum(lengths)
+    if degrees.ndim != 2 or degrees.shape[1] != width or bins.shape != degrees.shape:
+        raise ShapeError(f"embed: degrees {degrees.shape} and bins {bins.shape}, levels want (B, {width})")
+    if not np.issubdtype(bins.dtype, np.integer):
+        raise ContractError(f"embed: bins must be integers, got {bins.dtype}")
+    n = decay.shape[0]
+    if bins.size and (bins.min() < 0 or bins.max() >= n):
+        raise ContractError(f"embed: bin range [{bins.min()}, {bins.max()}] outside decay of length {n}")
+    m = layers[0][1].shape[-1]
+    for i, (w, b) in enumerate(layers):
+        want = (width, m) if i == 0 else (depth, m, m)
+        if w.shape != want or b.shape != (depth, m):
+            raise ShapeError(f"embed: layer {i} has {w.shape} and {b.shape}, expected {want} and {(depth, m)}")
+    spans, lo = [], 0
+    for length in lengths:
+        spans.append((lo, lo + length))
+        lo += length
+    x = decay.values[bins] * degrees
+    w0 = layers[0][0].values
+    z = np.empty((depth, len(x), m))
+    for k, (lo, hi) in enumerate(spans):
+        np.matmul(x[:, lo:hi], w0[lo:hi], out=z[k])
+    last = len(layers) - 1
+    ins, masks = [], []  # each later layer's input; each ReLU's mask
+    for i, (w, b) in enumerate(layers):
+        if i:
+            ins.append(z)
+            z = np.matmul(z, w.values)
+        z += b.values[:, None]
+        if i < last:
+            masks.append(z > 0)
+            z = np.where(masks[i], z, 0.0)
     out = Tensor(z)
 
     def pull(g):
-        if relu:
-            g = g * mask
-        _acc(x, (g @ wv.T).reshape(x.shape))
-        _acc(w, xv.T @ g)
-        _acc(b, g.sum(axis=0))
+        for i in range(last, -1, -1):
+            w, b = layers[i]
+            if i < last:
+                g = g * masks[i]
+            _acc(b, g.sum(axis=1))
+            if i:
+                _acc(w, np.matmul(ins[i - 1].transpose(0, 2, 1), g))
+                g = np.matmul(g, w.values.transpose(0, 2, 1))
+        dw0, dx = np.empty_like(w0), np.empty_like(x)
+        for k, (lo, hi) in enumerate(spans):
+            # a one-slot level makes this a matrix-vector product, whose last
+            # bits depend on the vector's stride: use a contiguous copy
+            np.matmul(np.ascontiguousarray(x[:, lo:hi]).T, g[k], out=dw0[lo:hi])
+            np.matmul(g[k], w0[lo:hi].T, out=dx[:, lo:hi])
+        dx *= degrees
+        # one bincount over (level, bin) pairs, then the levels added deepest
+        # first: the sums a level-by-level backward pass forms, bit for bit
+        pairs = bins + np.repeat(np.arange(depth - 1, -1, -1) * n, lengths)
+        sums = np.bincount(pairs.ravel(), weights=dx.ravel(), minlength=depth * n)
+        _acc(decay, sums.reshape(depth, n).sum(axis=0))
+        _acc(layers[0][0], dw0)
 
-    return _record(out, (x, w, b), pull)
+    _record(out, (decay, *(t for layer in layers for t in layer)), pull)
+    return out, x
 
 
-def gru(
-    xs: Sequence[Tensor], w: Tensor, u: Tensor, uh: Tensor, b: Tensor
-) -> tuple[Tensor, np.ndarray]:
-    """A GRU over the D steps xs[0], ..., xs[D-1], each a (B, I) batch,
-    from a zero state, as one record. The gate weights come packed:
+def gru(x: Tensor, w: Tensor, u: Tensor, uh: Tensor, b: Tensor) -> tuple[Tensor, np.ndarray]:
+    """A GRU over the D steps x[0], ..., x[D-1] of a (D, B, I) stack, from
+    a zero state, as one record. The gate weights come packed:
     w = [wu|wr|wh] (I, 3M), u = [uu|ur] (M, 2M), uh (M, M), b = [bu|br|bh]
     (3M,). Step k computes, from the state h before it,
 
@@ -281,20 +282,18 @@ def gru(
     (D, B, 2M) gate values [u|r], a plain array that no gradient flows
     through. With no tape active nothing is kept for the pull.
     """
-    if not xs:
+    if x.values.ndim != 3:
+        raise ShapeError(f"gru: input must be a (D, B, I) stack, got {x.shape}")
+    depth, nb, n_in = x.shape
+    if not depth:
         raise ShapeError("gru over zero steps")
-    shape = xs[0].shape
-    if len(shape) != 2 or any(x.shape != shape for x in xs):
-        raise ShapeError(f"gru: steps must share one (B, I) shape, got {[x.shape for x in xs]}")
-    nb, n_in = shape
     m = uh.shape[0] if uh.values.ndim else 0
     for name, t, want in (
         ("w", w, (n_in, 3 * m)), ("u", u, (m, 2 * m)), ("uh", uh, (m, m)), ("b", b, (3 * m,)),
     ):
         if t.shape != want:
             raise ShapeError(f"gru: {name} has shape {t.shape}, expected {want}")
-    depth = len(xs)
-    proj = np.stack([t.values for t in xs]).reshape(depth * nb, n_in) @ w.values
+    proj = x.values.reshape(depth * nb, n_in) @ w.values
     proj += b.values
     proj = proj.reshape(depth, nb, 3 * m)
     proj[:, :, : 2 * m] *= 0.5  # the gates' tanh(z/2); scaling by 1/2 is exact
@@ -350,16 +349,13 @@ def gru(
                 dh += gk * keep[k]
                 dh += d_rh * gate_r[k]
         flat = a.reshape(depth * nb, 3 * m)
-        dx = (flat @ w.values.T).reshape(depth, nb, n_in)
-        for k, t in enumerate(xs):
-            _acc(t, dx[k])
-        x = np.stack([t.values for t in xs]).reshape(depth * nb, n_in)
-        _acc(w, x.T @ flat)
+        _acc(x, (flat @ w.values.T).reshape(depth, nb, n_in))
+        _acc(w, x.values.reshape(depth * nb, n_in).T @ flat)
         _acc(b, flat.sum(axis=0))
         _acc(u, prev.reshape(depth * nb, m).T @ flat[:, : 2 * m])
         _acc(uh, (gate_r * prev).reshape(depth * nb, m).T @ flat[:, 2 * m :])
 
-    _record(out, (*xs, w, u, uh, b), pull)
+    _record(out, (x, w, u, uh, b), pull)
     return out, gates
 
 
@@ -416,62 +412,68 @@ def conv1d(
     return _record(out, inputs, pull)
 
 
-def gather(vec: Tensor, idx: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
-    """vec[idx] for a 1-D vec and an integer index array of any shape, times
-    a constant array of idx's shape when weights is given."""
-    if vec.values.ndim != 1:
-        raise ShapeError(f"gather: source must be 1-D, got {vec.shape}")
-    idx = np.asarray(idx)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ContractError(f"gather: indices must be integers, got {idx.dtype}")
-    if idx.size and (idx.min() < 0 or idx.max() >= vec.shape[0]):
-        raise ContractError(
-            f"gather: index range [{idx.min()}, {idx.max()}] outside vector of length {vec.shape[0]}"
-        )
-    vals = vec.values[idx]
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != idx.shape:
-            raise ShapeError(f"gather: weights {weights.shape} do not match indices {idx.shape}")
-        vals = vals * weights
-    out = Tensor(vals)
-    n = vec.shape[0]
+def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """Dense layers a @ w + b on a (B, I) batch, each (w, b) an (I, O)
+    weight and an (O,) bias, with max(., 0) after every layer but the last;
+    one record. x may also be (B, ...), its trailing axes flattened to
+    width I. The ReLU passes no gradient at 0."""
+    if not layers:
+        raise ShapeError("mlp with zero layers")
+    a = x.values
+    if a.ndim > 2:
+        a = a.reshape(len(a), -1)
+    last = len(layers) - 1
+    ins, masks = [], []
+    for i, (w, b) in enumerate(layers):
+        wv = w.values
+        if a.ndim != 2 or wv.ndim != 2 or a.shape[1] != wv.shape[0]:
+            raise ShapeError(f"mlp: layer {i} gets input {a.shape} for weights {w.shape}")
+        if b.shape != (wv.shape[1],):
+            raise ShapeError(f"mlp: layer {i} bias {b.shape} does not match weights {w.shape}")
+        ins.append(a)
+        a = a @ wv + b.values
+        if i < last:
+            masks.append(a > 0)
+            a = np.where(masks[i], a, 0.0)
+    out = Tensor(a)
 
     def pull(g):
-        if weights is not None:
-            g = g * weights
-        # bincount adds in index order, the same sums np.add.at would form
-        _acc(vec, np.bincount(idx.ravel(), weights=g.ravel(), minlength=n))
+        for i in range(last, -1, -1):
+            w, b = layers[i]
+            if i < last:
+                g = g * masks[i]
+            _acc(w, ins[i].T @ g)
+            _acc(b, g.sum(axis=0))
+            g = g @ w.values.T
+        _acc(x, g.reshape(x.shape))
 
-    return _record(out, (vec,), pull)
+    return _record(out, (x, *(t for layer in layers for t in layer)), pull)
 
 
-def total(a: Tensor) -> Tensor:
-    out = Tensor(a.values.sum())
+def sq_loss(
+    pred: Tensor, target: np.ndarray, scale: float, weights: Tensor | None = None, reg: float = 0.0
+) -> Tensor:
+    """scale * sum((pred - target)**2), plus reg * sum(weights**2) when
+    weights are given and reg is not 0: a scaled squared error and a
+    Frobenius penalty, as one scalar record. target is a constant."""
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise ShapeError(f"sq_loss: predictions {pred.shape} do not match targets {target.shape}")
+    scale, reg = float(scale), float(reg)
+    e = pred.values - target
+    value = (e * e).sum() * scale
+    penalized = weights is not None and reg != 0.0
+    if penalized:
+        wv = weights.values
+        value = value + (wv * wv).sum() * reg
+    out = Tensor(value)
 
     def pull(g):
-        _acc(a, np.broadcast_to(g, a.shape).astype(np.float64))
+        if penalized:
+            _acc(weights, (2.0 * (g * reg)) * wv)
+        _acc(pred, (2.0 * (g * scale)) * e)
 
-    return _record(out, (a,), pull)
-
-
-def sum_sq(parts: Sequence[Tensor]) -> Tensor:
-    """Sum of the squares of every entry of every tensor in parts, as one
-    record: a squared Frobenius norm summed over a list of weights."""
-    if not parts:
-        raise ShapeError("sum_sq of zero tensors")
-    vals = [p.values for p in parts]
-    acc = (vals[0] * vals[0]).sum()
-    for v in vals[1:]:
-        acc = acc + (v * v).sum()
-    out = Tensor(acc)
-
-    def pull(g):
-        g2 = 2.0 * g
-        for p, v in zip(parts, vals):
-            _acc(p, g2 * v)
-
-    return _record(out, tuple(parts), pull)
+    return _record(out, (pred, weights) if penalized else (pred,), pull)
 
 
 # ---------------------------------------------------------- gradient checking

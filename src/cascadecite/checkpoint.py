@@ -46,10 +46,15 @@ def parse_arrays(doc: dict, expected_shapes: dict[str, tuple[int, ...]] | None =
         raise CheckpointError(
             f"checkpoint version {doc.get('version')!r} not supported (expected {VERSION})"
         )
+    if not isinstance(doc.get("arrays"), dict):
+        raise CheckpointError('checkpoint has no "arrays" map')
     arrays = {}
     for name, rec in doc["arrays"].items():
-        shape = tuple(rec["shape"])
-        vals = np.asarray(rec["values"], dtype=np.float64)
+        try:
+            shape = tuple(rec["shape"])
+            vals = np.asarray(rec["values"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"array {name!r} is malformed: {exc!r}") from None
         if vals.size != int(np.prod(shape, dtype=np.int64)):
             raise CheckpointError(f"array {name!r}: {vals.size} values do not fill shape {shape}")
         arrays[name] = vals.reshape(shape)

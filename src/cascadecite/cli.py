@@ -404,9 +404,8 @@ def main(argv=None) -> int:
         ]
         if getattr(args, "encoded_dir", None):
             d = Path(args.encoded_dir)
-            inputs.extend(
-                str(p) for p in (d / "schema.json", d / "train.encoded.jsonl", d / "val.encoded.jsonl")
-            )
+            names = ("schema.json", "train.encoded.jsonl", "val.encoded.jsonl", "test.encoded.jsonl")
+            inputs.extend(str(d / n) for n in names if (d / n).exists())
         write_manifest(Path(args.out), args.command, cfg, inputs, outputs, started, counters=counters)
     except (CascadeCiteError, OSError) as exc:
         print(_error_json(exc), file=sys.stderr)

@@ -195,7 +195,7 @@ def schema_from_dict(doc: dict) -> EncodingSchema:
             window_T=int(doc["window_T"]),
             bin_edges=tuple(float(x) for x in doc["bin_edges"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad schema record: {exc}") from None
 
 
@@ -205,7 +205,14 @@ def save_schema(path: str | Path, schema: EncodingSchema) -> None:
 
 
 def load_schema(path: str | Path) -> EncodingSchema:
-    return schema_from_dict(json.loads(Path(path).read_text()))
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    try:
+        return schema_from_dict(doc)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _slot(pair) -> SeqEntry:

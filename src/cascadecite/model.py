@@ -9,15 +9,17 @@ penalty on the weight matrices (biases and the decay vector are not
 penalized).
 
 Every parameter is a view into one ParamBuffer. The penalized weights come
-first and form one contiguous slice, and the GRU gates are packed as
-[wu|wr|wh], [uu|ur] and [bu|br|bh]; checkpoints still name each gate.
+first and form one contiguous slice. The GRU gates are packed as
+[wu|wr|wh], [uu|ur] and [bu|br|bh]; the pre-embed layers as one (T, M)
+block holding every level's first weights row by row, one (D, M, M) block
+per later layer and one (D, M) bias block per layer. Checkpoints still
+name each level's and each gate's own array.
 
-Each block is one fused tape record: the decay is a weighted `gather`,
-every pre-embed and head layer a `dense`, the GRU over all levels one
-`gru`, the convolution and its ReLU over all levels one `conv1d`, and the
-penalty a single `sum_sq` over the weight slice. With the default
-configuration a training step on a 5-level schema records 27 entries: 3 per
-level, the GRU, the conv, 3 head layers and 7 for the loss.
+Each block is one fused tape record: the decay and every level's pre-embed
+layers one `embed`, the GRU over all levels one `gru`, the convolution and
+its ReLU over all levels one `conv1d`, the head one `mlp`, and the squared
+error with its penalty over the weight slice one `sq_loss`. A training
+step records 5 entries, whatever the schema's depth.
 """
 
 from __future__ import annotations
@@ -29,23 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as _ckpt
-from .autodiff import (
-    ParamBuffer,
-    Tensor,
-    add,
-    const,
-    conv1d,
-    dense,
-    gather,
-    gru,
-    mul,
-    scale,
-    sub,
-    sum_sq,
-    total,
-)
+from .autodiff import ParamBuffer, Tensor, conv1d, embed, gru, mlp, sq_loss
 from .encoding import DegreeSequence, EncodingSchema, schema_from_dict, schema_to_dict
-from .errors import CheckpointError, ConfigError, ContractError, ShapeError
+from .errors import CheckpointError, ConfigError, ContractError, ParseError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -104,15 +92,18 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
-        doc = dict(doc)
-        doc["level_lengths"] = tuple(doc["level_lengths"])
-        doc["head_widths"] = tuple(doc["head_widths"])
-        return cls(**doc)
+        try:
+            doc = dict(doc)
+            doc["level_lengths"] = tuple(doc["level_lengths"])
+            doc["head_widths"] = tuple(doc["head_widths"])
+            return cls(**doc)
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"bad model config: {exc!r}") from None
 
 
 _GRU_KEYS = ("wu", "wr", "wh", "uu", "ur", "uh", "bu", "br", "bh")
 # gate -> (packed block, position of its M columns in that block)
-_PACKED = {
+_GRU_PACKED = {
     "gru_wu": ("gru_w", 0), "gru_wr": ("gru_w", 1), "gru_wh": ("gru_w", 2),
     "gru_uu": ("gru_u", 0), "gru_ur": ("gru_u", 1),
     "gru_bu": ("gru_b", 0), "gru_br": ("gru_b", 1), "gru_bh": ("gru_b", 2),
@@ -125,18 +116,28 @@ def _penalized(name: str) -> bool:
     )
 
 
-def _layout(cfg: ModelConfig) -> tuple[dict[str, tuple[int, ...]], str, str]:
-    """Buffer blocks in flat order, penalized weights first, and the first
-    and last of those weight blocks."""
-    m = cfg.embed_width
+def _layout(cfg: ModelConfig) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[str, object]], str, str]:
+    """Buffer blocks in flat order, penalized weights first; each packed
+    parameter's block and index into it; and the first and last weight
+    blocks."""
+    m, depth = cfg.embed_width, cfg.depth
     packs = {"gru_w": (m, 3 * m), "gru_u": (m, 2 * m), "gru_b": (3 * m,)}
+    place = {name: (key, np.s_[..., pos * m : (pos + 1) * m]) for name, (key, pos) in _GRU_PACKED.items()}
+    for i in range(cfg.pre_embed_depth):
+        packs[f"pre_w{i}"] = (depth, m, m) if i else (sum(cfg.level_lengths), m)
+        packs[f"pre_b{i}"] = (depth, m)
+        lo = 0
+        for k, length in enumerate(cfg.level_lengths):
+            place[f"pre{k}_w{i}"] = (f"pre_w{i}", k if i else slice(lo, lo + length))
+            place[f"pre{k}_b{i}"] = (f"pre_b{i}", k)
+            lo += length
     weights: dict[str, tuple[int, ...]] = {}
     rest: dict[str, tuple[int, ...]] = {}
     for name, shape in expected_shapes(cfg).items():
-        key = _PACKED[name][0] if name in _PACKED else name
+        key = place[name][0] if name in place else name
         (weights if _penalized(name) else rest)[key] = packs.get(key, shape)
     keys = list(weights)
-    return {**weights, **rest}, keys[0], keys[-1]
+    return {**weights, **rest}, place, keys[0], keys[-1]
 
 
 class ModelParams:
@@ -150,27 +151,22 @@ class ModelParams:
         if missing or extra:
             raise ShapeError(f"parameter set mismatch: missing {missing}, unexpected {extra}")
         self.config = config
-        blocks, first, last = _layout(config)
+        blocks, place, first, last = _layout(config)
         self.buffer = buf = ParamBuffer(blocks)
-        m = config.embed_width
         self._by_name: dict[str, Tensor] = {}
         for name, shape in expected.items():
             arr = np.asarray(tensors[name], dtype=np.float64)
             if arr.shape != shape:
                 raise ShapeError(f"parameter {name!r} has shape {arr.shape}, expected {shape}")
-            key, pos = _PACKED.get(name, (name, None))
-            cols = None if pos is None else slice(pos * m, (pos + 1) * m)
-            t = self._by_name[name] = buf.block(key, cols, name=name)
+            key, index = place.get(name, (name, ...))
+            t = self._by_name[name] = buf.block(key, index, name=name)
             t.values[...] = arr
 
         self.weights = buf.run(first, last)  # every penalized weight, as one slice
         self.decay = self._by_name["decay"]
+        # layer i's weights and biases for every level, packed as `embed` takes them
         self.pre_embed = [
-            [
-                (self._by_name[f"pre{k}_w{i}"], self._by_name[f"pre{k}_b{i}"])
-                for i in range(config.pre_embed_depth)
-            ]
-            for k in range(config.depth)
+            (buf.block(f"pre_w{i}"), buf.block(f"pre_b{i}")) for i in range(config.pre_embed_depth)
         ]
         self.gru = {key: self._by_name[f"gru_{key}"] for key in _GRU_KEYS}
         self.gru_packed = (buf.block("gru_w"), buf.block("gru_u"), self.gru["uh"], buf.block("gru_b"))
@@ -258,44 +254,26 @@ def forward_batch(
     """Predicted log2(G+1) for a batch of stacked encodings; shape (B, 1).
 
     degrees and bins are (B, total_length) arrays with the levels side by
-    side in schema order, as `stack_sequences` returns them; level k's
-    decay lookup reads its column slice.
+    side in schema order, as `stack_sequences` returns them.
     """
     cfg = params.config
-    b = degrees.shape[0]
-    want = (b, sum(cfg.level_lengths))
-    if degrees.shape != want or bins.shape != want:
-        raise ShapeError(f"got degrees {degrees.shape} and bins {bins.shape}, schema wants {want}")
-    if trace is not None:
-        trace.update({"decayed": [], "embed": [], "u": [], "r": [], "h": [], "conv": []})
-
-    xs = []
-    lo = 0
-    for k, length in enumerate(cfg.level_lengths):
-        cols = slice(lo, lo + length)
-        lo += length
-        x = decayed = gather(params.decay, bins[:, cols], weights=degrees[:, cols])
-        layers = params.pre_embed[k]
-        for i, (w, bb) in enumerate(layers):
-            x = dense(x, w, bb, relu=i < len(layers) - 1)
-        xs.append(x)
-        if trace is not None:
-            trace["decayed"].append(decayed.values.copy())
-            trace["embed"].append(x.values.copy())
-    hs, gates = gru(xs, *params.gru_packed)
+    x, decayed = embed(params.decay, degrees, bins, cfg.level_lengths, params.pre_embed)
+    hs, gates = gru(x, *params.gru_packed)
     # (B, D, M) states -> (B, D, M/2) features, which the head reads as (B, D*M/2)
     z = conv1d(hs, params.conv_kernel, stride=cfg.conv_stride, bias=params.conv_bias, relu=True)
     if trace is not None:
         m = cfg.embed_width
-        for k in range(cfg.depth):
-            trace["u"].append(gates[k, :, :m].copy())
-            trace["r"].append(gates[k, :, m:].copy())
-            trace["h"].append(hs.values[:, k].copy())
-            trace["conv"].append(z.values[:, k].copy())
-        trace["concat"] = z.values.reshape(b, -1).copy()
-    for i, (w, bb) in enumerate(params.head):
-        z = dense(z, w, bb, relu=i < len(params.head) - 1)
-    return z
+        edges = np.cumsum((0, *cfg.level_lengths))
+        trace.update({
+            "decayed": [decayed[:, lo:hi].copy() for lo, hi in zip(edges, edges[1:])],
+            "embed": [e.copy() for e in x.values],
+            "u": [g[:, :m].copy() for g in gates],
+            "r": [g[:, m:].copy() for g in gates],
+            "h": [hs.values[:, k].copy() for k in range(cfg.depth)],
+            "conv": [z.values[:, k].copy() for k in range(cfg.depth)],
+            "concat": z.values.reshape(len(z.values), -1).copy(),
+        })
+    return mlp(z, params.head)
 
 
 def stack_sequences(seqs: list[DegreeSequence], cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -320,13 +298,7 @@ def loss(preds: Tensor, growths, params: ModelParams) -> Tensor:
     """alpha * mean squared log-space error + reg_weight * sum ||W||_F^2."""
     cfg = params.config
     targets = log_target(growths)[:, None]
-    if preds.shape != targets.shape:
-        raise ShapeError(f"predictions {preds.shape} do not match {targets.shape} targets")
-    e = sub(preds, const(targets))
-    data = scale(total(mul(e, e)), cfg.alpha / targets.shape[0])
-    if cfg.reg_weight == 0.0:
-        return data
-    return add(data, scale(sum_sq([params.weights]), cfg.reg_weight))
+    return sq_loss(preds, targets, cfg.alpha / targets.shape[0], params.weights, cfg.reg_weight)
 
 
 # -------------------------------------------------------------- checkpoints
@@ -347,10 +319,16 @@ def save_model(path: str | Path, params: ModelParams, schema: EncodingSchema) ->
 def load_model(path: str | Path) -> tuple[ModelParams, EncodingSchema]:
     import json
 
-    doc = json.loads(Path(path).read_text())
-    if "model_config" not in doc or "schema" not in doc:
-        raise CheckpointError("checkpoint lacks model_config/schema sections")
-    cfg = ModelConfig.from_dict(doc["model_config"])
-    schema = schema_from_dict(doc["schema"])
-    arrays = _ckpt.parse_arrays(doc, expected_shapes(cfg))
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise CheckpointError(f"{path} is not valid JSON: {exc}") from None
+    try:
+        if not isinstance(doc, dict) or "model_config" not in doc or "schema" not in doc:
+            raise CheckpointError("checkpoint lacks model_config/schema sections")
+        cfg = ModelConfig.from_dict(doc["model_config"])
+        schema = schema_from_dict(doc["schema"])
+        arrays = _ckpt.parse_arrays(doc, expected_shapes(cfg))
+    except (CheckpointError, ConfigError, ParseError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return ModelParams(cfg, arrays), schema

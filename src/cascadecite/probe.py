@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ParamBuffer, Tape, Tensor, const, dense, mul, scale, sub, total
+from .autodiff import ParamBuffer, Tape, Tensor, mlp, sq_loss
 from .encoding import DegreeSequence
 from .errors import ConfigError, FeatureError
 from .optim import AdamState, adam_step
@@ -125,20 +125,15 @@ def probe(
     w1.values[...] = rng.uniform(-limit1, limit1, size=w1.shape)
     w2.values[...] = rng.uniform(-limit2, limit2, size=w2.shape)
     state = AdamState(step_size=_STEP_SIZE)
-
-    def mlp(rows: Tensor) -> Tensor:
-        return dense(dense(rows, w1, b1, relu=True), w2, b2)
-
-    xt = const(x[tr])
-    yt = const(y[tr])
+    layers = [(w1, b1), (w2, b2)]
+    xt, yt = Tensor(x[tr]), y[tr]
     for _ in range(_EPOCHS):
         with Tape() as tape:
-            err = sub(mlp(xt), yt)
-            batch_loss = scale(total(mul(err, err)), 1.0 / err.values.size)
+            batch_loss = sq_loss(mlp(xt, layers), yt, 1.0 / yt.size)
         tape.backward(batch_loss, params=params)
         adam_step(buf, state)
 
-    preds = mlp(const(x[te])).values
+    preds = mlp(Tensor(x[te]), layers).values
     per_feature = ((preds - y[te]) ** 2).mean(axis=0)
     mse = {}
     for j, name in enumerate(FEATURE_NAMES):

@@ -31,6 +31,42 @@ def gru_weights(rng, n_in, m):
     return [ad.Tensor(np.hstack(g)) for g in ([wu, wr, wh], [uu, ur], [uh], [bu, br, bh])]
 
 
+def embed_inputs(rng, lengths, n_rows, bin_count):
+    """(degrees, bins) for levels of the given widths: real slots carry a
+    degree >= 1 and a bin in 1..bin_count, the last row is all padding, and
+    the first slot of the first row sits in the top bin."""
+    width = sum(lengths)
+    degrees = rng.integers(0, 4, (n_rows, width)).astype(float)
+    bins = rng.integers(1, bin_count + 1, (n_rows, width))
+    degrees[-1] = 0.0
+    degrees[0, 0] = 2.0
+    bins[0, 0] = bin_count
+    bins[degrees == 0] = 0
+    return degrees, bins
+
+
+def embed_layers(rng, lengths, m, depth):
+    """Packed (weights, bias) tensors for `depth` pre-embed layers."""
+    d = len(lengths)
+    return [
+        (ad.Tensor(rng.standard_normal((sum(lengths), m) if i == 0 else (d, m, m))),
+         ad.Tensor(rng.standard_normal((d, m))))
+        for i in range(depth)
+    ]
+
+
+def stacked(*xs):
+    """The (D, B, I) stack of (B, I) tensors, as a record: test scaffolding
+    that lets one tensor enter the GRU at a non-zero state."""
+    out = ad.Tensor(np.stack([x.values for x in xs]))
+
+    def pull(g):
+        for x, gk in zip(xs, g):
+            ad._acc(x, gk)
+
+    return ad._record(out, xs, pull)
+
+
 def gru_reference(xs, w, u, uh, b):
     """The GRU equations step by step on plain arrays, gates unpacked."""
     m = uh.shape[0]
@@ -53,98 +89,158 @@ def gru_reference(xs, w, u, uh, b):
     return np.stack(states, axis=1), np.stack(gates)
 
 
-def test_add_sub_mul_adjoints():
+@pytest.mark.parametrize("reg", [0.0, 0.3])
+def test_sq_loss_value_and_adjoint(reg):
     rng = np.random.default_rng(1)
-    a, b = tensors(rng, (3, 4), (3, 4))
-    check(lambda: ad.total(ad.add(ad.mul(a, b), ad.sub(a, b))), [a, b])
+    p, w = tensors(rng, (3, 4), (5,))
+    target = rng.standard_normal((3, 4))
+    value = ad.sq_loss(p, target, 0.7, weights=w, reg=reg).item()
+    expect = 0.7 * float(((p.values - target) ** 2).sum()) + reg * float((w.values**2).sum())
+    assert value == pytest.approx(expect, rel=1e-15)
+    check(lambda: ad.sq_loss(p, target, 0.7, weights=w, reg=reg), [p, w])
+    # the same tensor as prediction and penalized weight collects both terms
+    check(lambda: ad.sq_loss(p, target, 0.7, weights=p, reg=reg), [p])
 
 
-def test_scale_adjoint():
-    rng = np.random.default_rng(2)
-    (a,) = tensors(rng, (5,))
-    check(lambda: ad.total(ad.scale(ad.mul(a, a), -2.5)), [a])
-
-
-@pytest.mark.parametrize("relu", [False, True])
-def test_dense_adjoint(relu):
-    rng = np.random.default_rng(13)
-    x, w, b = tensors(rng, (5, 4), (4, 3), (3,))
-    assert np.abs(x.values @ w.values + b.values).min() > 1e-3  # FD away from the kink
-    c = ad.const(rng.standard_normal((5, 3)))
-    check(lambda: ad.total(ad.mul(ad.dense(x, w, b, relu=relu), c)), [x, w, b])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_mlp_adjoint(depth):
+    rng = np.random.default_rng(13 + depth)
+    widths = [4, 5, 3, 2][: depth + 1]
+    (x,) = tensors(rng, (6, 2, 2))  # flattened to width 4
+    layers = [tuple(tensors(rng, (i, o), (o,))) for i, o in zip(widths, widths[1:])]
+    c = rng.standard_normal((6, widths[-1]))
+    check(lambda: ad.sq_loss(ad.mlp(x, layers), c, 1.0), [x, *(t for layer in layers for t in layer)])
 
 
 def test_dense_relu_matches_composition():
+    # mlp applies the ReLU after every layer but the last
     rng = np.random.default_rng(13)
     x, w, b = tensors(rng, (6, 4), (4, 3), (3,))
     z = x.values @ w.values + b.values
-    np.testing.assert_array_equal(ad.dense(x, w, b).values, z)
-    np.testing.assert_array_equal(ad.dense(x, w, b, relu=True).values, np.maximum(z, 0.0))
+    np.testing.assert_array_equal(ad.mlp(x, [(w, b)]).values, z)
+    eye = (ad.Tensor(np.eye(3)), ad.Tensor(np.zeros(3)))
+    np.testing.assert_array_equal(ad.mlp(x, [(w, b), eye]).values, np.maximum(z, 0.0))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_embed_adjoint(depth):
+    # levels of 3, 1 and 2 slots; a pad-only row; a slot in the top bin
+    rng = np.random.default_rng(30 + depth)
+    lengths = (3, 1, 2)
+    degrees, bins = embed_inputs(rng, lengths, 5, bin_count=3)
+    decay = ad.Tensor(rng.uniform(0.5, 1.5, 4))
+    layers = embed_layers(rng, lengths, 4, depth)
+    out, x = ad.embed(decay, degrees, bins, lengths, layers)
+    assert out.shape == (3, 5, 4)
+    np.testing.assert_array_equal(x, decay.values[bins] * degrees)
+    c = rng.standard_normal((3, 5, 4))
+    check(lambda: ad.sq_loss(ad.embed(decay, degrees, bins, lengths, layers)[0], c, 1.0),
+          [decay, *(t for layer in layers for t in layer)])
+
+
+def embed_adjoints_reference(decay, degrees, bins, lengths, layers, g_out):
+    """embed's adjoints for the output adjoint g_out, level by level in NumPy,
+    deepest level first, each level's decay adjoint added as it is reached."""
+    last = len(layers) - 1
+    d_decay = np.zeros_like(decay.values)
+    d_layers = [(np.zeros_like(w.values), np.zeros_like(b.values)) for w, b in layers]
+    ends = np.cumsum(lengths)
+    for k in reversed(range(len(lengths))):
+        cols = slice(ends[k] - lengths[k], ends[k])
+        ins, masks, a = [], [], decay.values[bins[:, cols]] * degrees[:, cols]
+        for i, (w, b) in enumerate(layers):
+            ins.append(a)
+            a = a @ (w.values[cols] if i == 0 else w.values[k]) + b.values[k]
+            if i < last:
+                masks.append(a > 0)
+                a = np.where(masks[i], a, 0.0)
+        g = g_out[k]
+        for i in range(last, -1, -1):
+            w = layers[i][0].values[cols] if i == 0 else layers[i][0].values[k]
+            if i < last:
+                g = g * masks[i]
+            d_layers[i][0][cols if i == 0 else k] = ins[i].T @ g
+            d_layers[i][1][k] = g.sum(axis=0)
+            g = g @ w.T
+        d_decay += np.bincount(bins[:, cols].ravel(), weights=(g * degrees[:, cols]).ravel(),
+                               minlength=len(d_decay))
+    return d_decay, d_layers
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_embed_adjoints_match_a_per_level_reference_bitwise(depth):
+    # five levels, so the decay adjoint's order of addition shows in its last bits
+    rng = np.random.default_rng(40 + depth)
+    lengths = (4, 1, 3, 2, 5)
+    degrees, bins = embed_inputs(rng, lengths, 7, bin_count=4)
+    decay = ad.Tensor(rng.uniform(0.5, 1.5, 5))
+    layers = embed_layers(rng, lengths, 6, depth)
+    c = rng.standard_normal((5, 7, 6))
+    with ad.Tape() as tape:
+        out = ad.embed(decay, degrees, bins, lengths, layers)[0]
+        loss = ad.sq_loss(out, c, 1.0)
+    tape.backward(loss, params=[decay, *(t for layer in layers for t in layer)])
+    d_decay, d_layers = embed_adjoints_reference(decay, degrees, bins, lengths, layers, 2.0 * (out.values - c))
+    np.testing.assert_array_equal(decay.grad, d_decay)
+    for (w, b), (dw, db) in zip(layers, d_layers):
+        np.testing.assert_array_equal(w.grad, dw)
+        np.testing.assert_array_equal(b.grad, db)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_gru_adjoint(depth):
     rng = np.random.default_rng(14 + depth)
-    xs = tensors(rng, *[(5, 3)] * depth)
+    (x,) = tensors(rng, (depth, 5, 3))
     weights = gru_weights(rng, 3, 4)
-    c = ad.const(rng.standard_normal((5, depth, 4)))
-    check(lambda: ad.total(ad.mul(ad.gru(xs, *weights)[0], c)), [*xs, *weights])
+    c = rng.standard_normal((5, depth, 4))
+    check(lambda: ad.sq_loss(ad.gru(x, *weights)[0], c, 1.0), [x, *weights])
 
 
 def test_gru_adjoint_behind_one_pre_embed_layer():
     # pre_embed_depth=1: each step's input is one dense layer over the
     # decayed degrees, with the decay shared by every step, as in the model
     rng = np.random.default_rng(19)
+    lengths = (3, 2, 1)
     decay = ad.Tensor(rng.uniform(0.5, 1.5, 4))
-    bins = [rng.integers(0, 4, (5, n)) for n in (3, 2, 1)]
-    degs = [rng.integers(0, 4, b.shape).astype(float) for b in bins]
-    pre = [tensors(rng, (n, 4), (4,)) for n in (3, 2, 1)]
+    degrees, bins = embed_inputs(rng, lengths, 5, bin_count=3)
+    pre = embed_layers(rng, lengths, 4, 1)
     weights = gru_weights(rng, 4, 4)
-    c = ad.const(rng.standard_normal((5, 3, 4)))
+    c = rng.standard_normal((5, 3, 4))
 
     def f():
-        xs = [ad.dense(ad.gather(decay, b, weights=d), w, bb) for b, d, (w, bb) in zip(bins, degs, pre)]
-        return ad.total(ad.mul(ad.gru(xs, *weights)[0], c))
+        x = ad.embed(decay, degrees, bins, lengths, pre)[0]
+        return ad.sq_loss(ad.gru(x, *weights)[0], c, 1.0)
 
     # some recurrent-weight gradients are near 1e-5, where eps=1e-5 is round-off bound
-    check(f, [decay, *(t for layer in pre for t in layer), *weights], eps=1e-4)
+    check(f, [decay, *pre[0], *weights], eps=1e-4)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4])
 def test_gru_matches_per_level_reference(depth):
     rng = np.random.default_rng(15)
-    xs = tensors(rng, *[(5, 3)] * depth)
+    (x,) = tensors(rng, (depth, 5, 3))
     weights = gru_weights(rng, 3, 4)
-    states, gates = ad.gru(xs, *weights)
-    want_states, want_gates = gru_reference([x.values for x in xs], *(t.values for t in weights))
+    states, gates = ad.gru(x, *weights)
+    want_states, want_gates = gru_reference(list(x.values), *(t.values for t in weights))
     assert states.shape == (5, depth, 4) and gates.shape == (depth, 5, 8)
     np.testing.assert_allclose(states.values, want_states, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gates, want_gates, rtol=0, atol=1e-12)
 
 
 def test_gru_is_stable_for_large_magnitudes():
-    xs = [ad.Tensor(np.array([[-800.0], [0.0], [800.0]]))] * 2
+    x = ad.Tensor(np.array([[[-800.0], [0.0], [800.0]]] * 2))
     w, u, uh = ad.Tensor(np.ones((1, 3))), ad.Tensor(np.ones((1, 2))), ad.Tensor(np.ones((1, 1)))
     b = ad.Tensor(np.zeros(3))
     with np.errstate(all="raise"):
-        states, gates = ad.gru(xs, w, u, uh, b)
+        states, gates = ad.gru(x, w, u, uh, b)
         with ad.Tape() as tape:
-            out = ad.total(ad.gru(xs, w, u, uh, b)[0])
-        tape.backward(out, params=[xs[0], w, u, uh, b])
+            out = ad.sq_loss(ad.gru(x, w, u, uh, b)[0], np.zeros((3, 2, 1)), 1.0)
+        tape.backward(out, params=[x, w, u, uh, b])
     assert gates[0, :, 0].tolist() == [0.0, 0.5, 1.0]  # update gate
     assert gates[0, :, 1].tolist() == [0.0, 0.5, 1.0]  # reset gate
     assert states.values[:, 0, 0].tolist() == [0.0, 0.0, 1.0]
     assert np.isfinite(states.values).all()
-    assert all(np.isfinite(t.grad).all() for t in (xs[0], w, u, uh, b))
-
-
-def test_sum_sq_value_and_adjoint():
-    rng = np.random.default_rng(16)
-    a, b, c = tensors(rng, (3, 4), (4,), ())
-    expect = sum(float((t.values**2).sum()) for t in (a, b, c))
-    assert ad.sum_sq([a, b, c]).item() == pytest.approx(expect, rel=1e-15)
-    check(lambda: ad.sum_sq([a, b, c]), [a, b, c])
-    check(lambda: ad.sum_sq([a, a]), [a])  # a repeated tensor collects both terms
+    assert all(np.isfinite(t.grad).all() for t in (x, w, u, uh, b))
 
 
 @pytest.mark.parametrize("width,stride", [(2, 2), (3, 1), (3, 2)])
@@ -152,8 +248,8 @@ def test_conv1d_adjoint_kernel_geometries(width, stride):
     rng = np.random.default_rng(17)
     x, k = tensors(rng, (4, 9), (width,))
     bias = ad.Tensor(np.array(0.2))
-    c = ad.const(rng.standard_normal((4, (9 - width) // stride + 1)))
-    check(lambda: ad.total(ad.mul(ad.conv1d(x, k, stride=stride, bias=bias), c)), [x, k, bias])
+    c = rng.standard_normal((4, (9 - width) // stride + 1))
+    check(lambda: ad.sq_loss(ad.conv1d(x, k, stride=stride, bias=bias), c, 1.0), [x, k, bias])
 
 
 @pytest.mark.parametrize("width,stride", [(2, 2), (1, 2), (5, 1)])
@@ -165,8 +261,8 @@ def test_stacked_conv_relu_adjoint(width, stride):
     pre = ad.conv1d(x, k, stride=stride, bias=bias)
     assert pre.shape == (3, 4, 4)
     assert np.abs(pre.values).min() > 1e-3  # FD away from the kink
-    c = ad.const(rng.standard_normal((3, 4, 4)))
-    check(lambda: ad.total(ad.mul(ad.conv1d(x, k, stride=stride, bias=bias, relu=True), c)), [x, k, bias])
+    c = rng.standard_normal((3, 4, 4))
+    check(lambda: ad.sq_loss(ad.conv1d(x, k, stride=stride, bias=bias, relu=True), c, 1.0), [x, k, bias])
 
 
 def test_stacked_conv_matches_per_level_conv_and_feeds_dense_flattened():
@@ -178,21 +274,24 @@ def test_stacked_conv_matches_per_level_conv_and_feeds_dense_flattened():
         one = ad.conv1d(ad.Tensor(x.values[:, level]), k, stride=2, bias=bias, relu=True)
         np.testing.assert_array_equal(out.values[:, level], one.values)
     flat = ad.Tensor(out.values.reshape(3, 16))
-    np.testing.assert_array_equal(ad.dense(out, w, b).values, ad.dense(flat, w, b).values)
-    c = ad.const(rng.standard_normal((3, 5)))
-    check(lambda: ad.total(ad.mul(ad.dense(ad.conv1d(x, k, stride=2, bias=bias, relu=True), w, b), c)),
+    np.testing.assert_array_equal(ad.mlp(out, [(w, b)]).values, ad.mlp(flat, [(w, b)]).values)
+    c = rng.standard_normal((3, 5))
+    check(lambda: ad.sq_loss(ad.mlp(ad.conv1d(x, k, stride=2, bias=bias, relu=True), [(w, b)]), c, 1.0),
           [x, k, bias, w, b])
 
 
 def test_weighted_gather_value_and_adjoint():
+    # embed's decay lookup: one level, one linear layer of identity weights
     rng = np.random.default_rng(18)
     (v,) = tensors(rng, (4,))
     idx = np.array([[0, 3, 3], [1, 3, 0]])
     weights = rng.standard_normal(idx.shape)
-    out = ad.gather(v, idx, weights=weights)
-    np.testing.assert_array_equal(out.values, v.values[idx] * weights)
-    c = ad.const(rng.standard_normal(idx.shape))
-    check(lambda: ad.total(ad.mul(ad.gather(v, idx, weights=weights), c)), [v])
+    eye = [(ad.Tensor(np.eye(3)), ad.Tensor(np.zeros((1, 3))))]
+    out, x = ad.embed(v, weights, idx, (3,), eye)
+    np.testing.assert_array_equal(x, v.values[idx] * weights)
+    np.testing.assert_array_equal(out.values[0], x)
+    c = rng.standard_normal((1, 2, 3))
+    check(lambda: ad.sq_loss(ad.embed(v, weights, idx, (3,), eye)[0], c, 1.0), [v])
 
 
 def test_relu_adjoint_away_from_kink():
@@ -202,18 +301,21 @@ def test_relu_adjoint_away_from_kink():
     a.values[np.abs(a.values) < 1e-3] = 0.5  # keep FD away from the kink
     one = ad.Tensor(np.ones(1))
     assert ad.conv1d(a, one, relu=True).values.tolist() == np.maximum(a.values, 0.0).tolist()
-    check(lambda: ad.total(ad.conv1d(a, one, relu=True)), [a])
+    c = rng.standard_normal(40)
+    check(lambda: ad.sq_loss(ad.conv1d(a, one, relu=True), c, 1.0), [a])
 
 
 def test_relu_subgradient_at_zero_is_zero():
+    # relu(a) = [0, 0, 2] against targets one below it: every output adjoint is 1
     a = ad.Tensor(np.array([0.0, -1.0, 2.0]))
     with ad.Tape() as tape:
-        out = ad.total(ad.conv1d(a, ad.Tensor(np.ones(1)), relu=True))
+        out = ad.sq_loss(ad.conv1d(a, ad.Tensor(np.ones(1)), relu=True), np.array([-1.0, -1.0, 1.0]), 0.5)
     tape.backward(out, params=[a])
     assert a.grad.tolist() == [0.0, 0.0, 1.0]
     x = ad.Tensor(np.array([[0.0, -1.0, 2.0]]))
+    eye = (ad.Tensor(np.eye(3)), ad.Tensor(np.zeros(3)))
     with ad.Tape() as tape:
-        out = ad.total(ad.dense(x, ad.Tensor(np.eye(3)), ad.Tensor(np.zeros(3)), relu=True))
+        out = ad.sq_loss(ad.mlp(x, [eye, eye]), np.array([[-1.0, -1.0, 1.0]]), 0.5)
     tape.backward(out, params=[x])
     assert x.grad.tolist() == [[0.0, 0.0, 1.0]]
 
@@ -224,14 +326,16 @@ def test_conv1d_adjoint_vector_input(stride, width):
     rng = np.random.default_rng(8)
     x, k = tensors(rng, (9,), (width,))
     bias = ad.Tensor(np.array(0.3))
-    check(lambda: ad.total(ad.conv1d(x, k, stride=stride, bias=bias)), [x, k, bias])
+    c = rng.standard_normal((9 - width) // stride + 1)
+    check(lambda: ad.sq_loss(ad.conv1d(x, k, stride=stride, bias=bias), c, 1.0), [x, k, bias])
 
 
 def test_conv1d_adjoint_batched_rows():
     rng = np.random.default_rng(9)
     x, k = tensors(rng, (5, 8), (2,))
     bias = ad.Tensor(np.array(-0.1))
-    check(lambda: ad.total(ad.conv1d(x, k, stride=2, bias=bias)), [x, k, bias])
+    c = rng.standard_normal((5, 4))
+    check(lambda: ad.sq_loss(ad.conv1d(x, k, stride=2, bias=bias), c, 1.0), [x, k, bias])
 
 
 def test_conv1d_forward_matches_explicit_loop():
@@ -246,66 +350,85 @@ def test_conv1d_forward_matches_explicit_loop():
 
 
 def test_gather_adjoint_accumulates_repeats():
+    # embed's decay lookup with unit degrees and a summing layer: the output
+    # adjoint 1 reaches decay once per slot that reads it
     v = ad.Tensor(np.array([1.0, 2.0, 3.0]))
     idx = np.array([[0, 2], [2, 2]])
+    summing = [(ad.Tensor(np.ones((2, 1))), ad.Tensor(np.zeros((1, 1))))]
     with ad.Tape() as tape:
-        out = ad.total(ad.gather(v, idx))
-    tape.backward(out, params=[v])
+        out = ad.embed(v, np.ones((2, 2)), idx, (2,), summing)[0]
+        loss = ad.sq_loss(out, out.values - 1.0, 0.5)
+    tape.backward(loss, params=[v])
     assert v.grad.tolist() == [1.0, 0.0, 3.0]
 
 
 def test_gather_checks_index_range():
     v = ad.Tensor(np.zeros(3))
+    one = [(ad.Tensor(np.ones((1, 1))), ad.Tensor(np.zeros((1, 1))))]
     with pytest.raises(ContractError):
-        ad.gather(v, np.array([3]))
+        ad.embed(v, np.ones((1, 1)), np.array([[3]]), (1,), one)
     with pytest.raises(ContractError):
-        ad.gather(v, np.array([-1]))
+        ad.embed(v, np.ones((1, 1)), np.array([[-1]]), (1,), one)
+    with pytest.raises(ContractError):
+        ad.embed(v, np.ones((1, 1)), np.array([[1.0]]), (1,), one)
 
 
 def test_mean_total_adjoints():
     # a mean is a scaled total, as in the probe's loss
     rng = np.random.default_rng(11)
     (a,) = tensors(rng, (4, 3))
-    mean_sq = lambda: ad.scale(ad.total(ad.mul(a, a)), 1.0 / a.values.size)
+    mean_sq = lambda: ad.sq_loss(a, np.zeros((4, 3)), 1.0 / a.values.size)
     assert mean_sq().item() == pytest.approx(float(np.mean(a.values**2)), rel=1e-15)
     check(mean_sq, [a])
 
 
 def test_shape_mismatches_raise():
     a, b = ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 2)))
-    for op in (ad.add, ad.sub, ad.mul):
-        with pytest.raises(ShapeError):
-            op(a, b)
+    with pytest.raises(ShapeError):
+        ad.sq_loss(a, np.zeros((3, 2)), 1.0)
     with pytest.raises(ShapeError):
         ad.conv1d(ad.Tensor(np.zeros(2)), ad.Tensor(np.zeros(5)))
     with pytest.raises(ShapeError):
-        ad.dense(a, a, ad.Tensor(np.zeros(3)))
+        ad.mlp(a, [(a, ad.Tensor(np.zeros(3)))])
     with pytest.raises(ShapeError):
-        ad.dense(a, b, ad.Tensor(np.zeros(3)))  # bias must match the output width
+        ad.mlp(a, [(b, ad.Tensor(np.zeros(3)))])  # bias must match the output width
     with pytest.raises(ShapeError):
-        ad.dense(ad.Tensor(np.zeros((2, 2, 2))), b, ad.Tensor(np.zeros(2)))  # 4 flattened vs 3
+        ad.mlp(ad.Tensor(np.zeros((2, 2, 2))), [(b, ad.Tensor(np.zeros(2)))])  # 4 flattened vs 3
+    with pytest.raises(ShapeError):
+        ad.mlp(a, [(b, ad.Tensor(np.zeros(2))), (b, ad.Tensor(np.zeros(2)))])  # layers do not chain
+    with pytest.raises(ShapeError):
+        ad.mlp(a, [])
     with pytest.raises(ShapeError):
         ad.conv1d(ad.Tensor(np.array(1.0)), ad.Tensor(np.ones(1)))
     rng = np.random.default_rng(0)
     weights = gru_weights(rng, 3, 4)
-    step = ad.Tensor(np.zeros((2, 3)))
+    step = ad.Tensor(np.zeros((1, 2, 3)))
     with pytest.raises(ShapeError):
-        ad.gru([], *weights)
+        ad.gru(ad.Tensor(np.zeros((0, 2, 3))), *weights)
     with pytest.raises(ShapeError):
-        ad.gru([step, ad.Tensor(np.zeros((3, 3)))], *weights)  # steps disagree on B
+        ad.gru(ad.Tensor(np.zeros((1, 2, 2))), *weights)  # input width is not w's
     with pytest.raises(ShapeError):
-        ad.gru([ad.Tensor(np.zeros((2, 2)))], *weights)  # input width is not w's
-    with pytest.raises(ShapeError):
-        ad.gru([ad.Tensor(np.zeros(3))], *weights)  # a step must be (B, I)
+        ad.gru(ad.Tensor(np.zeros((2, 3))), *weights)  # the input must be (D, B, I)
     for i, bad in enumerate([np.zeros((3, 8)), np.zeros((4, 4)), np.zeros((4, 5)), np.zeros(8)]):
         wrong = list(weights)
         wrong[i] = ad.Tensor(bad)
         with pytest.raises(ShapeError):
-            ad.gru([step], *wrong)
-    with pytest.raises(ShapeError):
-        ad.gather(ad.Tensor(np.zeros(3)), np.array([0, 1]), weights=np.ones(3))
-    with pytest.raises(ShapeError):
-        ad.sum_sq([])
+            ad.gru(step, *wrong)
+    lengths = (2, 1)
+    layers = embed_layers(rng, lengths, 4, 2)
+    decay, degrees, bins = ad.Tensor(np.ones(3)), np.ones((2, 3)), np.ones((2, 3), dtype=int)
+    for bad in (
+        dict(degrees=np.ones((2, 4)), bins=np.ones((2, 4), dtype=int)),  # 4 columns, levels hold 3
+        dict(bins=np.ones((2, 2), dtype=int)),  # bins and degrees disagree
+        dict(decay=ad.Tensor(np.ones((3, 1)))),
+        dict(layers=[]),
+        dict(layers=[layers[0], (layers[0][0], layers[1][1])]),  # a later layer is (D, M, M)
+        dict(layers=[(layers[0][0], ad.Tensor(np.zeros(4)))]),  # biases are (D, M)
+    ):
+        args = dict(decay=decay, degrees=degrees, bins=bins, lengths=lengths, layers=layers)
+        args.update(bad)
+        with pytest.raises(ShapeError):
+            ad.embed(**args)
 
 
 def test_tapes_do_not_nest():
@@ -317,11 +440,14 @@ def test_tapes_do_not_nest():
 
 def test_no_tape_means_no_recording_and_same_values():
     rng = np.random.default_rng(12)
-    x, w, b = tensors(rng, (3, 3), (3, 3), (3,))
+    lengths = (2, 3)
+    decay = ad.Tensor(rng.uniform(0.5, 1.5, 3))
+    degrees, bins = embed_inputs(rng, lengths, 3, bin_count=2)
+    layers = embed_layers(rng, lengths, 3, 2)
     weights = gru_weights(rng, 3, 4)
 
     def f():
-        return ad.gru([ad.dense(x, w, b, relu=True), x], *weights)[0].values
+        return ad.gru(ad.embed(decay, degrees, bins, lengths, layers)[0], *weights)[0].values
 
     bare = f()
     with ad.Tape() as tape:
@@ -333,12 +459,12 @@ def test_no_tape_means_no_recording_and_same_values():
 def test_backward_requires_scalar_and_finite_loss():
     a = ad.Tensor(np.ones(3))
     with ad.Tape() as tape:
-        out = ad.scale(a, 2.0)
+        out = ad.conv1d(a, ad.Tensor(np.array([2.0])))
     with pytest.raises(ContractError):
         tape.backward(out)
     a2 = ad.Tensor(np.array(np.inf))
     with ad.Tape() as tape2:
-        out2 = ad.scale(a2, 1.0)
+        out2 = ad.sq_loss(a2, np.array(0.0), 1.0)
     with pytest.raises(NumericError):
         tape2.backward(out2)
 
@@ -346,7 +472,7 @@ def test_backward_requires_scalar_and_finite_loss():
 def test_repeated_backward_does_not_accumulate():
     a = ad.Tensor(np.array([2.0]))
     with ad.Tape() as tape:
-        out = ad.total(ad.mul(a, a))
+        out = ad.sq_loss(a, np.zeros(1), 1.0)
     (g1,) = tape.backward(out, params=[a])
     first = g1.copy()
     (g2,) = tape.backward(out, params=[a])
@@ -357,17 +483,18 @@ def test_untouched_params_get_exact_zeros():
     a = ad.Tensor(np.array([1.0]))
     b = ad.Tensor(np.array([1.0, 2.0]))
     with ad.Tape() as tape:
-        out = ad.total(ad.mul(a, a))
+        out = ad.sq_loss(a, np.zeros(1), 1.0)
     ga, gb = tape.backward(out, params=[a, b])
     assert ga.tolist() == [2.0]
     assert gb.tolist() == [0.0, 0.0]
 
 
 def test_shared_subexpression_gradients_add():
-    # loss = sum(x*x + x) so dloss/dx = 2x + 1
+    # loss = sum((x + 1)**2)/2 + sum(x*x)/2, with x reaching the loss both
+    # through a unit convolution and as the penalized weight: dloss/dx = 2x + 1
     x = ad.Tensor(np.array([3.0, -1.0]))
     with ad.Tape() as tape:
-        out = ad.total(ad.add(ad.mul(x, x), x))
+        out = ad.sq_loss(ad.conv1d(x, ad.Tensor(np.ones(1))), -np.ones(2), 0.5, weights=x, reg=0.5)
     (g,) = tape.backward(out, params=[x])
     assert g.tolist() == [7.0, -1.0]
 
@@ -384,15 +511,15 @@ def test_chain_of_smooth_primitives_passes_grad_check(rows, cols, seed):
     a = ad.Tensor(rng.standard_normal((rows, cols)))
     w = ad.Tensor(rng.standard_normal((cols, 3)))
     v = ad.Tensor(rng.standard_normal(3))
-    h = ad.const(rng.standard_normal((rows, 3)))
+    h = ad.Tensor(rng.standard_normal((rows, 3)))
     weights = gru_weights(rng, 3, 3)
-    second = ad.const(np.vstack([np.zeros((3, 3)), np.eye(3)]))  # picks the second level's state
+    second = ad.Tensor(np.vstack([np.zeros((3, 3)), np.eye(3)]))  # picks the second level's state
 
     def f():
-        z = ad.dense(ad.mul(a, a), w, v)
+        z = ad.mlp(a, [(w, v)])
         # h is the first step, so z enters at a non-zero state, and z also feeds the loss
-        hz = ad.dense(ad.gru([h, z], *weights)[0], second, ad.const(np.zeros(3)))
-        return ad.scale(ad.total(ad.mul(hz, z)), 1.0 / (rows * 3))
+        hz = ad.mlp(ad.gru(stacked(h, z), *weights)[0], [(second, ad.Tensor(np.zeros(3)))])
+        return ad.sq_loss(hz, np.zeros((rows, 3)), 1.0 / (rows * 3), weights=z, reg=1.0 / (rows * 3))
 
     # eps 1e-5, not 1e-4: at 1e-4 truncation error fails rows=2, cols=2, seed=0 (5.6e-5).
     # Gradients below about 1e-7, from an entry of a near 0, are round-off at
@@ -416,7 +543,7 @@ def skewed(x, coord, factor):
 
 def half_sum_sq(x, coord=0, factor=1.0):
     """f = sum(x**2) / 2, so the gradient is x, taken through `skewed`."""
-    return lambda: ad.scale(ad.sum_sq([skewed(x, coord, factor)]), 0.5)
+    return lambda: ad.sq_loss(skewed(x, coord, factor), np.zeros(x.shape), 0.5)
 
 
 @pytest.mark.parametrize("size", [1.3, 1e-4])

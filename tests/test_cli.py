@@ -1,8 +1,11 @@
 """Config resolution and the command line surface, end to end on tiny data."""
 
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +183,23 @@ def test_train_writes_checkpoint_metrics_report(pipeline):
     assert len(lines) == 1 + json.loads((run / "report.json").read_text())["epochs_run"]
 
 
+def test_train_manifest_lists_the_test_split_when_it_exists(pipeline, tmp_path):
+    enc_dir = pipeline / "enc"
+    inputs = json.loads((pipeline / "run" / "train_manifest.json").read_text())["inputs"]
+    test_path = str(enc_dir / "test.encoded.jsonl")
+    assert inputs[test_path] == cf.file_digest(test_path)
+    assert set(inputs) == {str(enc_dir / n) for n in (
+        "schema.json", "train.encoded.jsonl", "val.encoded.jsonl", "test.encoded.jsonl")}
+    no_test = tmp_path / "enc"
+    shutil.copytree(enc_dir, no_test)
+    (no_test / "test.encoded.jsonl").unlink()
+    assert main(["train", "--encoded-dir", str(no_test), "--out", str(tmp_path / "run"),
+                 "--max-epochs", "1", "--seed", "5", "--embed-width", "8"]) == 0
+    inputs = json.loads((tmp_path / "run" / "train_manifest.json").read_text())["inputs"]
+    assert set(inputs) == {str(no_test / n) for n in (
+        "schema.json", "train.encoded.jsonl", "val.encoded.jsonl")}
+
+
 def test_eval_accepts_encoded_and_raw_inputs(pipeline):
     run = pipeline / "run"
     enc_dir = pipeline / "enc"
@@ -289,6 +309,46 @@ def test_bad_config_file_fails_with_json_error(tmp_path, capsys):
     assert "made_up" in err["message"]
 
 
+def _truncated(doc_text: str) -> str:
+    return doc_text[: len(doc_text) // 2]
+
+
+def _edited(edit):
+    def damage(doc_text: str) -> str:
+        doc = json.loads(doc_text)
+        edit(doc)
+        return json.dumps(doc)
+    return damage
+
+
+@pytest.mark.parametrize("file,damage", [
+    ("checkpoint.json", _truncated),
+    ("checkpoint.json", _edited(lambda d: d.pop("arrays"))),
+    ("checkpoint.json", _edited(lambda d: d["model_config"].pop("level_lengths"))),
+    ("schema.json", _truncated),
+    ("schema.json", _edited(lambda d: d.update(bin_count="four"))),
+], ids=["truncated checkpoint", "checkpoint without arrays", "model config without level_lengths",
+        "truncated schema", "schema with a word for bin_count"])
+def test_malformed_checkpoint_or_schema_fails_with_json_error(pipeline, tmp_path, capsys, file, damage):
+    ckpt, enc_dir = pipeline / "run" / "checkpoint.json", pipeline / "enc"
+    if file == "schema.json":
+        shutil.copytree(enc_dir, tmp_path / "enc")
+        bad = tmp_path / "enc" / file
+        bad.write_text(damage((enc_dir / file).read_text()))
+        argv = ["train", "--encoded-dir", str(bad.parent), "--out", str(tmp_path / "o")]
+        kind = "ParseError"
+    else:
+        bad = tmp_path / file
+        bad.write_text(damage(ckpt.read_text()))
+        argv = ["eval", "--checkpoint", str(bad), "--encoded", str(enc_dir / "test.encoded.jsonl"),
+                "--schema", str(enc_dir / "schema.json"), "--out", str(tmp_path / "o")]
+        kind = "CheckpointError"
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == kind
+    assert str(bad) in err["message"]
+
+
 def test_missing_input_file_fails_cleanly(tmp_path, capsys):
     code = main(["stats", "--cascades", str(tmp_path / "nope.jsonl"),
                  "--out", str(tmp_path / "o")])
@@ -314,9 +374,12 @@ def test_mixed_window_corpora_are_rejected(tmp_path, capsys):
 
 
 def test_module_entrypoint_reports_version():
+    # the child process finds the package where this process imported it from
+    src = str(Path(cascadecite.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-m", "cascadecite", "--version"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.stdout.strip() == f"cascadecite {cascadecite.__version__}"
     assert cf.TOOL_VERSION is cascadecite.__version__

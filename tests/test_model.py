@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cascadecite import model as md
-from cascadecite.autodiff import Tape, Tensor, _acc, _record, grad_check, sum_sq
+from cascadecite.autodiff import Tape, Tensor, _acc, _record, conv1d, grad_check, gru, sq_loss
 from cascadecite.encoding import DegreeSequence, SeqEntry, uniform_bin_edges, EncodingSchema
 from cascadecite.errors import CheckpointError, ConfigError, ContractError, NumericError, ShapeError
 from cascadecite.optim import AdamState, adam_step
@@ -217,6 +217,41 @@ def test_single_and_batched_forward_agree():
     np.testing.assert_allclose(batched, singles, atol=1e-12)
 
 
+def test_forward_matches_a_per_level_reference_bitwise():
+    # each level's decay and pre-embed layers, and each head layer, on its own
+    # in NumPy; the GRU and the conv are the library's records
+    rng = np.random.default_rng(22)
+    for cfg in (tiny_config(), tiny_config(level_lengths=(1, 3, 1), pre_embed_depth=3),
+                tiny_config(pre_embed_depth=1, head_widths=(5, 3))):
+        params = md.init_params(cfg, 23)
+        for t in params.tensors():
+            t.values += rng.normal(0.0, 0.1, size=t.values.shape)
+        named = dict(params.named())
+        for n_rows in (1, 4):
+            degrees, bins = md.stack_sequences([seq_for(cfg, rng) for _ in range(n_rows)], cfg)
+            levels, lo = [], 0
+            for k, length in enumerate(cfg.level_lengths):
+                x = params.decay.values[bins[:, lo : lo + length]] * degrees[:, lo : lo + length]
+                lo += length
+                for i in range(cfg.pre_embed_depth):
+                    x = x @ named[f"pre{k}_w{i}"].values + named[f"pre{k}_b{i}"].values
+                    if i < cfg.pre_embed_depth - 1:
+                        x = np.where(x > 0, x, 0.0)
+                levels.append(x)
+            hs = gru(Tensor(np.stack(levels)), *params.gru_packed)[0]
+            z = conv1d(hs, params.conv_kernel, stride=cfg.conv_stride, bias=params.conv_bias, relu=True)
+            z = z.values.reshape(n_rows, -1)
+            for i, (w, b) in enumerate(params.head):
+                z = z @ w.values + b.values
+                if i < len(params.head) - 1:
+                    z = np.where(z > 0, z, 0.0)
+            trace = {}
+            got = md.forward_batch(params, degrees, bins, trace=trace).values
+            np.testing.assert_array_equal(got, z)
+            for k in range(cfg.depth):
+                np.testing.assert_array_equal(trace["embed"][k], levels[k])
+
+
 def test_stack_rejects_mismatched_sequences():
     cfg = tiny_config()
     bad = DegreeSequence(levels=((SeqEntry(1, 1, False),),))  # one level, wrong width
@@ -381,7 +416,7 @@ def test_weight_slice_is_exactly_the_weight_matrices():
     assert all(np.shares_memory(t.values, weights.values) for t in mats)
     others = [t for t in params.tensors() if all(t is not m for m in mats)]
     assert not any(np.shares_memory(t.values, weights.values) for t in others)
-    assert sum_sq([weights]).item() == pytest.approx(
+    assert sq_loss(weights, np.zeros(weights.shape), 1.0).item() == pytest.approx(
         sum(float((t.values**2).sum()) for t in mats), rel=1e-14
     )
 

@@ -60,8 +60,7 @@ def test_descends_a_quadratic_bowl():
     state = AdamState(step_size=0.05)
     for _ in range(800):
         with ad.Tape() as tape:
-            d = ad.sub(p, ad.const(target))
-            loss = ad.total(ad.mul(d, d))
+            loss = ad.sq_loss(p, target, 1.0)
         tape.backward(loss, params=[p])
         adam_step(buf, state)
     assert np.abs(p.values - target).max() < 1e-3

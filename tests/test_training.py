@@ -89,8 +89,8 @@ def test_default_model_step_stays_within_tape_budget():
     degrees, bins = stack_sequences([s.seq for s in batch], mcfg)
     with Tape() as tape:
         loss(forward_batch(params, degrees, bins), np.array([s.growth for s in batch]), params)
-    # 3 per level (decay gather, 2 pre-embed layers), the GRU, the conv, 3 head layers, 7 for the loss
-    assert len(tape) <= 27
+    # the level embedding, the GRU, the conv, the head and the loss
+    assert len(tape) <= 5
 
 
 def test_patience_stops_after_no_improvement(monkeypatch):
