@@ -16,10 +16,14 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import logging
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import partial
+from itertools import chain
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,18 +83,14 @@ class GrowthLabel:
 
 LabeledCascade = tuple[Cascade, GrowthLabel]
 
+_event, _node = partial(tuple.__new__, CitationEvent), partial(tuple.__new__, CascadeNode)  # built in C
+
 
 # ------------------------------------------------------------------- parsing
 
 
-def _lines(src: str | Path | IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
-    if isinstance(src, (str, Path)):
-        with open(src) as fh:
-            for i, line in enumerate(fh, 1):
-                yield i, line
-    else:
-        for i, line in enumerate(src, 1):
-            yield i, line
+def _opened(src: str | Path | IO[str] | Iterable[str]):
+    return open(src) if isinstance(src, (str, Path)) else nullcontext(src)
 
 
 def _parse_dates(dates: str | Path | IO[str] | Iterable[str]) -> tuple[dict[str, _dt.date], int]:
@@ -98,24 +98,25 @@ def _parse_dates(dates: str | Path | IO[str] | Iterable[str]) -> tuple[dict[str,
     a repeated id keeps the earliest of its dates."""
     out: dict[str, _dt.date] = {}
     repeats = 0
-    for lineno, raw in _lines(dates):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(f"dates line {lineno}: expected 'id<TAB>YYYY-MM-DD', got {line!r}")
-        pid, datestr = parts[0].strip(), parts[1].strip()
-        try:
-            d = _dt.date.fromisoformat(datestr)
-        except ValueError:
-            raise ParseError(f"dates line {lineno}: bad date {datestr!r}") from None
-        seen = out.get(pid)
-        if seen is not None:
-            repeats += 1
-            if seen <= d:
+    with _opened(dates) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
-        out[pid] = d
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError(f"dates line {lineno}: expected 'id<TAB>YYYY-MM-DD', got {line!r}")
+            pid, datestr = parts[0].strip(), parts[1].strip()
+            try:
+                d = _dt.date.fromisoformat(datestr)
+            except ValueError:
+                raise ParseError(f"dates line {lineno}: bad date {datestr!r}") from None
+            seen = out.get(pid)
+            if seen is not None:
+                repeats += 1
+                if seen <= d:
+                    continue
+            out[pid] = d
     return out, repeats
 
 
@@ -142,22 +143,24 @@ def parse_citation_files(
     undated = 0
     self_loops = 0
     events: list[CitationEvent] = []
-    for lineno, raw in _lines(edges):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-            raise ParseError(f"edges line {lineno}: expected 'citing<TAB>cited', got {line!r}")
-        citing, cited = parts[0].strip(), parts[1].strip()
-        if citing == cited:
-            self_loops += 1
-            continue
-        t = day_of.get(citing)
-        if t is None:
-            undated += 1
-            continue
-        events.append(CitationEvent(citing, cited, t, day_of.get(cited)))
+    with _opened(edges) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line[0] == "#":
+                continue
+            try:  # a stripped line with one tab has text on both sides of it
+                citing, cited = line.split("\t")
+            except ValueError:
+                raise ParseError(f"edges line {lineno}: expected 'citing<TAB>cited', got {line!r}") from None
+            citing, cited = sys.intern(citing.rstrip()), sys.intern(cited.lstrip())  # one object per id
+            if citing == cited:
+                self_loops += 1
+                continue
+            t = day_of.get(citing)
+            if t is None:
+                undated += 1
+                continue
+            events.append(_event((citing, cited, t, day_of.get(cited))))
 
     if undated or self_loops:
         log.warning("dropped %d undated-citer edges and %d self-citations", undated, self_loops)
@@ -193,12 +196,27 @@ def _paper_dates(ids: list[str], src, dst, when, cited_when) -> np.ndarray:
     return date_of
 
 
-def _cites(names: np.ndarray, citer: np.ndarray, cited: np.ndarray) -> dict[str, set[str]]:
-    """Paper id -> the set of ids it cites, from parallel index columns."""
-    order = np.argsort(citer)
-    cuts = np.flatnonzero(np.diff(citer[order], prepend=-1)).tolist() + [len(order)]
-    citer_ids, cited_ids = names[citer[order][cuts[:-1]]], names[cited[order]].tolist()
-    return {pid: set(cited_ids[a:b]) for pid, a, b in zip(citer_ids, cuts, cuts[1:])}
+def _candidate_rows(paper, cascade, at, citer, cited, paper_date) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (i, j) member rows, j a parent candidate of i: cited by i, in its cascade, adopted before it."""
+    n_papers, dated = len(paper_date), ~np.isnan(paper_date)
+    low = int(paper_date[dated].min(initial=0)) - 1  # no root is dated earlier
+    day = np.where(dated, paper_date, low).astype(np.int64) - low  # undated: never after a root
+    span = int(day.max(initial=0)) + 1
+    rank = (citer * span + day[cited]) * n_papers + cited  # in this order, i's candidates are one run
+    order = np.argsort(rank)
+    rank, cited = rank[order], cited[order]
+    start = np.searchsorted(rank, (paper * span + day[paper] - at + 1) * n_papers)  # after the root
+    n = np.searchsorted(rank, (paper * span + day[paper]) * n_papers) - start  # and before i
+    by_key = np.argsort(cascade * n_papers + paper)  # one key per member
+    key, found = (cascade * n_papers + paper)[by_key], []
+    for rows in np.array_split(np.arange(len(paper)), len(paper) // 1024 + 1):  # bounds the temporaries
+        m = n[rows]
+        i = np.repeat(rows, m)
+        wanted = cascade[i] * n_papers + cited[np.arange(len(i)) + np.repeat(start[rows] - np.cumsum(m) + m, m)]
+        pos = np.minimum(np.searchsorted(key, wanted), len(key) - 1)
+        hit = key[pos] == wanted
+        found.append((i[hit], by_key[pos[hit]]))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def build_cascades(
@@ -216,9 +234,9 @@ def build_cascades(
     the citer's time or as the cited paper's time. Roots with no date at
     all get their window anchored one day before their first citation, so
     the first citer still adopts strictly after the root. A repeated
-    citation counts once and is tallied in duplicate_edges. Everything but the
-    parent candidates is computed on integer columns, one row per distinct
-    (root, citer) pair; each member's candidates are a set intersection.
+    citation counts once and is tallied in duplicate_edges. Everything is
+    computed on integer columns, one row per distinct (root, citer) pair;
+    only the node records are built one by one.
     """
     if window_T < 1:
         raise ConfigError(f"window_T must be >= 1 day, got {window_T}")
@@ -228,19 +246,19 @@ def build_cascades(
         raise ConfigError(f"min_observed must be >= 0, got {min_observed}")
 
     # papers as integers, numbered in id order
-    ids = sorted({*map(attrgetter("citing"), events), *map(attrgetter("cited"), events)})
+    citing, cited = list(map(attrgetter("citing"), events)), list(map(attrgetter("cited"), events))
+    ids = sorted({*citing, *cited})
     index = {pid: i for i, pid in enumerate(ids)}.__getitem__
-    src = np.fromiter(map(index, map(attrgetter("citing"), events)), np.int64, len(events))
-    dst = np.fromiter(map(index, map(attrgetter("cited"), events)), np.int64, len(events))
+    src = np.fromiter(map(index, citing), np.int64, len(events))
+    dst = np.fromiter(map(index, cited), np.int64, len(events))
     when = np.fromiter(map(attrgetter("time"), events), np.int64, len(events))
-    cited_when = np.array([e.cited_time for e in events], dtype=float)  # None -> NaN
+    cited_when = np.array(list(map(attrgetter("cited_time"), events)), dtype=float)  # None -> NaN
     date_of = _paper_dates(ids, src, dst, when, cited_when)
     names = np.array(ids, dtype=object)
 
     # one row per distinct (root, citer) pair, sorted by root then citer
     key, row = np.unique(dst * len(ids) + src, return_index=True)
     root, citer = np.divmod(key, len(ids))
-    cites = _cites(names, citer, root)
     t = when[row]
     is_start = np.diff(root, prepend=-1) != 0
     starts, group = np.flatnonzero(is_start), np.cumsum(is_start) - 1
@@ -258,31 +276,24 @@ def build_cascades(
     keep = observed >= min_observed
     rows = np.flatnonzero(member & keep[group])
     rows = rows[np.lexsort((citer[rows], r[rows], group[rows]))]  # (root, time, id)
-    member_ids, member_r = names[citer[rows]].tolist(), r[rows].tolist()
+    paper, at, cascade_of = citer[rows], r[rows], group[rows]  # one per member
     duplicate_edges, dropped_not_after_root = len(events) - len(key), int((r < 1).sum())
     kept = zip(*(col[keep].tolist() for col in (names[roots], root_time, observed, growth)))
-    # free the per-edge columns before the nodes are built
-    del src, dst, when, cited_when, key, row, root, citer, t, group, r, member, late, rows
+    # free the per-edge columns before the join and the node records
+    del citing, cited, src, dst, when, cited_when, key, row, t, group, r, member, late, rows
 
+    i, j = _candidate_rows(paper, cascade_of, at, citer, root, date_of)
+    # each member's parents end to end: its root (cited by all, adopted at 0), then its candidates
+    first = np.searchsorted(i, np.arange(len(paper)))
+    parent_ids = tuple(names[np.insert(paper[j], first, roots[cascade_of])].tolist())
+    bounds = [*(first + np.arange(len(paper))).tolist(), len(parent_ids)]
+    parents = [parent_ids[a:b] for a, b in zip(bounds, bounds[1:])]
+    nodes = list(map(_node, zip(names[paper].tolist(), at.tolist(), parents)))
     out: list[LabeledCascade] = []
     lo = 0
     for root_id, root_day, n_obs, n_growth in kept:
-        hi = lo + n_obs
-        row_of = {m: i for i, m in enumerate(member_ids[lo:hi], lo)}
-        members = set(row_of)  # a set, so each & below walks the smaller side
-        nodes = []
-        for i in range(lo, hi):
-            # root adopts at 0 and is cited by every member; then the earlier members it cites
-            cited = members & cites[member_ids[i]]
-            if cited:
-                t_i = member_r[i]
-                rows_cited = sorted(map(row_of.__getitem__, cited))  # (time, id) order
-                parents = (root_id, *[member_ids[j] for j in rows_cited if member_r[j] < t_i])
-            else:
-                parents = (root_id,)
-            nodes.append(CascadeNode(member_ids[i], member_r[i], parents))
-        lo = hi
-        cascade = Cascade(root=root_id, root_time=root_day, window_T=window_T, nodes=tuple(nodes))
+        cascade = Cascade(root=root_id, root_time=root_day, window_T=window_T, nodes=tuple(nodes[lo:lo + n_obs]))
+        lo += n_obs
         label = GrowthLabel(observed_size=n_obs, final_size=n_obs + n_growth, growth=n_growth)
         out.append((cascade, label))
 
@@ -427,24 +438,37 @@ def generate_synthetic(
 # -------------------------------------------------------------------- jsonl
 
 
+def _expect(value, kind: type, what: str):
+    if type(value) is not kind:  # exactly: a bool is no int
+        raise ParseError(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def cascade_from_dict(doc: dict) -> LabeledCascade | tuple[Cascade, None]:
+    """Ids must be JSON strings, times and counts JSON integers, parents lists."""
     try:
-        nodes = tuple(CascadeNode(n["id"], int(n["t"]), tuple(n["parents"])) for n in doc["nodes"])
-        orphan = next((n.id for n in nodes if not n.parents), None)
-        if orphan is not None:
-            raise ContractError(f"node {orphan!r} has no parent candidates")
+        rows = list(map(itemgetter("id", "t", "parents"), _expect(doc["nodes"], list, "nodes")))
+        ids, times, parents = zip(*rows) if rows else ((), (), ())
+        if not ({*map(type, ids)} <= {str} and {*map(type, times)} <= {int}  # whole columns;
+                and {*map(type, parents)} <= {list} and {*map(type, chain(*parents))} <= {str}):
+            for pid, t, ps in rows:  # node by node only to name the bad value
+                _expect(pid, str, "node id")
+                _expect(t, int, f"node {pid!r} time")
+                for p in _expect(ps, list, f"node {pid!r} parents"):
+                    _expect(p, str, f"node {pid!r} parent id")
+        if [] in parents:
+            raise ContractError(f"node {ids[parents.index([])]!r} has no parent candidates")
         cascade = Cascade(
-            root=doc["root"], root_time=int(doc["root_time"]),
-            window_T=int(doc["window_T"]), nodes=nodes,
+            root=_expect(doc["root"], str, "root"), root_time=_expect(doc["root_time"], int, "root_time"),
+            window_T=_expect(doc["window_T"], int, "window_T"),
+            nodes=tuple(map(_node, zip(ids, times, map(tuple, parents)))),
         )
         raw = doc.get("label")
         label = None
         if raw is not None:
-            label = GrowthLabel(
-                observed_size=int(raw["observed"]),
-                final_size=int(raw["observed"]) + int(raw["growth"]),
-                growth=int(raw["growth"]),
-            )
+            observed = _expect(_expect(raw, dict, "label")["observed"], int, "label observed")
+            growth = _expect(raw["growth"], int, "label growth")
+            label = GrowthLabel(observed_size=observed, final_size=observed + growth, growth=growth)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad cascade record: {exc}") from None
     return cascade, label

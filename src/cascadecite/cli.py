@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -20,7 +21,7 @@ from . import cascades as casc
 from . import encoding as enc
 from .atomic import atomic_write
 from .config import TOOL_VERSION, parse_horizon, resolve_config, utc_now, write_manifest
-from .errors import CascadeCiteError, ConfigError, EvaluationError, SchemaMismatchError
+from .errors import CascadeCiteError, ConfigError, ParseError, SchemaMismatchError
 from .model import ModelConfig, load_model, save_model
 from .probe import FEATURE_NAMES, probe as run_probe, structural_features
 from .training import (
@@ -72,8 +73,10 @@ def _write_json(path: Path, doc) -> Path:
     return path
 
 
-def _corpus_window(pairs) -> int:
+def _corpus_window(pairs, path) -> int:
     windows = {c.window_T for c, _ in pairs}
+    if not windows:
+        raise ParseError(f"{path} holds no cascades")
     if len(windows) != 1:
         raise ConfigError(f"cascades carry mixed windows {sorted(windows)}; re-ingest consistently")
     return windows.pop()
@@ -88,9 +91,7 @@ def _load_eval_samples(args, ckpt_schema: enc.EncodingSchema) -> list[enc.Encode
     """Samples for eval/predict: raw cascades re-encoded, or pre-encoded + schema."""
     if getattr(args, "cascades", None):
         pairs = casc.read_cascades_jsonl(args.cascades)
-        if not pairs:
-            raise EvaluationError(f"{args.cascades} holds no cascades")
-        window = _corpus_window(pairs)
+        window = _corpus_window(pairs, args.cascades)
         if window != ckpt_schema.window_T:
             raise SchemaMismatchError(
                 f"cascades use window {window} but checkpoint was trained on {ckpt_schema.window_T}",
@@ -168,7 +169,7 @@ def _cmd_stats(args, cfg, counters) -> list[Path]:
 def _cmd_encode(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     pairs = casc.read_cascades_jsonl(args.cascades)
-    window = _corpus_window(pairs)
+    window = _corpus_window(pairs, args.cascades)
     tr, va, te, schema = encode_split(
         pairs, int(cfg["bins"]), window, int(cfg["seed"]), tally=counters
     )
@@ -234,6 +235,7 @@ def _cmd_predict(args, cfg, counters) -> list[Path]:
 def _cmd_probe(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     pairs = casc.read_cascades_jsonl(args.cascades)
+    window = _corpus_window(pairs, args.cascades)
     trees = [to_tree(c) for c, _ in pairs]
     usable = [t for t in trees if t.size >= 2]
     if len(usable) < len(trees):
@@ -248,7 +250,6 @@ def _cmd_probe(args, cfg, counters) -> list[Path]:
     elif args.checkpoint:
         _, schema = load_model(args.checkpoint)
     else:
-        window = _corpus_window(pairs)
         schema = enc.schema_from_corpus(usable, int(cfg["bins"]), window)
 
     feats = [structural_features(t) for t in usable]
@@ -265,7 +266,7 @@ def _cmd_probe(args, cfg, counters) -> list[Path]:
 def _cmd_sweep(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     pairs = casc.read_cascades_jsonl(args.cascades)
-    window = _corpus_window(pairs)
+    window = _corpus_window(pairs, args.cascades)
     bin_counts = [int(x) for x in str(args.bins_list).split(",") if x.strip()]
     rows = sweep_time_interval(
         pairs, bin_counts, window, _train_config(cfg), model_overrides=_model_overrides(cfg)
@@ -298,6 +299,7 @@ _OVERRIDE_KEYS = (
 )
 
 
+@functools.cache  # every call of main parses with the one parser
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="JSON config file")

@@ -4,14 +4,16 @@ A schema fixes the level count K, one padded length per level, and the time
 bin edges. Encoding a tree lists (degree, bin) for every node of each level,
 sorted by degree descending with earlier adopters first on ties, then pads
 with (0, bin 0) up to the schema length. Bin 0 is reserved for padding; real
-adoption times map to bins 1..L.
+adoption times map to bins 1..L. Most slots are padding, so every pad tail
+and empty level is one shared run of the one `PAD` entry, `pad_run(n)`.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache, partial
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -29,6 +31,9 @@ class SeqEntry(NamedTuple):
 
 
 PAD = SeqEntry(degree=0, bin=PAD_BIN, is_pad=True)  # every padding slot is this one entry
+_entry = cache(lambda d, b: tuple.__new__(SeqEntry, (d, b, False)))  # one real entry per (degree, bin)
+pad_run = cache(lambda n: (PAD,) * n)  # the one tuple of n PADs
+_pad_text = cache(lambda n: ",".join(["[0,0]"] * n))  # the text of n PADs
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ def schema_from_corpus(
     for t in trees:
         for k, level in enumerate(t.levels):
             lengths[k] = max(lengths[k], len(level))
-        worst = max((t.adoption_time[v] for v in t.parent), default=0)
+        worst = max(t.adoption_time.values())  # the root's 0 when there are no other nodes
         if worst >= window_T:
             raise SchemaError(
                 f"tree {t.root!r} has adoption time {worst} outside window [0, {window_T})"
@@ -96,15 +101,15 @@ def schema_from_corpus(
 
 def time_bin(t: float, schema: EncodingSchema) -> int:
     """Index l with edge[l-1] <= t < edge[l]; domain is [0, window_T)."""
-    if not (0 <= t < schema.window_T):
+    return _time_bins([t], schema)[0]
+
+
+def _time_bins(times: list[float], schema: EncodingSchema) -> list[int]:
+    bins = list(map(partial(bisect_right, schema.bin_edges), times))  # 0 or L+1 outside [0, T)
+    if PAD_BIN in bins or schema.bin_count + 1 in bins:
+        t = next(t for t, b in zip(times, bins) if b in (PAD_BIN, schema.bin_count + 1))
         raise BinRangeError(f"time {t} outside [0, {schema.window_T})")
-    return bisect.bisect_right(schema.bin_edges, t)
-
-
-def node_degree(tree: CascadeTree, node: str) -> int:
-    """Child count plus the parent link; the root has no parent link."""
-    c = len(tree.children.get(node, ()))
-    return c if node == tree.root else c + 1
+    return bins
 
 
 def encode_level(
@@ -118,15 +123,15 @@ def encode_level(
     Descending degree, earlier adopters first on ties. Overlong levels raise
     unless truncate, which keeps the `length` largest-degree entries.
     """
-    ordered = sorted(pairs, key=lambda p: (-p[0], p[1]))
-    if len(ordered) > length:
+    keys = sorted([(-d, t) for d, t in pairs])
+    if len(keys) > length:
         if not truncate:
             raise SchemaOverflowError(
-                f"level holds {len(ordered)} nodes but schema allows {length}"
+                f"level holds {len(keys)} nodes but schema allows {length}"
             )
-        ordered = ordered[:length]
-    entries = tuple(SeqEntry(d, time_bin(t, schema), False) for d, t in ordered)
-    return entries + (PAD,) * (length - len(entries))
+        keys = keys[:length]
+    bins = _time_bins([t for _, t in keys], schema)
+    return tuple([_entry(-nd, b) for (nd, _), b in zip(keys, bins)]) + pad_run(length - len(keys))
 
 
 @dataclass(frozen=True)
@@ -151,11 +156,10 @@ def encode(tree: CascadeTree, schema: EncodingSchema, truncate: bool = False) ->
         raise SchemaOverflowError(
             f"tree depth {len(tree.levels)} exceeds schema depth {schema.depth}"
         )
-    out = []
-    for k in range(schema.depth):
-        nodes = tree.levels[k] if k < len(tree.levels) else ()
-        pairs = [(node_degree(tree, v), tree.adoption_time[v]) for v in nodes]
-        out.append(encode_level(pairs, schema.level_lengths[k], schema, truncate=truncate))
+    children, times = tree.children, tree.adoption_time  # degree: children + parent link (never the root)
+    out = [encode_level([(len(children[v]) + 1, times[v]) for v in nodes], length, schema, truncate)
+           for nodes, length in zip(tree.levels, schema.level_lengths)]
+    out += map(pad_run, schema.level_lengths[len(out):])
     return DegreeSequence(levels=tuple(out))
 
 
@@ -230,13 +234,12 @@ def _slot(pair) -> SeqEntry:
 def sample_from_dict(doc: dict) -> EncodedSample:
     try:
         levels = tuple(tuple(_slot(e) for e in lvl) for lvl in doc["levels"])
-        growth = doc.get("label")
-        return EncodedSample(
-            id=doc["id"], seq=DegreeSequence(levels=levels),
-            growth=None if growth is None else int(growth),
-        )
+        sid, growth = doc["id"], doc.get("label")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad encoded record: {exc}") from None
+    if type(sid) is not str or not (growth is None or type(growth) is int and growth >= 0):
+        raise ParseError(f"need a string id and a label >= 0 or null, got {sid!r} and {growth!r}")
+    return EncodedSample(id=sid, seq=DegreeSequence(levels=levels), growth=growth)
 
 
 class _SlotTexts(dict):
@@ -249,13 +252,22 @@ class _SlotTexts(dict):
 
 def write_encoded_jsonl(path: str | Path, samples: Iterable[EncodedSample]) -> int:
     """One compact JSON record per tree: {"id", "levels", "label"}, where a
-    level is a list of [degree, bin] slots. A file repeats few distinct
-    slots (every pad is the same one), so each slot's text is made once."""
+    level is a list of [degree, bin] slots. A file repeats few distinct slots,
+    so each slot's text is made once, and a pad tail is one text per length."""
     slot = _SlotTexts().__getitem__
+
+    def level_text(lvl: tuple[SeqEntry, ...]) -> str:
+        if lvl is pad_run(len(lvl)):  # the shared all-pad run
+            return f"[{_pad_text(len(lvl))}]"
+        n_real = len(lvl) - lvl.count(PAD)
+        if n_real == len(lvl) or PAD in lvl[:n_real]:  # no pads, or one before a real slot (as read back)
+            return f"[{','.join(map(slot, lvl))}]"
+        return f"[{','.join([*map(slot, lvl[:n_real]), _pad_text(len(lvl) - n_real)])}]"
+
     count = 0
     with atomic_write(path) as fh:
         for s in samples:
-            levels = ",".join("[" + ",".join(map(slot, lvl)) + "]" for lvl in s.seq.levels)
+            levels = ",".join(map(level_text, s.seq.levels))
             fh.write(f'{{"id":{json.dumps(s.id)},"levels":[{levels}],"label":{json.dumps(s.growth)}}}\n')
             count += 1
     return count

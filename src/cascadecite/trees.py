@@ -9,6 +9,7 @@ root, with levels defined by distance from the root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cascades import Cascade
 from .errors import MalformedCascadeError, TimeViolationError
@@ -31,7 +32,7 @@ class CascadeTree:
 
 
 def to_tree(cascade: Cascade) -> CascadeTree:
-    """Pick each node's latest-adopted candidate as its single parent."""
+    """Pick each node's latest-adopted candidate as its single parent, in (time, id) order."""
     times: dict[str, int] = {cascade.root: 0}
     for node in cascade.nodes:
         if node.id in times:
@@ -39,38 +40,28 @@ def to_tree(cascade: Cascade) -> CascadeTree:
         times[node.id] = node.time
 
     parent: dict[str, str] = {}
-    source_edges = 0
-    for node in cascade.nodes:
-        source_edges += len(node.parents)
-        best: tuple[int, str] | None = None
-        for cand in node.parents:
-            if cand not in times:
-                raise MalformedCascadeError(
-                    f"node {node.id!r} lists unknown parent candidate {cand!r}"
-                )
-            ct = times[cand]
-            if ct >= node.time:
+    children: dict[str, list[str]] = {v: [] for v in times}
+    depth = {cascade.root: 0}
+    levels: dict[int, list[str]] = {}  # by depth; a parent adopts earlier, so it is placed first
+    for v, t, cands in sorted(cascade.nodes, key=itemgetter(1, 0)):
+        best, best_t = None, 0
+        for cand in cands:
+            ct = times.get(cand)
+            if ct is None:
+                raise MalformedCascadeError(f"node {v!r} lists unknown parent candidate {cand!r}")
+            if ct >= t:
                 raise TimeViolationError(
-                    f"candidate {cand!r} (t={ct}) does not precede node {node.id!r} (t={node.time})"
+                    f"candidate {cand!r} (t={ct}) does not precede node {v!r} (t={t})"
                 )
             # latest adoption wins; equal times fall back to the smaller id
-            if best is None or ct > best[0] or (ct == best[0] and cand < best[1]):
-                best = (ct, cand)
+            if best is None or ct > best_t or (ct == best_t and cand < best):
+                best, best_t = cand, ct
         if best is None:
-            raise MalformedCascadeError(f"node {node.id!r} has no parent candidates")
-        parent[node.id] = best[1]
-
-    children: dict[str, list[str]] = {v: [] for v in times}
-    for node in sorted(cascade.nodes, key=lambda n: (n.time, n.id)):
-        children[parent[node.id]].append(node.id)
-
-    levels: list[tuple[str, ...]] = []
-    frontier = children[cascade.root]
-    while frontier:
-        # canonical within-level order so downstream encodings are unique
-        ordered = tuple(sorted(frontier, key=lambda v: (times[v], v)))
-        levels.append(ordered)
-        frontier = [c for v in ordered for c in children[v]]
+            raise MalformedCascadeError(f"node {v!r} has no parent candidates")
+        parent[v] = best
+        children[best].append(v)
+        depth[v] = depth[best] + 1
+        levels.setdefault(depth[v], []).append(v)
 
     return CascadeTree(
         root=cascade.root,
@@ -79,8 +70,8 @@ def to_tree(cascade: Cascade) -> CascadeTree:
         parent=parent,
         adoption_time=times,
         children=children,
-        levels=tuple(levels),
-        source_edges=source_edges,
+        levels=tuple(map(tuple, levels.values())),
+        source_edges=sum(map(len, map(itemgetter(2), cascade.nodes))),
     )
 
 

@@ -689,6 +689,41 @@ def test_writer_is_byte_identical_to_json_dumps_of_the_dict_form(tmp_path, rows)
     assert path.read_bytes() == reference_jsonl(rows).encode()
 
 
+GOOD_CASCADE = {"root": "r", "root_time": 3, "window_T": 40,
+                "nodes": [{"id": "a", "t": 10, "parents": ["r"]}], "label": {"observed": 1, "growth": 2}}
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("nodes", 0, "t"), 10.7, "node 'a' time must be int, got 10.7"),
+    (("nodes", 0, "t"), "10", "node 'a' time must be int, got '10'"),
+    (("nodes", 0, "t"), True, "node 'a' time must be int, got True"),
+    (("nodes", 0, "id"), 7, "node id must be str, got 7"),
+    (("nodes", 0, "parents"), "r", "node 'a' parents must be list, got 'r'"),
+    (("nodes", 0, "parents"), ["r", 5], "node 'a' parent id must be str, got 5"),
+    (("nodes",), {"a": 1}, "nodes must be list, got {'a': 1}"),
+    (("root",), 5, "root must be str, got 5"),
+    (("root_time",), 1.5, "root_time must be int, got 1.5"),
+    (("window_T",), "40", "window_T must be int, got '40'"),
+    (("label",), [1, 2], "label must be dict, got [1, 2]"),
+    (("label", "observed"), False, "label observed must be int, got False"),
+    (("label", "growth"), 2.5, "label growth must be int, got 2.5"),
+])
+def test_reader_accepts_only_json_integers_strings_and_lists(tmp_path, path, value, message):
+    bad = json.loads(json.dumps(GOOD_CASCADE))
+    target = bad
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    file = tmp_path / "typed.jsonl"
+    file.write_text(json.dumps(GOOD_CASCADE) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ParseError) as info:
+        casc.read_cascades_jsonl(file)
+    assert str(info.value) == f"{file} line 2: {message}"
+    file.write_text(json.dumps(GOOD_CASCADE) + "\n")
+    ((c, lb),) = casc.read_cascades_jsonl(file)
+    assert (c.root_time, c.window_T, c.nodes[0].time, lb.growth) == (3, 40, 10, 2)
+
+
 def test_reader_rejects_a_node_without_parent_candidates(tmp_path):
     path = tmp_path / "orphan.jsonl"
     path.write_text('{"root":"r","root_time":0,"window_T":5,"nodes":[{"id":"a","t":1,"parents":[]}],"label":null}\n')

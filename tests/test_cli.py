@@ -370,6 +370,20 @@ def test_mixed_window_corpora_are_rejected(tmp_path, capsys):
     assert "mixed windows" in err["message"]
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("encode", []), ("probe", []), ("sweep", ["--bins-list", "2"]),
+    ("eval", ["--checkpoint", "run/checkpoint.json"]),
+])
+def test_empty_cascade_file_is_reported_as_holding_no_cascades(pipeline, tmp_path, capsys, command, extra):
+    path = tmp_path / "cascades.jsonl"
+    path.write_text("")
+    extra = [str(pipeline / a) if a.endswith(".json") else a for a in extra]
+    code = main([command, "--cascades", str(path), "--out", str(tmp_path / "out"), *extra])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (err["error"], err["message"]) == ("ParseError", f"{path} holds no cascades")
+
+
 # ------------------------------------------------------------------- misc
 
 

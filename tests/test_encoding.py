@@ -162,10 +162,9 @@ def test_time_bin_agrees_with_searchsorted(edges, fracs, ints):
 
 def test_degree_is_child_count_plus_parent_link():
     t = tree_from_parent_rows("r", [("a", 1, "r"), ("b", 2, "a"), ("c", 3, "a")])
-    assert enc.node_degree(t, "r") == 1   # root: child count only
-    assert enc.node_degree(t, "a") == 3   # two children + parent link
-    assert enc.node_degree(t, "b") == 1
-    assert enc.node_degree(t, "c") == 1
+    seq = enc.encode(t, make_schema([1, 2]))
+    assert [e.degree for e in seq.levels[0]] == [3]     # a: two children + parent link
+    assert [e.degree for e in seq.levels[1]] == [1, 1]  # b, c: parent link only
 
 
 # ------------------------------------------------------------- level encode
@@ -278,7 +277,7 @@ def test_every_pad_is_the_shared_entry_and_levels_equal_per_slot_ones():
         seq = enc.encode(t, schema, truncate=True)
         for k, lvl in enumerate(seq.levels):
             nodes = t.levels[k] if k < len(t.levels) else ()
-            pairs = [(enc.node_degree(t, v), t.adoption_time[v]) for v in nodes]
+            pairs = [(len(t.children[v]) + 1, t.adoption_time[v]) for v in nodes]
             assert lvl == per_slot_encode_level(pairs, schema.level_lengths[k], schema)
             for e in lvl:
                 assert (e is enc.PAD) == e.is_pad
@@ -359,6 +358,21 @@ def test_malformed_slots_raise_with_the_line_number(tmp_path, slot):
         enc.read_encoded_jsonl(path)
 
 
+@pytest.mark.parametrize("record, message", [
+    ('"id":"b","levels":[[[0,0]]],"label":1.5', "need a string id and a label >= 0 or null, got 'b' and 1.5"),
+    ('"id":"b","levels":[[[0,0]]],"label":"7"', "need a string id and a label >= 0 or null, got 'b' and '7'"),
+    ('"id":"b","levels":[[[0,0]]],"label":true', "need a string id and a label >= 0 or null, got 'b' and True"),
+    ('"id":"b","levels":[[[0,0]]],"label":-3', "need a string id and a label >= 0 or null, got 'b' and -3"),
+    ('"id":7,"levels":[[[0,0]]],"label":null', "need a string id and a label >= 0 or null, got 7 and None"),
+])
+def test_encoded_records_take_string_ids_and_count_labels(tmp_path, record, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id":"a","levels":[[[1,1]]],"label":0}\n{' + record + "}\n")
+    with pytest.raises(ParseError) as info:
+        enc.read_encoded_jsonl(path)
+    assert str(info.value) == f"{path} line 2: {message}"
+
+
 def test_encoded_rows_are_degree_bin_pairs(tmp_path):
     schema = make_schema([3, 1], bins=2, window=10)
     t = tree_from_parent_rows("r", [("a", 1, "r"), ("b", 6, "r"), ("c", 7, "a")], window_T=10)
@@ -413,3 +427,40 @@ def test_writer_is_byte_identical_to_json_dumps_of_the_dict_form(tmp_path, batch
     path = tmp_path / "enc.jsonl"
     assert enc.write_encoded_jsonl(path, batch) == len(batch)
     assert path.read_text() == "".join(map(dict_form_row, batch))
+
+
+def test_empty_levels_and_pad_tails_are_the_shared_runs():
+    schema = make_schema([3, 2, 4], bins=2, window=10)
+    seq = enc.encode(tree_from_parent_rows("r", [("a", 1, "r")], window_T=10), schema)
+    assert seq.levels[1] is enc.pad_run(2) and seq.levels[2] is enc.pad_run(4)
+    assert enc.encode_level([], 3, schema) is enc.pad_run(3)
+    assert seq.levels[0] == (enc.SeqEntry(1, 1, False),) + enc.pad_run(2)
+    assert enc.pad_run(4) == (enc.PAD,) * 4 and all(e is enc.PAD for e in enc.pad_run(4))
+
+
+real_slots = st.builds(enc.SeqEntry, st.integers(1, 10**6), st.integers(1, 10**4), st.just(False))
+level_shapes = st.one_of(
+    st.integers(0, 6).map(enc.pad_run),  # all padding: the shared run
+    real_slots.map(lambda e: (e,)),  # one slot
+    st.tuples(st.lists(real_slots, min_size=1, max_size=4), st.integers(1, 5)).map(
+        lambda p: tuple(p[0]) + enc.pad_run(p[1])),  # real prefix, then a pad tail
+    st.tuples(st.integers(1, 3), st.lists(real_slots, min_size=1, max_size=3)).map(
+        lambda p: (enc.PAD,) * p[0] + tuple(p[1])),  # pads before real slots, as read back
+    st.lists(st.sampled_from([enc.PAD, enc.SeqEntry(0, enc.PAD_BIN, True)]) | real_slots,
+             max_size=6).map(tuple),  # any mix, with pads equal to the shared one but not it
+)
+shaped_samples = st.builds(
+    enc.EncodedSample,
+    id=st.text(st.sampled_from('"\\/\n\t\x00é \U0001f600ab'), max_size=8),  # ids to escape
+    seq=st.builds(enc.DegreeSequence, st.lists(level_shapes, max_size=5).map(tuple)),
+    growth=st.none() | st.integers(0, 10**12),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(batch=st.lists(shaped_samples, max_size=4))
+def test_pad_run_writer_equals_json_dumps_for_every_level_shape(tmp_path, batch):
+    path = tmp_path / "enc.jsonl"
+    assert enc.write_encoded_jsonl(path, batch) == len(batch)
+    assert path.read_bytes() == "".join(map(dict_form_row, batch)).encode()

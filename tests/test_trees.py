@@ -67,6 +67,41 @@ def test_node_without_parent_candidates_raises():
     with pytest.raises(MalformedCascadeError, match="'a' has no parent candidates"):
         to_tree(orphan)
 
+
+@pytest.mark.parametrize("rows, error, message", [
+    # the same types and messages as the two-pass conversion gave
+    ([("a", 1, ("r",)), ("b", 2, ("r",)), ("a", 3, ("r",))], MalformedCascadeError,
+     "duplicate node id 'a'"),
+    ([("r", 1, ("r",))], MalformedCascadeError, "duplicate node id 'r'"),
+    ([("a", 1, ("r", "ghost"))], MalformedCascadeError,
+     "node 'a' lists unknown parent candidate 'ghost'"),
+    ([("a", 5, ("r",)), ("x", 3, ("r", "a"))], TimeViolationError,
+     "candidate 'a' (t=5) does not precede node 'x' (t=3)"),
+    ([("a", 4, ("r",)), ("x", 4, ("a",))], TimeViolationError,
+     "candidate 'a' (t=4) does not precede node 'x' (t=4)"),
+    ([("a", 2, ("a",))], TimeViolationError, "candidate 'a' (t=2) does not precede node 'a' (t=2)"),
+    ([("a", 1, ())], MalformedCascadeError, "node 'a' has no parent candidates"),
+    # within one node, the first bad candidate in candidate order is reported
+    ([("a", 5, ("r",)), ("x", 3, ("ghost", "a"))], MalformedCascadeError,
+     "node 'x' lists unknown parent candidate 'ghost'"),
+    ([("a", 5, ("r",)), ("x", 3, ("a", "ghost"))], TimeViolationError,
+     "candidate 'a' (t=5) does not precede node 'x' (t=3)"),
+    # duplicates are found before any candidate is looked at
+    ([("x", 3, ("ghost",)), ("a", 1, ("r",)), ("a", 2, ("r",))], MalformedCascadeError,
+     "duplicate node id 'a'"),
+])
+def test_malformed_cascades_raise_the_same_errors(rows, error, message):
+    with pytest.raises(error) as info:
+        to_tree(cascade_from_rows("r", rows))
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_of_several_bad_nodes_the_earliest_adopter_is_reported():
+    # nodes are placed in (time, id) order, whatever order the cascade lists them in
+    c = cascade_from_rows("r", [("late", 9, ("ghost",)), ("early", 2, ("phantom",))])
+    with pytest.raises(MalformedCascadeError, match="'early' lists unknown parent candidate 'phantom'"):
+        to_tree(c)
+
 def test_levels_and_depth_for_chain_and_star():
     chain = cascade_from_rows("r", [
         ("a", 1, ("r",)), ("b", 2, ("a",)), ("c", 3, ("b",)),
