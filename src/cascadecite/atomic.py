@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 
 @contextmanager
@@ -25,3 +26,12 @@ def atomic_write(path: str | Path) -> Iterator[IO[str]]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV file with Unix line ends and minimal quoting, written whole.
+    The csv module writes a float with repr, which keeps every bit."""
+    with atomic_write(path) as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)

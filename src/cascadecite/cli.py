@@ -19,8 +19,8 @@ from pathlib import Path
 
 from . import cascades as casc
 from . import encoding as enc
-from .atomic import atomic_write
-from .config import TOOL_VERSION, parse_horizon, resolve_config, utc_now, write_manifest
+from .atomic import atomic_write, write_csv
+from .config import TOOL_VERSION, VALID_KEYS, parse_horizon, resolve_config, utc_now, write_manifest
 from .errors import CascadeCiteError, ConfigError, ParseError, SchemaMismatchError
 from .model import ModelConfig, load_model, save_model
 from .probe import FEATURE_NAMES, probe as run_probe, structural_features
@@ -45,26 +45,23 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        batch_size=int(cfg["batch_size"]),
-        max_epochs=int(cfg["max_epochs"]),
-        patience=int(cfg["patience"]),
-        step_size=float(cfg["step_size"]),
-        seed=int(cfg["seed"]),
-    )
-
-
-def _model_overrides(cfg: dict) -> dict:
+def _settings(cls, cfg: dict) -> dict:
+    """The config values of the fields of `cls` that have defaults; the
+    model's reg_weight is the config's beta."""
     return {
-        "embed_width": int(cfg["embed_width"]),
-        "pre_embed_depth": int(cfg["pre_embed_depth"]),
-        "conv_kernel": int(cfg["conv_kernel"]),
-        "conv_stride": int(cfg["conv_stride"]),
-        "head_widths": tuple(int(w) for w in cfg["head_widths"]),
-        "alpha": float(cfg["alpha"]),
-        "reg_weight": float(cfg["beta"]),
+        f.name: cfg["beta" if f.name == "reg_weight" else f.name]
+        for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING
     }
+
+
+def _bin_counts(text: str) -> list[int]:
+    counts = []
+    for entry in filter(str.strip, text.split(",")):
+        try:
+            counts.append(int(entry))
+        except ValueError:
+            raise ConfigError(f"--bins-list entry {entry.strip()!r} is not an integer") from None
+    return counts
 
 
 def _write_json(path: Path, doc) -> Path:
@@ -124,12 +121,12 @@ def _load_eval_samples(args, ckpt_schema: enc.EncodingSchema) -> list[enc.Encode
 def _cmd_synth(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     pairs = casc.generate_synthetic(
-        int(cfg["synth_n"]),
-        (int(cfg["synth_size_min"]), int(cfg["synth_size_max"])),
-        int(cfg["synth_horizon"]),
-        float(cfg["attachment_bias"]),
-        int(cfg["seed"]),
-        window_T=int(cfg["window_days"]),
+        cfg["synth_n"],
+        (cfg["synth_size_min"], cfg["synth_size_max"]),
+        cfg["synth_horizon"],
+        cfg["attachment_bias"],
+        cfg["seed"],
+        window_T=cfg["window_days"],
     )
     path = out / "cascades.jsonl"
     n = casc.write_cascades_jsonl(path, pairs)
@@ -142,9 +139,9 @@ def _cmd_ingest(args, cfg, counters) -> list[Path]:
     events = casc.parse_citation_files(args.edges, args.dates, tally=counters)
     pairs = casc.build_cascades(
         events,
-        window_T=int(cfg["window_days"]),
+        window_T=cfg["window_days"],
         horizon=parse_horizon(cfg["horizon"]),
-        min_observed=int(cfg["min_observed"]),
+        min_observed=cfg["min_observed"],
         tally=counters,
     )
     path = out / "cascades.jsonl"
@@ -155,7 +152,7 @@ def _cmd_ingest(args, cfg, counters) -> list[Path]:
 def _cmd_stats(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     pairs = casc.read_cascades_jsonl(args.cascades)
-    tr, va, te = casc.split_dataset(pairs, int(cfg["seed"]))
+    tr, va, te = casc.split_dataset(pairs, cfg["seed"])
     doc = {}
     for name, chunk in (("train", tr), ("val", va), ("test", te)):
         if not chunk:
@@ -170,9 +167,7 @@ def _cmd_encode(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     pairs = casc.read_cascades_jsonl(args.cascades)
     window = _corpus_window(pairs, args.cascades)
-    tr, va, te, schema = encode_split(
-        pairs, int(cfg["bins"]), window, int(cfg["seed"]), tally=counters
-    )
+    tr, va, te, schema = encode_split(pairs, cfg["bins"], window, cfg["seed"], tally=counters)
     outputs = [out / "schema.json"]
     enc.save_schema(outputs[0], schema)
     for name, samples in (("train", tr), ("val", va), ("test", te)):
@@ -195,8 +190,8 @@ def _cmd_train(args, cfg, counters) -> list[Path]:
     schema = enc.load_schema(d / "schema.json")
     tr = enc.read_encoded_jsonl(d / "train.encoded.jsonl")
     va = enc.read_encoded_jsonl(d / "val.encoded.jsonl")
-    mcfg = ModelConfig.from_schema(schema, **_model_overrides(cfg))
-    params, report = train(tr, va, _train_config(cfg), mcfg)
+    mcfg = ModelConfig.from_schema(schema, **_settings(ModelConfig, cfg))
+    params, report = train(tr, va, TrainConfig(**_settings(TrainConfig, cfg)), mcfg)
 
     test_path = d / "test.encoded.jsonl"
     if test_path.exists():
@@ -207,10 +202,8 @@ def _cmd_train(args, cfg, counters) -> list[Path]:
     ckpt = out / "checkpoint.json"
     save_model(ckpt, params, schema)
     metrics = out / "metrics.csv"
-    with atomic_write(metrics) as fh:
-        fh.write("epoch,train_loss,val_msle\n")
-        for i, (tl, vm) in enumerate(zip(report.train_losses, report.val_msles), 1):
-            fh.write(f"{i},{tl!r},{vm!r}\n")
+    rows = ((i, *pair) for i, pair in enumerate(zip(report.train_losses, report.val_msles), 1))
+    write_csv(metrics, ("epoch", "train_loss", "val_msle"), rows)
     return [ckpt, metrics, _write_json(out / "report.json", report.to_dict())]
 
 
@@ -250,16 +243,14 @@ def _cmd_probe(args, cfg, counters) -> list[Path]:
     elif args.checkpoint:
         _, schema = load_model(args.checkpoint)
     else:
-        schema = enc.schema_from_corpus(usable, int(cfg["bins"]), window)
+        schema = enc.schema_from_corpus(usable, cfg["bins"], window)
 
     feats = [structural_features(t) for t in usable]
     seqs = [enc.encode(t, schema, truncate=True) for t in usable]
-    report = run_probe(seqs, feats, seed=int(cfg["seed"]), decay=decay)
+    report = run_probe(seqs, feats, seed=cfg["seed"], decay=decay)
 
     csv_path = out / "probe.csv"
-    with atomic_write(csv_path) as fh:
-        fh.write(",".join(FEATURE_NAMES) + "\n")
-        fh.write(",".join(repr(report.mse[name]) for name in FEATURE_NAMES) + "\n")
+    write_csv(csv_path, FEATURE_NAMES, [[report.mse[name] for name in FEATURE_NAMES]])
     return [csv_path, _write_json(out / "probe.json", report.to_dict())]
 
 
@@ -267,15 +258,12 @@ def _cmd_sweep(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     pairs = casc.read_cascades_jsonl(args.cascades)
     window = _corpus_window(pairs, args.cascades)
-    bin_counts = [int(x) for x in str(args.bins_list).split(",") if x.strip()]
     rows = sweep_time_interval(
-        pairs, bin_counts, window, _train_config(cfg), model_overrides=_model_overrides(cfg)
+        pairs, _bin_counts(args.bins_list), window, TrainConfig(**_settings(TrainConfig, cfg)),
+        model_overrides=_settings(ModelConfig, cfg),
     )
     path = out / "sweep.csv"
-    with atomic_write(path) as fh:
-        fh.write("bins,test_msle\n")
-        for row in rows:
-            fh.write(f"{row.bins},{row.test_msle!r}\n")
+    write_csv(path, ("bins", "test_msle"), rows)
     return [path]
 
 
@@ -291,13 +279,6 @@ _HANDLERS = {
     "sweep": _cmd_sweep,
 }
 
-_OVERRIDE_KEYS = (
-    "window_years", "window_days", "horizon", "bins", "min_observed", "seed",
-    "batch_size", "max_epochs", "patience", "step_size", "alpha", "beta",
-    "embed_width", "synth_n", "synth_size_min", "synth_size_max",
-    "synth_horizon", "attachment_bias",
-)
-
 
 @functools.cache  # every call of main parses with the one parser
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("--window-years", type=float, default=None, dest="window_years")
     common.add_argument("--window-days", type=int, default=None, dest="window_days")
-    common.add_argument("--horizon", default=None, help="'end' or a day count")
+    # a day count becomes an integer; resolve_config rejects other text but 'end'
+    common.add_argument("--horizon", type=lambda s: int(s) if s.isdigit() else s, default=None,
+                        help="'end' or a day count")
     common.add_argument("--bins", type=int, default=None, help="time bin count L")
     common.add_argument("--min-observed", type=int, default=None, dest="min_observed")
     common.add_argument("--seed", type=int, default=None)
@@ -375,10 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _collect_overrides(args) -> dict:
-    return {key: getattr(args, key, None) for key in _OVERRIDE_KEYS}
-
-
 def _error_json(exc: Exception) -> str:
     details = getattr(exc, "details", {}) or {}
     return json.dumps({"error": type(exc).__name__, "message": str(exc), "details": details})
@@ -394,7 +373,8 @@ def main(argv=None) -> int:
     started = utc_now()
     counters: dict = {}
     try:
-        cfg = resolve_config(args.config, _collect_overrides(args))
+        overrides = {key: value for key, value in vars(args).items() if key in VALID_KEYS}
+        cfg = resolve_config(args.config, overrides)
         outputs = _HANDLERS[args.command](args, cfg, counters)
         inputs = [
             p for p in (

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -12,6 +12,11 @@ from . import __version__ as TOOL_VERSION
 from .atomic import atomic_write
 from .errors import ConfigError
 
+# Every setting and its default. A value must have its default's JSON type:
+# an integer for int keys (a bool is not one), any finite number for float
+# keys (stored as a float), a list of integers for head_widths, and 'end' or a
+# day count >= 1 for horizon. TrainConfig and ModelConfig take their field
+# defaults from here.
 DEFAULTS: dict = {
     "window_days": 1095,
     "horizon": "end",  # or an integer day count: growth bracket (T, T+horizon]
@@ -42,40 +47,41 @@ VALID_KEYS = frozenset(DEFAULTS) | {"window_years"}
 DAYS_PER_YEAR = 365
 
 
-def _apply_window(cfg: dict, doc: dict, source: str) -> None:
-    if "window_years" in doc and "window_days" in doc:
-        raise ConfigError(
-            f"{source} sets both 'window_years' and 'window_days'; pick one"
-        )
-    if "window_years" in doc:
-        years = float(doc["window_years"])
-        if years <= 0:
-            raise ConfigError(f"window_years must be > 0, got {years}")
-        cfg["window_days"] = int(round(years * DAYS_PER_YEAR))
-    elif "window_days" in doc:
-        cfg["window_days"] = int(doc["window_days"])
-
-
 def parse_horizon(value) -> int | None:
-    """'end' (or None) means end-of-data; otherwise a positive day count."""
+    """'end' (or None) means end-of-data; otherwise a day count >= 1."""
     if value is None or value == "end":
         return None
-    try:
-        days = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"horizon must be 'end' or a day count, got {value!r}") from None
-    if days < 1:
-        raise ConfigError(f"horizon must be >= 1 day, got {days}")
-    return days
+    if type(value) is not int or value < 1:
+        raise ConfigError(f"config key 'horizon' must be 'end' or an integer >= 1, got {value!r}")
+    return value
+
+
+def _typed(key: str, value, default):
+    """`value` if it has the JSON type of `default`, a float key's as a float."""
+    if isinstance(default, float):
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+        kind = "a finite number"
+    elif isinstance(default, list):
+        if type(value) is list and all(type(w) is int for w in value):
+            return value
+        kind = "a list of integers"
+    elif type(value) is int:
+        return value
+    else:
+        kind = "an integer"
+    raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
 
 
 def resolve_config(config_path: str | Path | None, overrides: dict | None = None) -> dict:
     """Merge defaults, an optional JSON config file, and explicit flag values.
 
     The result uses canonical keys only (window_days, never window_years), so
-    it can be written out and re-read as a config file unchanged.
+    it can be written out and re-read as a config file unchanged. Each value
+    is checked against the type of its default once, after the merge.
     """
     cfg = dict(DEFAULTS)
+    sources = []
     if config_path is not None:
         try:
             doc = json.loads(Path(config_path).read_text())
@@ -83,29 +89,29 @@ def resolve_config(config_path: str | Path | None, overrides: dict | None = None
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
+        sources.append((doc, f"config file {config_path}"))
+    sources.append(({k: v for k, v in (overrides or {}).items() if v is not None}, "command line"))
+
+    for doc, source in sources:
         unknown = sorted(set(doc) - VALID_KEYS)
         if unknown:
-            raise ConfigError(
-                f"unknown config keys {unknown}; valid keys: {sorted(VALID_KEYS)}"
-            )
-        _apply_window(cfg, doc, f"config file {config_path}")
-        for key, value in doc.items():
-            if key not in ("window_years", "window_days"):
-                cfg[key] = value
+            raise ConfigError(f"unknown config keys {unknown}; valid keys: {sorted(VALID_KEYS)}")
+        if "window_years" in doc:
+            if "window_days" in doc:
+                raise ConfigError(f"{source} sets both 'window_years' and 'window_days'; pick one")
+            years = _typed("window_years", doc["window_years"], 1.0)
+            if years <= 0:
+                raise ConfigError(f"window_years must be > 0, got {years}")
+            cfg["window_days"] = round(years * DAYS_PER_YEAR)
+        cfg.update((k, v) for k, v in doc.items() if k != "window_years")
 
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    unknown = sorted(set(overrides) - VALID_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown}; valid keys: {sorted(VALID_KEYS)}")
-    _apply_window(cfg, overrides, "command line")
-    for key, value in overrides.items():
-        if key not in ("window_years", "window_days"):
-            cfg[key] = value
-
-    cfg["horizon"] = "end" if parse_horizon(cfg["horizon"]) is None else int(cfg["horizon"])
+    for key, value in cfg.items():
+        if key == "horizon":
+            cfg[key] = parse_horizon(value) or "end"
+        else:
+            cfg[key] = _typed(key, value, DEFAULTS[key])
     if cfg["window_days"] < 1:
         raise ConfigError(f"window_days must be >= 1, got {cfg['window_days']}")
-    cfg["head_widths"] = [int(w) for w in cfg["head_widths"]]
     return cfg
 
 
@@ -118,22 +124,6 @@ def file_digest(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    tool_version: str
-    seed: int
-    config: dict
-    inputs: dict[str, str]  # path -> sha256
-    outputs: list[str]
-    counters: dict  # deterministic data counts from the command, e.g. encode's
-    started_utc: str
-    finished_utc: str
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def utc_now() -> str:
@@ -150,18 +140,20 @@ def write_manifest(
     finished: str | None = None,
     counters: dict | None = None,
 ) -> Path:
-    manifest = RunManifest(
-        command=command,
-        tool_version=TOOL_VERSION,
-        seed=int(config.get("seed", 0)),
-        config=config,
-        inputs={str(p): file_digest(p) for p in inputs},
-        outputs=[str(p) for p in outputs],
-        counters=counters or {},
-        started_utc=started,
-        finished_utc=finished or utc_now(),
-    )
+    """`<command>_manifest.json`: the resolved config, input digests, output
+    paths, the command's deterministic data counts, and timestamps."""
+    manifest = {
+        "command": command,
+        "tool_version": TOOL_VERSION,
+        "seed": config["seed"],
+        "config": config,
+        "inputs": {str(p): file_digest(p) for p in inputs},
+        "outputs": [str(p) for p in outputs],
+        "counters": counters or {},
+        "started_utc": started,
+        "finished_utc": finished or utc_now(),
+    }
     path = Path(out_dir) / f"{command}_manifest.json"
     with atomic_write(path) as fh:
-        fh.write(json.dumps(manifest.to_dict(), indent=1))
+        fh.write(json.dumps(manifest, indent=1))
     return path

@@ -70,6 +70,8 @@ class EncodingSchema:
 
 
 def uniform_bin_edges(bin_count: int, window_T: int) -> tuple[float, ...]:
+    if bin_count < 1:
+        raise SchemaError(f"bin_count must be >= 1, got {bin_count}")
     return tuple(l * window_T / bin_count for l in range(bin_count + 1))
 
 
@@ -99,12 +101,8 @@ def schema_from_corpus(
     )
 
 
-def time_bin(t: float, schema: EncodingSchema) -> int:
-    """Index l with edge[l-1] <= t < edge[l]; domain is [0, window_T)."""
-    return _time_bins([t], schema)[0]
-
-
 def _time_bins(times: list[float], schema: EncodingSchema) -> list[int]:
+    """Per time, the index l with edge[l-1] <= t < edge[l]; domain is [0, window_T)."""
     bins = list(map(partial(bisect_right, schema.bin_edges), times))  # 0 or L+1 outside [0, T)
     if PAD_BIN in bins or schema.bin_count + 1 in bins:
         t = next(t for t, b in zip(times, bins) if b in (PAD_BIN, schema.bin_count + 1))

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import checkpoint as _ckpt
 from .autodiff import ParamBuffer, Tensor, conv1d, embed, gru, mlp, sq_loss
+from .config import DEFAULTS
 from .encoding import DegreeSequence, EncodingSchema, schema_from_dict, schema_to_dict
 from .errors import CheckpointError, ConfigError, ContractError, ParseError, ShapeError
 
@@ -40,15 +41,16 @@ from .errors import CheckpointError, ConfigError, ContractError, ParseError, Sha
 class ModelConfig:
     level_lengths: tuple[int, ...]
     bin_count: int
-    embed_width: int = 32
-    pre_embed_depth: int = 2
-    conv_kernel: int = 2
-    conv_stride: int = 2
-    head_widths: tuple[int, ...] = (32, 16)
-    alpha: float = 1.0
-    reg_weight: float = 1e-4
+    embed_width: int = DEFAULTS["embed_width"]
+    pre_embed_depth: int = DEFAULTS["pre_embed_depth"]
+    conv_kernel: int = DEFAULTS["conv_kernel"]
+    conv_stride: int = DEFAULTS["conv_stride"]
+    head_widths: tuple[int, ...] = tuple(DEFAULTS["head_widths"])  # any sequence, kept as a tuple
+    alpha: float = DEFAULTS["alpha"]
+    reg_weight: float = DEFAULTS["beta"]
 
     def __post_init__(self):
+        object.__setattr__(self, "head_widths", tuple(self.head_widths))
         if len(self.level_lengths) < 1 or any(l < 1 for l in self.level_lengths):
             raise ConfigError(f"bad level lengths {self.level_lengths}")
         if self.bin_count < 1:

@@ -7,13 +7,14 @@ import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_csv
 from .autodiff import Tape
 from .cascades import GrowthLabel, LabeledCascade, split_dataset
+from .config import DEFAULTS
 from .encoding import (
     EncodedSample,
     EncodingSchema,
@@ -41,11 +42,11 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 32
-    max_epochs: int = 1000
-    patience: int = 20
-    step_size: float = 5e-3
-    seed: int = 0
+    batch_size: int = DEFAULTS["batch_size"]
+    max_epochs: int = DEFAULTS["max_epochs"]
+    patience: int = DEFAULTS["patience"]
+    step_size: float = DEFAULTS["step_size"]
+    seed: int = DEFAULTS["seed"]
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
@@ -228,10 +229,7 @@ _PREDICTIONS_HEADER = ["id", "pred_log2", "pred_growth"]
 def write_predictions(path: str | Path, rows: Sequence[tuple[str, float, float]]) -> None:
     """CSV with minimal quoting, so an id holding a comma or a quote
     survives; floats are written with repr, which keeps every bit."""
-    with atomic_write(path) as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(_PREDICTIONS_HEADER)
-        out.writerows((pid, repr(plog), repr(pg)) for pid, plog, pg in rows)
+    write_csv(path, _PREDICTIONS_HEADER, rows)
 
 
 def read_predictions(path: str | Path) -> list[tuple[str, float, float]]:
@@ -318,8 +316,7 @@ def encode_split(
 # --------------------------------------------------------------------- sweep
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):  # one sweep.csv row
     bins: int
     test_msle: float
 

@@ -72,12 +72,30 @@ def test_resolved_config_rereads_identically(tmp_path):
 def test_parse_horizon_forms():
     assert cf.parse_horizon("end") is None
     assert cf.parse_horizon(None) is None
-    assert cf.parse_horizon("25") == 25
     assert cf.parse_horizon(365) == 365
-    with pytest.raises(ConfigError):
-        cf.parse_horizon("soon")
-    with pytest.raises(ConfigError):
-        cf.parse_horizon(0)
+    for bad in ("soon", "25", 0, 2.5, True):
+        with pytest.raises(ConfigError, match="'horizon'"):
+            cf.parse_horizon(bad)
+
+
+def test_horizon_flag_gives_a_day_count_or_end(tmp_path):
+    args = ["synth", "--n", "2", "--size-min", "3", "--size-max", "4", "--synth-horizon", "20",
+            "--window-days", "10"]
+    for flag, resolved in (("25", 25), ("end", "end")):
+        out = tmp_path / flag
+        assert main([*args, "--horizon", flag, "--out", str(out)]) == 0
+        assert json.loads((out / "synth_manifest.json").read_text())["config"]["horizon"] == resolved
+
+
+def test_resolved_defaults_are_pinned():
+    assert list(cf.resolve_config(None, None).items()) == [
+        ("window_days", 1095), ("horizon", "end"), ("bins", 6), ("min_observed", 10),
+        ("seed", 0), ("batch_size", 32), ("max_epochs", 1000), ("patience", 20),
+        ("step_size", 0.005), ("alpha", 1.0), ("beta", 0.0001), ("embed_width", 32),
+        ("pre_embed_depth", 2), ("conv_kernel", 2), ("conv_stride", 2), ("head_widths", [32, 16]),
+        ("synth_n", 200), ("synth_size_min", 10), ("synth_size_max", 60),
+        ("synth_horizon", 2200), ("attachment_bias", 1.0),
+    ]
 
 
 # ---------------------------------------------------------------- pipeline
@@ -307,6 +325,41 @@ def test_bad_config_file_fails_with_json_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ConfigError"
     assert "made_up" in err["message"]
+
+
+def _only_error_line(capsys) -> dict:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("bad", [
+    {"seed": "abc"}, {"window_years": "x"}, {"head_widths": "32"}, {"embed_width": 2.5},
+    {"max_epochs": True}, {"bins": "6"}, {"alpha": "1e-3"}, {"step_size": float("nan")},
+    {"window_years": float("inf")},
+], ids=lambda bad: json.dumps(bad))
+def test_bad_config_values_fail_with_a_json_error_naming_the_key(pipeline, tmp_path, capsys, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_epochs": 1, "embed_width": 8, **bad}))
+    code = main(["train", "--encoded-dir", str(pipeline / "enc"), "--out", str(tmp_path / "run"),
+                 "--config", str(cfg)])
+    assert code == 1
+    err = _only_error_line(capsys)
+    assert err["error"] == "ConfigError"
+    assert f"'{next(iter(bad))}'" in err["message"]
+
+
+@pytest.mark.parametrize("command, extra, kind, message", [
+    ("encode", ["--bins", "0"], "SchemaError", "bin_count must be >= 1, got 0"),
+    ("probe", ["--bins", "0"], "SchemaError", "bin_count must be >= 1, got 0"),
+    ("sweep", ["--bins-list", "0,2"], "SchemaError", "bin_count must be >= 1, got 0"),
+    ("sweep", ["--bins-list", "2,x"], "ConfigError", "--bins-list entry 'x' is not an integer"),
+])
+def test_bad_bin_counts_fail_with_a_json_error(pipeline, tmp_path, capsys, command, extra, kind, message):
+    code = main([command, "--cascades", str(pipeline / "data" / "cascades.jsonl"),
+                 "--out", str(tmp_path / "out"), *extra])
+    assert code == 1
+    assert _only_error_line(capsys) == {"error": kind, "message": message, "details": {}}
 
 
 def _truncated(doc_text: str) -> str:

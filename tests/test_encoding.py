@@ -97,18 +97,18 @@ def test_corpus_schema_rejects_out_of_window_times():
 
 def test_bin_of_zero_is_one():
     schema = make_schema([2], bins=6, window=600)
-    assert enc.time_bin(0, schema) == 1
+    assert enc._time_bins([0], schema) == [1]
 
 
 def test_bin_boundaries_belong_to_the_right_interval():
     schema = make_schema([2], bins=6, window=600)
-    assert enc.time_bin(99.999, schema) == 1
-    assert enc.time_bin(100, schema) == 2
-    assert enc.time_bin(599.999, schema) == 6
+    assert enc._time_bins([99.999], schema) == [1]
+    assert enc._time_bins([100], schema) == [2]
+    assert enc._time_bins([599.999], schema) == [6]
     with pytest.raises(BinRangeError):
-        enc.time_bin(600, schema)
+        enc._time_bins([600], schema)
     with pytest.raises(BinRangeError):
-        enc.time_bin(-0.001, schema)
+        enc._time_bins([-0.001], schema)
 
 
 @settings(max_examples=120, deadline=None)
@@ -126,7 +126,7 @@ def test_binary_search_bin_matches_linear_scan(bins, window, frac):
             expect = l
             break
     assert expect is not None
-    assert enc.time_bin(t, schema) == expect
+    assert enc._time_bins([t], schema) == [expect]
 
 
 @settings(max_examples=150, deadline=None)
@@ -151,10 +151,10 @@ def test_time_bin_agrees_with_searchsorted(edges, fracs, ints):
           *(f * window for f in fracs), *ints]
     for t in ts:
         if 0 <= t < window:
-            assert enc.time_bin(t, schema) == int(np.searchsorted(at, t, side="right")), t
+            assert enc._time_bins([t], schema) == [int(np.searchsorted(at, t, side="right"))], t
         else:
             with pytest.raises(BinRangeError):
-                enc.time_bin(t, schema)
+                enc._time_bins([t], schema)
 
 
 # ------------------------------------------------------------------ degrees
