@@ -20,8 +20,8 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
-from operator import attrgetter, itemgetter
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -40,11 +40,14 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 
-class CitationEvent(NamedTuple):
-    citing: str
-    cited: str
-    time: int  # days since corpus epoch; equals the citing paper's publication date
-    cited_time: int | None = None  # the cited paper's date on the same scale; None if undated
+@dataclass(frozen=True)
+class Citations:
+    day: dict[str, int]  # paper -> days since the corpus epoch (earliest date on file)
+    citing: list[str]    # one row per kept edge line
+    cited: list[str]
+
+    def __len__(self) -> int:
+        return len(self.citing)
 
 
 class CascadeNode(NamedTuple):
@@ -69,21 +72,16 @@ class Cascade:
 @dataclass(frozen=True)
 class GrowthLabel:
     observed_size: int  # citers inside the window
-    final_size: int     # observed + growth
     growth: int
 
     def __post_init__(self):
         if self.growth < 0 or self.observed_size < 0:
             raise ContractError(f"negative label: {self}")
-        if self.final_size != self.observed_size + self.growth:
-            raise ContractError(
-                f"final_size {self.final_size} != observed {self.observed_size} + growth {self.growth}"
-            )
 
 
 LabeledCascade = tuple[Cascade, GrowthLabel]
 
-_event, _node = partial(tuple.__new__, CitationEvent), partial(tuple.__new__, CascadeNode)  # built in C
+_node = partial(tuple.__new__, CascadeNode)  # built in C
 
 
 # ------------------------------------------------------------------- parsing
@@ -124,15 +122,15 @@ def parse_citation_files(
     edges: str | Path | IO[str] | Iterable[str],
     dates: str | Path | IO[str] | Iterable[str],
     tally: dict | None = None,
-) -> list[CitationEvent]:
-    """Read tab-separated edge and date files into one event per dated citation.
+) -> Citations:
+    """Read tab-separated edge and date files into each paper's day and one
+    row per dated citation.
 
     Lines starting with '#' are comments. Edges whose citing paper has no
     date, and self-citations, are dropped and counted in the warning tally.
     An id listed twice in the dates file keeps its earliest date; the
-    repeats are counted as duplicate_dates. Each event also carries the
-    cited paper's date when the dates file has one, so cascade roots are
-    dated even when they cite nothing.
+    repeats are counted as duplicate_dates. The dates file is each paper's
+    only date, so cascade roots are dated even when they cite nothing.
     """
     date_by_paper, duplicate_dates = _parse_dates(dates)
     if not date_by_paper:
@@ -142,7 +140,7 @@ def parse_citation_files(
 
     undated = 0
     self_loops = 0
-    events: list[CitationEvent] = []
+    table = Citations(day_of, [], [])
     with _opened(edges) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -156,11 +154,11 @@ def parse_citation_files(
             if citing == cited:
                 self_loops += 1
                 continue
-            t = day_of.get(citing)
-            if t is None:
+            if citing not in day_of:
                 undated += 1
                 continue
-            events.append(_event((citing, cited, t, day_of.get(cited))))
+            table.citing.append(citing)
+            table.cited.append(cited)
 
     if undated or self_loops:
         log.warning("dropped %d undated-citer edges and %d self-citations", undated, self_loops)
@@ -170,30 +168,11 @@ def parse_citation_files(
         tally["undated_citer_edges"] = undated
         tally["self_citations"] = self_loops
         tally["duplicate_dates"] = duplicate_dates
-        tally["events"] = len(events)
-    return events
+        tally["events"] = len(table)
+    return table
 
 
 # ------------------------------------------------------------ cascade build
-
-
-def _paper_dates(ids: list[str], src, dst, when, cited_when) -> np.ndarray:
-    """Each paper's day (NaN if no event dates it), from the citing times and
-    the cited times the events carry; a paper dated twice differently raises,
-    naming the first mention that disagrees with an earlier one."""
-    who = np.column_stack([src, dst]).ravel()  # every mention, in event order
-    at = np.column_stack([when, cited_when]).ravel()
-    dated = ~np.isnan(at)
-    who, at = who[dated], at[dated]
-    date_of = np.full(len(ids), np.nan)
-    date_of[who] = at
-    if (date_of[who] != at).any():
-        first = np.unique(who, return_index=True)[1]
-        date_of[who[first]] = at[first]
-        k = np.flatnonzero(date_of[who] != at)[0]
-        pid, seen, t = ids[who[k]], int(date_of[who[k]]), int(at[k])
-        raise MalformedCascadeError(f"paper {pid!r} is dated at two different times ({seen} and {t})")
-    return date_of
 
 
 def _candidate_rows(paper, cascade, at, citer, cited, paper_date) -> tuple[np.ndarray, np.ndarray]:
@@ -220,23 +199,22 @@ def _candidate_rows(paper, cascade, at, citer, cited, paper_date) -> tuple[np.nd
 
 
 def build_cascades(
-    events: Sequence[CitationEvent],
+    citations: Citations,
     window_T: int,
     horizon: int | None = None,
     min_observed: int = 10,
     tally: dict | None = None,
 ) -> list[LabeledCascade]:
-    """Group events into per-root cascades and label future growth.
+    """Group citations into per-root cascades and label future growth.
 
     horizon is the growth bracket width in days (growth counts citers with
     window_T < t <= window_T + horizon relative to the root); None means
-    end-of-data. A paper's date comes from any event that carries it, as
-    the citer's time or as the cited paper's time. Roots with no date at
-    all get their window anchored one day before their first citation, so
-    the first citer still adopts strictly after the root. A repeated
-    citation counts once and is tallied in duplicate_edges. Everything is
-    computed on integer columns, one row per distinct (root, citer) pair;
-    only the node records are built one by one.
+    end-of-data. A citation's time is its citer's day; a citer with no day
+    raises. Roots with no day get their window anchored one day before
+    their first citation, so the first citer still adopts strictly after
+    the root. A repeated citation counts once and is tallied in
+    duplicate_edges. Everything is computed on integer columns, one row per
+    distinct (root, citer) pair; only the node records are built one by one.
     """
     if window_T < 1:
         raise ConfigError(f"window_T must be >= 1 day, got {window_T}")
@@ -246,20 +224,21 @@ def build_cascades(
         raise ConfigError(f"min_observed must be >= 0, got {min_observed}")
 
     # papers as integers, numbered in id order
-    citing, cited = list(map(attrgetter("citing"), events)), list(map(attrgetter("cited"), events))
-    ids = sorted({*citing, *cited})
+    ids = sorted({*citations.citing, *citations.cited})
     index = {pid: i for i, pid in enumerate(ids)}.__getitem__
-    src = np.fromiter(map(index, citing), np.int64, len(events))
-    dst = np.fromiter(map(index, cited), np.int64, len(events))
-    when = np.fromiter(map(attrgetter("time"), events), np.int64, len(events))
-    cited_when = np.array(list(map(attrgetter("cited_time"), events)), dtype=float)  # None -> NaN
-    date_of = _paper_dates(ids, src, dst, when, cited_when)
+    src = np.fromiter(map(index, citations.citing), np.int64, len(citations))
+    dst = np.fromiter(map(index, citations.cited), np.int64, len(citations))
+    date_of = np.fromiter(map(citations.day.get, ids, repeat(np.nan)), float, len(ids))
+    no_day = np.isnan(date_of[src])
+    if no_day.any():
+        raise MalformedCascadeError(f"citing paper {ids[src[no_day.argmax()]]!r} has no date")
     names = np.array(ids, dtype=object)
 
     # one row per distinct (root, citer) pair, sorted by root then citer
-    key, row = np.unique(dst * len(ids) + src, return_index=True)
+    key = np.sort(dst * len(ids) + src)  # np.unique without indices would import numpy.ma (~1 MB)
+    key = key[np.diff(key, prepend=-1) != 0]
     root, citer = np.divmod(key, len(ids))
-    t = when[row]
+    t = date_of[citer].astype(np.int64)
     is_start = np.diff(root, prepend=-1) != 0
     starts, group = np.flatnonzero(is_start), np.cumsum(is_start) - 1
     roots = root[starts]
@@ -277,10 +256,10 @@ def build_cascades(
     rows = np.flatnonzero(member & keep[group])
     rows = rows[np.lexsort((citer[rows], r[rows], group[rows]))]  # (root, time, id)
     paper, at, cascade_of = citer[rows], r[rows], group[rows]  # one per member
-    duplicate_edges, dropped_not_after_root = len(events) - len(key), int((r < 1).sum())
+    duplicate_edges, dropped_not_after_root = len(citations) - len(key), int((r < 1).sum())
     kept = zip(*(col[keep].tolist() for col in (names[roots], root_time, observed, growth)))
     # free the per-edge columns before the join and the node records
-    del citing, cited, src, dst, when, cited_when, key, row, t, group, r, member, late, rows
+    del src, dst, key, t, group, r, member, late, rows
 
     i, j = _candidate_rows(paper, cascade_of, at, citer, root, date_of)
     # each member's parents end to end: its root (cited by all, adopted at 0), then its candidates
@@ -294,7 +273,7 @@ def build_cascades(
     for root_id, root_day, n_obs, n_growth in kept:
         cascade = Cascade(root=root_id, root_time=root_day, window_T=window_T, nodes=tuple(nodes[lo:lo + n_obs]))
         lo += n_obs
-        label = GrowthLabel(observed_size=n_obs, final_size=n_obs + n_growth, growth=n_growth)
+        label = GrowthLabel(observed_size=n_obs, growth=n_growth)
         out.append((cascade, label))
 
     anchored = int(undated.sum())
@@ -430,7 +409,7 @@ def generate_synthetic(
                 nodes.append(CascadeNode(id=ids[j], time=t, parents=parents))
                 observed += 1
         cascade = Cascade(root=root, root_time=0, window_T=window_T, nodes=tuple(nodes))
-        label = GrowthLabel(observed_size=observed, final_size=n - 1, growth=n - 1 - observed)
+        label = GrowthLabel(observed_size=observed, growth=n - 1 - observed)
         out.append((cascade, label))
     return out
 
@@ -468,7 +447,7 @@ def cascade_from_dict(doc: dict) -> LabeledCascade | tuple[Cascade, None]:
         if raw is not None:
             observed = _expect(_expect(raw, dict, "label")["observed"], int, "label observed")
             growth = _expect(raw["growth"], int, "label growth")
-            label = GrowthLabel(observed_size=observed, final_size=observed + growth, growth=growth)
+            label = GrowthLabel(observed_size=observed, growth=growth)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad cascade record: {exc}") from None
     return cascade, label

@@ -136,9 +136,9 @@ def _cmd_synth(args, cfg, counters) -> list[Path]:
 
 def _cmd_ingest(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
-    events = casc.parse_citation_files(args.edges, args.dates, tally=counters)
+    citations = casc.parse_citation_files(args.edges, args.dates, tally=counters)
     pairs = casc.build_cascades(
-        events,
+        citations,
         window_T=cfg["window_days"],
         horizon=parse_horizon(cfg["horizon"]),
         min_observed=cfg["min_observed"],

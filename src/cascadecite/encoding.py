@@ -14,6 +14,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, partial
+from math import isfinite
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -190,15 +191,21 @@ def schema_to_dict(schema: EncodingSchema) -> dict:
 
 
 def schema_from_dict(doc: dict) -> EncodingSchema:
+    """Lengths, bin count and window must be JSON integers (a bool is none), the edges finite numbers."""
     try:
-        return EncodingSchema(
-            level_lengths=tuple(int(x) for x in doc["level_lengths"]),
-            bin_count=int(doc["bin_count"]),
-            window_T=int(doc["window_T"]),
-            bin_edges=tuple(float(x) for x in doc["bin_edges"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        lengths, bins, window, edges = (doc[k] for k in ("level_lengths", "bin_count", "window_T", "bin_edges"))
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad schema record: {exc}") from None
+    for key, ok, kind in (
+        ("level_lengths", type(lengths) is list and {*map(type, lengths)} <= {int}, "a list of integers"),
+        ("bin_count", type(bins) is int, "an integer"),
+        ("window_T", type(window) is int, "an integer"),
+        ("bin_edges", type(edges) is list and {*map(type, edges)} <= {int, float} and all(map(isfinite, edges)),
+         "a list of finite numbers"),
+    ):
+        if not ok:
+            raise ParseError(f"schema {key} must be {kind}, got {doc[key]!r}")
+    return EncodingSchema(tuple(lengths), bins, window, tuple(map(float, edges)))
 
 
 def save_schema(path: str | Path, schema: EncodingSchema) -> None:

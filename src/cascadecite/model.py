@@ -32,7 +32,7 @@ import numpy as np
 
 from . import checkpoint as _ckpt
 from .autodiff import ParamBuffer, Tensor, conv1d, embed, gru, mlp, sq_loss
-from .config import DEFAULTS
+from .config import DEFAULTS, _typed
 from .encoding import DegreeSequence, EncodingSchema, schema_from_dict, schema_to_dict
 from .errors import CheckpointError, ConfigError, ContractError, ParseError, ShapeError
 
@@ -94,12 +94,14 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
+        """Each value must have the JSON type of its field's default, as in the
+        config table; the lengths and widths are lists of integers."""
+        kinds = {f.name: f.default for f in dataclasses.fields(cls)} | {
+            "level_lengths": [], "bin_count": 0, "head_widths": []}
         try:
-            doc = dict(doc)
-            doc["level_lengths"] = tuple(doc["level_lengths"])
-            doc["head_widths"] = tuple(doc["head_widths"])
-            return cls(**doc)
-        except (KeyError, TypeError) as exc:
+            values = {key: _typed(key, value, kinds[key]) for key, value in doc.items()}
+            return cls(**values | {"level_lengths": tuple(values["level_lengths"])})
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad model config: {exc!r}") from None
 
 

@@ -1,11 +1,13 @@
 """The benchmark's tracer still finds every name it patches and reads.
 
-perfbench/tracing.py wraps public functions of the package by name and
-counts padding by reading the encoded samples. A rename or removal there
-would only show when the benchmark runs traced; this test makes it fail
-here instead, on a tiny synth + encode run.
+perfbench/tracing.py wraps public functions of the package by name, counts
+ingested citations by the length of the parse result and padding by reading
+the encoded samples. A rename or removal there would only show when the
+benchmark runs traced; this test makes it fail here instead, on a tiny
+synth + encode run and a tiny ingest run.
 """
 
+import json
 from pathlib import Path
 
 from cascadecite import cli
@@ -26,12 +28,18 @@ def test_tracer_installs_and_counts_encoding(tmp_path, monkeypatch):
                          "--seed", "11"]) == 0
         assert cli.main(["encode", "--cascades", str(data / "cascades.jsonl"),
                          "--out", str(enc_dir), "--bins", "6", "--seed", "11"]) == 0
+        edges, dates, casc_dir = tmp_path / "edges.tsv", tmp_path / "dates.tsv", tmp_path / "ingest"
+        edges.write_text("a\tr\nb\tr\nb\ta\nb\ta\nc\tr\nghost\tr\nd\tq\n")
+        dates.write_text("r\t2000-01-01\na\t2000-01-05\nb\t2000-01-09\nc\t2000-02-01\nd\t2000-03-01\n")
+        assert cli.main(["ingest", "--edges", str(edges), "--dates", str(dates), "--out", str(casc_dir),
+                         "--window-days", "60", "--min-observed", "1"]) == 0
         tracer.settle()
     finally:
         tracer.remove()
     counts = tracer.counts[tracer.run_id]
     assert counts["encoding.slots"] > 0
     assert counts["encoding.pad_slots"] > 0
-    assert {"cli.synth", "cli.encode", "training.encode_split", "encoding.encode"} <= {
-        s.name for s in tracer.spans
-    }
+    report = json.loads((casc_dir / "ingest_report.json").read_text())
+    assert (counts["cascades.events"], counts["cascades.count"]) == (report["events"], report["cascades"]) == (6, 3)
+    assert {"cli.synth", "cli.encode", "training.encode_split", "encoding.encode",
+            "cli.ingest", "cascades.parse", "cascades.build"} <= {s.name for s in tracer.spans}

@@ -3,7 +3,6 @@
 import datetime
 import json
 import logging
-from typing import Sequence
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cascadecite import cascades as casc
-from cascadecite.cascades import Cascade, CascadeNode, CitationEvent, GrowthLabel, LabeledCascade
+from cascadecite.cascades import Cascade, CascadeNode, Citations, GrowthLabel, LabeledCascade
 from cascadecite.cli import main
 from cascadecite.errors import (
     ConfigError,
@@ -35,20 +34,19 @@ log = logging.getLogger("reference")
 
 
 def reference_build_cascades(
-    events: Sequence[CitationEvent],
+    citations: Citations,
     window_T: int,
     horizon: int | None = None,
     min_observed: int = 10,
     tally: dict | None = None,
 ) -> list[LabeledCascade]:
-    """Group events into per-root cascades and label future growth.
+    """Group citations into per-root cascades and label future growth.
 
     horizon is the growth bracket width in days (growth counts citers with
     window_T < t <= window_T + horizon relative to the root); None means
-    end-of-data. A paper's date comes from any event that carries it, as
-    the citer's time or as the cited paper's time. Roots with no date at
-    all get their window anchored one day before their first citation, so
-    the first citer still adopts strictly after the root.
+    end-of-data. A citation's time is its citer's day. Roots with no day
+    get their window anchored one day before their first citation, so the
+    first citer still adopts strictly after the root.
     """
     if window_T < 1:
         raise ConfigError(f"window_T must be >= 1 day, got {window_T}")
@@ -57,22 +55,12 @@ def reference_build_cascades(
     if min_observed < 0:
         raise ConfigError(f"min_observed must be >= 0, got {min_observed}")
 
-    date_of: dict[str, int] = {}
-    for ev in events:
-        for pid, t in ((ev.citing, ev.time), (ev.cited, ev.cited_time)):
-            if t is None:
-                continue
-            seen = date_of.setdefault(pid, t)
-            if seen != t:
-                raise MalformedCascadeError(
-                    f"paper {pid!r} is dated at two different times ({seen} and {t})"
-                )
-
+    date_of = citations.day
     citers_of: dict[str, dict[str, int]] = {}
     cites: dict[str, set[str]] = {}
-    for ev in events:
-        citers_of.setdefault(ev.cited, {})[ev.citing] = ev.time
-        cites.setdefault(ev.citing, set()).add(ev.cited)
+    for citing, cited in zip(citations.citing, citations.cited):
+        citers_of.setdefault(cited, {})[citing] = date_of[citing]
+        cites.setdefault(citing, set()).add(cited)
 
     anchored = 0
     dropped_not_after_root = 0
@@ -111,7 +99,7 @@ def reference_build_cascades(
             nodes.append(CascadeNode(id=pid, time=rel[pid], parents=tuple(c[1] for c in cands)))
 
         cascade = Cascade(root=root, root_time=root_time, window_T=window_T, nodes=tuple(nodes))
-        label = GrowthLabel(observed_size=len(rel), final_size=len(rel) + growth, growth=growth)
+        label = GrowthLabel(observed_size=len(rel), growth=growth)
         out.append((cascade, label))
 
     if anchored or dropped_not_after_root:
@@ -147,11 +135,9 @@ def test_parse_drops_comments_blanks_and_counts_events():
     dates = ["# header", "", "a\t2000-01-01", "b\t2000-01-11"]
     edges = ["# c cites", "b\ta", "", "a\tz"]
     tally = {}
-    events = casc.parse_citation_files(edges, dates, tally=tally)
-    assert events == [
-        casc.CitationEvent(citing="b", cited="a", time=10, cited_time=0),
-        casc.CitationEvent(citing="a", cited="z", time=0),  # z has no date
-    ]
+    table = casc.parse_citation_files(edges, dates, tally=tally)
+    assert table == Citations(day={"a": 0, "b": 10}, citing=["b", "a"], cited=["a", "z"])  # z has no date
+    assert len(table) == 2
     assert tally == {"undated_citer_edges": 0, "self_citations": 0, "duplicate_dates": 0, "events": 2}
 
 
@@ -159,8 +145,8 @@ def test_parse_drops_undated_citers_and_self_citations():
     dates = ["a\t2000-01-01"]
     edges = ["a\ta", "ghost\ta", "a\tb"]
     tally = {}
-    events = casc.parse_citation_files(edges, dates, tally=tally)
-    assert [e.citing for e in events] == ["a"]
+    table = casc.parse_citation_files(edges, dates, tally=tally)
+    assert table.citing == ["a"]
     assert tally["self_citations"] == 1
     assert tally["undated_citer_edges"] == 1
 
@@ -178,14 +164,11 @@ def test_duplicate_dates_keep_the_earliest_and_are_counted():
     dates = ["a\t2000-03-01", "b\t2000-02-01", "a\t2000-01-01", "a\t2000-05-01"]
     edges = ["a\tx", "b\ta"]
     tally = {}
-    events = casc.parse_citation_files(edges, dates, tally=tally)
+    table = casc.parse_citation_files(edges, dates, tally=tally)
     assert tally["duplicate_dates"] == 2
-    assert events == [
-        casc.CitationEvent(citing="a", cited="x", time=0),
-        casc.CitationEvent(citing="b", cited="a", time=31, cited_time=0),
-    ]
-    # the same lines in any order give the same events
-    assert casc.parse_citation_files(edges, dates[::-1]) == events
+    assert table == Citations(day={"a": 0, "b": 31}, citing=["a", "b"], cited=["x", "a"])
+    # the same lines in any order give the same table
+    assert casc.parse_citation_files(edges, dates[::-1]) == table
 
 
 def test_ingest_report_counts_duplicate_dates(tmp_path):
@@ -203,47 +186,44 @@ def test_ingest_report_counts_duplicate_dates(tmp_path):
 
 def test_event_times_are_days_since_earliest_date():
     dates = ["a\t2000-03-01", "b\t2000-02-01", "c\t2000-02-29"]
-    events = casc.parse_citation_files(["a\tx", "c\tx"], dates)
-    assert {e.citing: e.time for e in events} == {"a": 29, "c": 28}
+    table = casc.parse_citation_files(["a\tx", "c\tx"], dates)
+    assert {pid: table.day[pid] for pid in table.citing} == {"a": 29, "c": 28}
 
 
 # ----------------------------------------------------------- build_cascades
 
 
-def ev(citing, cited, t):
-    return casc.CitationEvent(citing=citing, cited=cited, time=t)
+def citations(day, *edges):
+    """A hand-built table: each paper's day, and one row per (citing, cited) edge."""
+    return Citations(day=day, citing=[a for a, _ in edges], cited=[b for _, b in edges])
 
 
 def test_window_membership_and_growth_bracket():
-    # root dated at day 0 via its own citing event; citers at 10, 200 observed
-    # (T=365); 365 lands on the boundary and counts as neither; 366 is growth
-    events = [
-        ev("root", "elsewhere", 0),
-        ev("m1", "root", 10),
-        ev("m2", "root", 200),
-        ev("edge", "root", 365),
-        ev("late", "root", 366),
-    ]
+    # root dated at day 0; citers at 10, 200 observed (T=365); 365 lands on
+    # the boundary and counts as neither; 366 is growth
+    events = citations(
+        {"root": 0, "m1": 10, "m2": 200, "edge": 365, "late": 366},
+        ("root", "elsewhere"), ("m1", "root"), ("m2", "root"), ("edge", "root"), ("late", "root"),
+    )
     pairs = casc.build_cascades(events, window_T=365, min_observed=2)
     roots = {c.root: (c, lb) for c, lb in pairs}
     c, lb = roots["root"]
     assert [n.id for n in c.nodes] == ["m1", "m2"]
     assert lb.observed_size == 2
     assert lb.growth == 1
-    assert lb.final_size == 3
 
 
 def test_growth_is_final_minus_observed():
-    events = [ev("root", "x", 0)]
-    events += [ev(f"in{i}", "root", 5 + i) for i in range(5)]
-    events += [ev(f"out{i}", "root", 400 + i) for i in range(4)]
+    day = {"root": 0} | {f"in{i}": 5 + i for i in range(5)} | {f"out{i}": 400 + i for i in range(4)}
+    events = citations(day, ("root", "x"), *((pid, "root") for pid in day if pid != "root"))
     (pair,) = [p for p in casc.build_cascades(events, window_T=365, min_observed=1) if p[0].root == "root"]
     _, lb = pair
-    assert (lb.observed_size, lb.growth, lb.final_size) == (5, 4, 9)
+    assert (lb.observed_size, lb.growth) == (5, 4)
 
 
 def test_finite_horizon_caps_the_growth_bracket():
-    events = [ev("root", "x", 0), ev("a", "root", 1), ev("b", "root", 20), ev("c", "root", 21)]
+    events = citations({"root": 0, "a": 1, "b": 20, "c": 21},
+                       ("root", "x"), ("a", "root"), ("b", "root"), ("c", "root"))
     build = lambda h: casc.build_cascades(events, window_T=10, horizon=h, min_observed=1)
     (_, lb10) = [p for p in build(10) if p[0].root == "root"][0]
     assert lb10.growth == 1  # day 20 is inside (10, 20], day 21 is not
@@ -253,7 +233,7 @@ def test_finite_horizon_caps_the_growth_bracket():
 
 def test_undated_root_is_anchored_before_first_citation():
     tally = {}
-    events = [ev("a", "root", 50), ev("b", "root", 60)]
+    events = citations({"a": 50, "b": 60}, ("a", "root"), ("b", "root"))
     pairs = casc.build_cascades(events, window_T=100, min_observed=1, tally=tally)
     (c, lb) = pairs[0]
     assert c.root_time == 49
@@ -315,7 +295,7 @@ def test_shifting_every_date_leaves_the_cascades_unchanged(days, links, shift):
 
 def test_citers_at_or_before_root_date_are_dropped():
     tally = {}
-    events = [ev("root", "x", 100), ev("early", "root", 100), ev("ok", "root", 150)]
+    events = citations({"root": 100, "early": 100, "ok": 150}, ("root", "x"), ("early", "root"), ("ok", "root"))
     pairs = casc.build_cascades(events, window_T=365, min_observed=1, tally=tally)
     (c, _) = [p for p in pairs if p[0].root == "root"][0]
     assert [n.id for n in c.nodes] == ["ok"]
@@ -323,8 +303,8 @@ def test_citers_at_or_before_root_date_are_dropped():
 
 
 def test_min_observed_filters_small_cascades():
-    events = [ev("root", "x", 0)]
-    events += [ev(f"m{i}", "root", 1 + i) for i in range(4)]
+    day = {"root": 0} | {f"m{i}": 1 + i for i in range(4)}
+    events = citations(day, ("root", "x"), *((f"m{i}", "root") for i in range(4)))
     tally = {}
     assert casc.build_cascades(events, window_T=365, min_observed=5, tally=tally) == []
     assert tally["roots_below_min_observed"] == 2  # "root" and "x"
@@ -334,12 +314,13 @@ def test_min_observed_filters_small_cascades():
 
 def test_candidate_parents_are_earlier_members_plus_root():
     # m2 cites m1 (earlier member), m3 (later), and "other" (non-member)
-    events = [
-        ev("root", "x", 0),
-        ev("m1", "root", 10),
-        ev("m2", "root", 20), ev("m2", "m1", 20), ev("m2", "m3", 20), ev("m2", "other", 20),
-        ev("m3", "root", 30),
-    ]
+    events = citations(
+        {"root": 0, "m1": 10, "m2": 20, "m3": 30},
+        ("root", "x"),
+        ("m1", "root"),
+        ("m2", "root"), ("m2", "m1"), ("m2", "m3"), ("m2", "other"),
+        ("m3", "root"),
+    )
     (c, _) = [p for p in casc.build_cascades(events, window_T=365, min_observed=3) if p[0].root == "root"][0]
     by_id = {n.id: n for n in c.nodes}
     assert by_id["m1"].parents == ("root",)
@@ -347,27 +328,28 @@ def test_candidate_parents_are_earlier_members_plus_root():
     assert by_id["m3"].parents == ("root",)
 
 
-def test_conflicting_citing_times_raise():
-    events = [ev("a", "x", 5), ev("a", "y", 6)]
-    with pytest.raises(MalformedCascadeError, match="two different times"):
+def test_undated_citer_in_a_hand_built_table_raises():
+    events = citations({"a": 5}, ("a", "x"), ("b", "a"))
+    with pytest.raises(MalformedCascadeError, match="citing paper 'b' has no date"):
         casc.build_cascades(events, window_T=10)
 
 
 def test_build_validates_arguments():
     with pytest.raises(ConfigError):
-        casc.build_cascades([], window_T=0)
+        casc.build_cascades(citations({}), window_T=0)
     with pytest.raises(ConfigError):
-        casc.build_cascades([], window_T=10, horizon=0)
+        casc.build_cascades(citations({}), window_T=10, horizon=0)
     with pytest.raises(ConfigError):
-        casc.build_cascades([], window_T=10, min_observed=-1)
+        casc.build_cascades(citations({}), window_T=10, min_observed=-1)
 
 
 def test_nodes_are_sorted_by_time_then_id_and_output_by_root():
-    events = [
-        ev("rootB", "x", 0), ev("rootA", "x", 0),
-        ev("z", "rootB", 5), ev("a", "rootB", 5), ev("b", "rootB", 3),
-        ev("q", "rootA", 7),
-    ]
+    events = citations(
+        {"rootB": 0, "rootA": 0, "z": 5, "a": 5, "b": 3, "q": 7},
+        ("rootB", "x"), ("rootA", "x"),
+        ("z", "rootB"), ("a", "rootB"), ("b", "rootB"),
+        ("q", "rootA"),
+    )
     pairs = casc.build_cascades(events, window_T=100, min_observed=1)
     roots = [c.root for c, _ in pairs]
     assert roots == sorted(roots)
@@ -389,26 +371,26 @@ paper_ids = st.one_of(
 
 @st.composite
 def citation_graphs(draw):
-    """Events of a random graph, plus build options.
+    """The citation table of a random graph, plus build options.
 
-    Times come from one date per paper (None for undated papers), in a range
-    small enough that members share days and land on the window and horizon
-    edges. Edges repeat and include self-citations; a citation may or may
-    not carry its cited paper's date.
+    Each paper has one day (undated papers have none), in a range small
+    enough that members share days and land on the window and horizon
+    edges. Edges repeat and include self-citations; edges whose citer is
+    undated are left out, as the parser leaves them out.
     """
     papers = draw(st.lists(paper_ids, min_size=2, max_size=7, unique=True))
     day = st.integers(-5, 14).map(lambda d: None if d < -3 else d)  # about one in ten undated
     dates = draw(st.lists(day, min_size=len(papers), max_size=len(papers)))
     index = st.integers(0, len(papers) - 1)
-    links = draw(st.lists(st.tuples(index, index, st.booleans(), st.booleans()),
-                          min_size=3 * len(papers), max_size=40))
+    links = draw(st.lists(st.tuples(index, index, st.booleans()), min_size=3 * len(papers), max_size=40))
     links += draw(st.lists(st.sampled_from(links), max_size=5)) if links else []
-    events = []
-    for i, j, with_date, backward in links:
+    edges = []
+    for i, j, backward in links:
         if backward and None not in (dates[i], dates[j]) and dates[i] < dates[j]:
             i, j = j, i  # most citations point back in time
         if dates[i] is not None:
-            events.append(CitationEvent(papers[i], papers[j], dates[i], dates[j] if with_date else None))
+            edges.append((papers[i], papers[j]))
+    events = citations({pid: d for pid, d in zip(papers, dates) if d is not None}, *edges)
     options = dict(
         window_T=draw(st.integers(1, 10).map(lambda w: 11 - w)),  # wide windows first
         horizon=draw(st.integers(0, 6).map(lambda h: h or None)),
@@ -432,29 +414,11 @@ def test_columnar_build_equals_the_dict_build(tmp_path, graph):
     for c, lb in pairs:
         assert type(c.root_time) is int and type(lb.growth) is int and type(lb.observed_size) is int
         assert all(type(n.time) is int and type(n.parents) is tuple for n in c.nodes)
-    assert tally.pop("duplicate_edges") == len(events) - len({(e.citing, e.cited) for e in events})
+    assert tally.pop("duplicate_edges") == len(events) - len({*zip(events.citing, events.cited)})
     assert tally == expected_tally
     path = tmp_path / "c.jsonl"
     casc.write_cascades_jsonl(path, pairs)
     assert path.read_text() == reference_jsonl(expected)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    events=st.lists(
-        st.builds(CitationEvent, st.sampled_from("abcd"), st.sampled_from("abcd"),
-                  st.integers(0, 3), st.one_of(st.none(), st.integers(0, 3))),
-        max_size=8,
-    ),
-)
-def test_conflicting_dates_raise_the_dict_builds_error(events):
-    def outcome(build):
-        try:
-            return build(events, window_T=5, min_observed=0)
-        except MalformedCascadeError as exc:
-            return str(exc)
-
-    assert outcome(casc.build_cascades) == outcome(reference_build_cascades)
 
 
 def test_repeated_edge_line_is_counted_once_and_changes_no_cascade():
@@ -569,10 +533,8 @@ def test_synthetic_sizes_and_labels_reconcile():
     pairs = casc.generate_synthetic(40, (4, 9), 60, 1.0, seed=2)
     assert len(pairs) == 40
     for c, lb in pairs:
-        total = lb.final_size  # nodes ever attached, root excluded
-        assert 3 <= total <= 8
+        assert 3 <= lb.observed_size + lb.growth <= 8  # nodes ever attached, root excluded
         assert lb.observed_size == len(c.nodes)
-        assert lb.growth == total - lb.observed_size
         assert lb.growth >= 0
 
 
@@ -673,7 +635,7 @@ def cascade_files(draw):
     ))
     ids = st.sampled_from(pool)
     node = st.builds(CascadeNode, ids, st.integers(1, 10**6), st.lists(ids, min_size=1, max_size=3).map(tuple))
-    label = st.builds(lambda o, g: GrowthLabel(o, o + g, g), st.integers(0, 10**6), st.integers(0, 10**12))
+    label = st.builds(GrowthLabel, st.integers(0, 10**6), st.integers(0, 10**12))
     return draw(st.lists(st.tuples(
         st.builds(Cascade, ids, st.integers(-10**6, 10**9), st.integers(1, 10**5),
                   st.lists(node, max_size=5).map(tuple)),
@@ -733,6 +695,6 @@ def test_reader_rejects_a_node_without_parent_candidates(tmp_path):
 
 def test_growth_label_validates_arithmetic():
     with pytest.raises(ContractError):
-        casc.GrowthLabel(observed_size=3, final_size=5, growth=1)
+        casc.GrowthLabel(observed_size=-1, growth=1)
     with pytest.raises(ContractError):
-        casc.GrowthLabel(observed_size=3, final_size=2, growth=-1)
+        casc.GrowthLabel(observed_size=3, growth=-1)

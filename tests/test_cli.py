@@ -402,6 +402,30 @@ def test_malformed_checkpoint_or_schema_fails_with_json_error(pipeline, tmp_path
     assert str(bad) in err["message"]
 
 
+@pytest.mark.parametrize("key, bad_value, kind", [
+    ("embed_width", lambda v: float(v), "an integer"),
+    ("conv_stride", lambda v: float(v), "an integer"),
+    ("bin_count", lambda v: True, "an integer"),
+    ("level_lengths", lambda v: [float(v[0]), *v[1:]], "a list of integers"),
+    ("head_widths", lambda v: [*v[:-1], v[-1] + 0.5], "a list of integers"),
+    ("alpha", lambda v: "1.0", "a finite number"),
+], ids=["embed_width 8.0", "conv_stride 2.0", "bin_count true", "float level length", "float head width",
+        "alpha a string"])
+def test_checkpoint_model_config_takes_only_its_json_types(pipeline, tmp_path, capsys, key, bad_value, kind):
+    doc = json.loads((pipeline / "run" / "checkpoint.json").read_text())
+    value = doc["model_config"][key] = bad_value(doc["model_config"][key])
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["predict", "--checkpoint", str(bad), "--cascades", str(pipeline / "data" / "cascades.jsonl"),
+                 "--out", str(tmp_path / "pred")])
+    assert code == 1
+    assert _only_error_line(capsys) == {
+        "error": "CheckpointError",
+        "message": f"{bad}: config key {key!r} must be {kind}, got {value!r}",
+        "details": {},
+    }
+
+
 def test_missing_input_file_fails_cleanly(tmp_path, capsys):
     code = main(["stats", "--cascades", str(tmp_path / "nope.jsonl"),
                  "--out", str(tmp_path / "o")])

@@ -310,6 +310,30 @@ def test_schema_from_dict_rejects_garbage():
         enc.schema_from_dict({"bin_count": 3})
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("level_lengths", [3.9, "2"], "schema level_lengths must be a list of integers, got [3.9, '2']"),
+    ("level_lengths", [3, True], "schema level_lengths must be a list of integers, got [3, True]"),
+    ("level_lengths", "32", "schema level_lengths must be a list of integers, got '32'"),
+    ("bin_count", True, "schema bin_count must be an integer, got True"),
+    ("bin_count", 3.0, "schema bin_count must be an integer, got 3.0"),
+    ("window_T", "60", "schema window_T must be an integer, got '60'"),
+    ("bin_edges", [0, "20", 40.0, 60], "schema bin_edges must be a list of finite numbers, got [0, '20', 40.0, 60]"),
+    ("bin_edges", [False, 20.0, 40.0, 60.0],
+     "schema bin_edges must be a list of finite numbers, got [False, 20.0, 40.0, 60.0]"),
+    ("bin_edges", [0.0, 20.0, float("nan"), 60.0],
+     "schema bin_edges must be a list of finite numbers, got [0.0, 20.0, nan, 60.0]"),
+])
+def test_schema_reader_takes_only_json_integers_and_numbers(tmp_path, key, value, message):
+    path = tmp_path / "schema.json"
+    enc.save_schema(path, make_schema([4, 2], bins=3, window=60))
+    doc = json.loads(path.read_text())
+    assert enc.schema_from_dict(doc | {"bin_edges": [0, 20, 40, 60]}) == enc.load_schema(path)  # integer edges are numbers
+    path.write_text(json.dumps(doc | {key: value}))
+    with pytest.raises(ParseError) as info:
+        enc.load_schema(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_encoded_sample_jsonl_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     schema = None
