@@ -17,6 +17,7 @@ import datetime as _dt
 import json
 import logging
 import sys
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -353,6 +354,26 @@ def compute_stats(trees: Sequence) -> CorpusStats:
 # --------------------------------------------------------------- synthetic
 
 
+def _attach(uniforms: np.ndarray, bias: float) -> np.ndarray:
+    """Attachment targets: row r's node j attaches to targets[r, j - 1],
+    drawn by uniforms[r, j - 1]. Each step is `choice(j, p=w / w.sum())`
+    for every row at once: the same cdf, and the count of its entries <= u,
+    which is where searchsorted(..., "right") puts u. Rows never mix, so a
+    cascade with no node j steps on with a padding uniform, and those
+    targets are never read. Sizes are drawn uniformly, so the padded steps
+    add at most about twice the work the real ones do."""
+    count = np.zeros((len(uniforms), uniforms.shape[1] + 1))  # children per node
+    targets = np.zeros(uniforms.shape, np.int64)
+    rows = np.arange(len(uniforms))
+    for j in range(1, uniforms.shape[1] + 1):
+        w = count[:, :j] + bias
+        cdf = (w / w.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        t = targets[:, j - 1] = np.count_nonzero(cdf <= uniforms[:, j - 1, None], axis=1)
+        count[rows, t] += 1
+    return targets
+
+
 def generate_synthetic(
     n_cascades: int,
     size_range: tuple[int, int],
@@ -364,13 +385,20 @@ def generate_synthetic(
 ) -> list[LabeledCascade]:
     """Preferential-attachment cascades with increasing integer-day times.
 
-    Each cascade draws its total size from size_range (inclusive, root
+    Each cascade draws its total size n from size_range (inclusive, root
     included), then attaches node after node to an existing node with
     probability proportional to (child count + attachment_bias). Every node
     also cites the root, mirroring how real cascades are membership-defined.
     Nodes adopting before window_T are the observed cascade; the rest are
     counted in the growth label (window_T itself is never drawn, so sizes
     always reconcile). Same seed, same corpus, byte for byte.
+
+    The draws, per cascade and in cascade order: one `integers` call for n,
+    one `choice` of n - 1 distinct times, then `random(n - 1)`, one uniform
+    per attached node. Node j attaches to the first node k whose entry in
+    the normalized cdf of (child count + attachment_bias) over nodes 0..j-1
+    exceeds node j's uniform. The attachment steps run for a block of
+    cascades at once.
     """
     lo, hi = size_range
     if n_cascades < 1:
@@ -390,27 +418,26 @@ def generate_synthetic(
 
     rng = np.random.default_rng(seed)
     pool = np.array([t for t in range(1, time_horizon) if t != window_T])
+    block = max(1, min(4096, (1 << 20) // hi))  # bounds the (block, hi) temporaries
     out: list[LabeledCascade] = []
-    for ci in range(n_cascades):
-        n = int(rng.integers(lo, hi + 1))
-        times = np.sort(rng.choice(pool, size=n - 1, replace=False))
-        root = f"s{ci:05d}"
-        ids = [root] + [f"{root}n{j:03d}" for j in range(1, n)]
-        child_count = np.zeros(n, dtype=np.float64)
-        nodes: list[CascadeNode] = []
-        observed = 0
-        for j in range(1, n):
-            weights = child_count[:j] + attachment_bias
-            target = int(rng.choice(j, p=weights / weights.sum()))
-            child_count[target] += 1
-            t = int(times[j - 1])
-            if t < window_T:
-                parents = (ids[0],) if target == 0 else (ids[0], ids[target])
-                nodes.append(CascadeNode(id=ids[j], time=t, parents=parents))
-                observed += 1
-        cascade = Cascade(root=root, root_time=0, window_T=window_T, nodes=tuple(nodes))
-        label = GrowthLabel(observed_size=observed, growth=n - 1 - observed)
-        out.append((cascade, label))
+    for first in range(0, n_cascades, block):
+        cis = range(first, min(first + block, n_cascades))
+        sizes, times = [], []
+        uniforms = np.zeros((len(cis), hi - 1))
+        for r in range(len(cis)):  # the random stream, in cascade order
+            n = int(rng.integers(lo, hi + 1))
+            sizes.append(n)
+            times.append(np.sort(rng.choice(pool, size=n - 1, replace=False)).tolist())
+            uniforms[r, : n - 1] = rng.random(n - 1)
+        targets = _attach(uniforms, attachment_bias).tolist()
+        for ci, n, t, target in zip(cis, sizes, times, targets):
+            root = f"s{ci:05d}"
+            observed = bisect_left(t, window_T)  # times ascend
+            ids = [root, *(f"{root}n{j:03d}" for j in range(1, observed + 1))]
+            parents = [(root,) if k == 0 else (root, ids[k]) for k in target[:observed]]
+            cascade = Cascade(root=root, root_time=0, window_T=window_T,
+                              nodes=tuple(map(_node, zip(ids[1:], t, parents))))
+            out.append((cascade, GrowthLabel(observed_size=observed, growth=n - 1 - observed)))
     return out
 
 

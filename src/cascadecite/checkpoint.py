@@ -2,13 +2,15 @@
 
 Floats round-trip exactly (json uses repr). The file is written compactly,
 with no whitespace, and atomically; any valid JSON layout of the same
-document loads. Loading refuses version or shape mismatches instead of
-guessing.
+document loads. Loading takes values only as JSON numbers and shapes only
+as lists of integers >= 0, and refuses version or shape mismatches instead
+of guessing.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,13 +53,22 @@ def parse_arrays(doc: dict, expected_shapes: dict[str, tuple[int, ...]] | None =
     arrays = {}
     for name, rec in doc["arrays"].items():
         try:
-            shape = tuple(rec["shape"])
-            vals = np.asarray(rec["values"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+            shape, values = rec["shape"], rec["values"]
+        except (KeyError, TypeError) as exc:
             raise CheckpointError(f"array {name!r} is malformed: {exc!r}") from None
-        if vals.size != int(np.prod(shape, dtype=np.int64)):
-            raise CheckpointError(f"array {name!r}: {vals.size} values do not fill shape {shape}")
-        arrays[name] = vals.reshape(shape)
+        if type(shape) is not list or not {*map(type, shape)} <= {int} or min(shape, default=0) < 0:
+            raise CheckpointError(f"array {name!r}: shape must be a list of integers >= 0, got {shape!r}")
+        if type(values) is not list:
+            raise CheckpointError(f"array {name!r}: values must be a list of numbers, got {values!r}")
+        if not {*map(type, values)} <= {int, float}:  # whole column; a bool is no number
+            bad = next(v for v in values if type(v) not in (int, float))
+            raise CheckpointError(f"array {name!r}: values must be JSON numbers, got {bad!r}")
+        if len(values) != math.prod(shape):
+            raise CheckpointError(f"array {name!r}: {len(values)} values do not fill shape {tuple(shape)}")
+        try:
+            arrays[name] = np.array(values, dtype=np.float64).reshape(shape)
+        except OverflowError:  # an integer beyond the float range
+            raise CheckpointError(f"array {name!r}: a value does not fit a float") from None
     if expected_shapes is not None:
         missing = sorted(set(expected_shapes) - set(arrays))
         extra_names = sorted(set(arrays) - set(expected_shapes))

@@ -15,8 +15,8 @@ from .errors import ConfigError
 # Every setting and its default. A value must have its default's JSON type:
 # an integer for int keys (a bool is not one), any finite number for float
 # keys (stored as a float), a list of integers for head_widths, and 'end' or a
-# day count >= 1 for horizon. TrainConfig and ModelConfig take their field
-# defaults from here.
+# day count >= 1 for horizon; seed is >= 0. TrainConfig and ModelConfig take
+# their field defaults from here.
 DEFAULTS: dict = {
     "window_days": 1095,
     "horizon": "end",  # or an integer day count: growth bracket (T, T+horizon]
@@ -112,6 +112,8 @@ def resolve_config(config_path: str | Path | None, overrides: dict | None = None
             cfg[key] = _typed(key, value, DEFAULTS[key])
     if cfg["window_days"] < 1:
         raise ConfigError(f"window_days must be >= 1, got {cfg['window_days']}")
+    if cfg["seed"] < 0:  # NumPy seeds no generator from a negative integer
+        raise ConfigError(f"config key 'seed' must be >= 0, got {cfg['seed']}")
     return cfg
 
 

@@ -1,4 +1,4 @@
-"""Ingest and encode artifacts stay byte for byte what they were.
+"""Ingest, encode and synth artifacts stay byte for byte what they were.
 
 A small seeded edges/dates pair goes through `ingest` and `encode`; the
 SHA-256 of every artifact those commands write (manifests aside, since
@@ -70,3 +70,14 @@ def run_ingest_and_encode(root: Path) -> dict[str, str]:
 
 def test_ingest_and_encode_artifacts_match_their_pinned_digests(tmp_path):
     assert run_ingest_and_encode(tmp_path) == PINNED
+
+
+# Recorded before the attachment steps ran for many cascades at once; the
+# arguments are the fit-small benchmark's, whose corpus this is.
+SYNTH_PINNED = "213f7dfb81220675a7c851aaf107a4fa5035ab0b3f0464441b6519f3c346f215"
+
+
+def test_synth_corpus_matches_its_pinned_digest(tmp_path):
+    assert main(["synth", "--out", str(tmp_path), "--n", "200", "--size-min", "6", "--size-max", "18",
+                 "--synth-horizon", "80", "--window-days", "40", "--bias", "1.0", "--seed", "11"]) == 0
+    assert hashlib.sha256((tmp_path / "cascades.jsonl").read_bytes()).hexdigest() == SYNTH_PINNED

@@ -25,10 +25,11 @@ from cascadecite.trees import to_tree
 from oracles import tree_from_parent_rows
 
 
-# ----------------------------------------------- reference build and writer
+# ------------------------------------- reference build, generator and writer
 #
-# The dict-based build and the dict-form writer that the columnar build and
-# the text writer replaced, kept as the specification they must reproduce.
+# The dict-based build, the per-node generator and the dict-form writer that
+# the columnar build, the block-wise generator and the text writer replaced,
+# kept as the specification they must reproduce.
 
 log = logging.getLogger("reference")
 
@@ -126,6 +127,45 @@ def cascade_to_dict(cascade: Cascade, label: GrowthLabel | None) -> dict:
         None if label is None else {"observed": label.observed_size, "growth": label.growth}
     )
     return doc
+
+
+def reference_generate_synthetic(
+    n_cascades: int,
+    size_range: tuple[int, int],
+    time_horizon: int,
+    attachment_bias: float,
+    seed: int,
+    *,
+    window_T: int | None = None,
+) -> list[LabeledCascade]:
+    """One cascade after another, one `rng.choice(j, p=...)` per attached node."""
+    lo, hi = size_range
+    if window_T is None:
+        window_T = time_horizon // 2
+    rng = np.random.default_rng(seed)
+    pool = np.array([t for t in range(1, time_horizon) if t != window_T])
+    out: list[LabeledCascade] = []
+    for ci in range(n_cascades):
+        n = int(rng.integers(lo, hi + 1))
+        times = np.sort(rng.choice(pool, size=n - 1, replace=False))
+        root = f"s{ci:05d}"
+        ids = [root] + [f"{root}n{j:03d}" for j in range(1, n)]
+        child_count = np.zeros(n, dtype=np.float64)
+        nodes: list[CascadeNode] = []
+        observed = 0
+        for j in range(1, n):
+            weights = child_count[:j] + attachment_bias
+            target = int(rng.choice(j, p=weights / weights.sum()))
+            child_count[target] += 1
+            t = int(times[j - 1])
+            if t < window_T:
+                parents = (ids[0],) if target == 0 else (ids[0], ids[target])
+                nodes.append(CascadeNode(id=ids[j], time=t, parents=parents))
+                observed += 1
+        cascade = Cascade(root=root, root_time=0, window_T=window_T, nodes=tuple(nodes))
+        label = GrowthLabel(observed_size=observed, growth=n - 1 - observed)
+        out.append((cascade, label))
+    return out
 
 
 # ----------------------------------------------------------------- parsing
@@ -527,6 +567,40 @@ def test_synthetic_same_seed_is_byte_identical(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
     c = casc.generate_synthetic(25, seed=12, **kw)
     assert cascade_to_dict(*a[0]) != cascade_to_dict(*c[0])
+
+
+@st.composite
+def synth_args(draw):
+    hi = draw(st.integers(2, 80))
+    lo = draw(st.sampled_from([2, hi]) | st.integers(2, hi))
+    horizon = draw(st.integers(hi + 2, hi + 120))
+    window_T = draw(st.none() | st.integers(1, horizon))
+    bias = draw((st.floats(1e-3, 1e9) | st.floats(-3, 9).map(lambda e: 10.0**e))  # and every magnitude
+                .filter(lambda b: not b.is_integer()))
+    return dict(n_cascades=draw(st.integers(1, 12)), size_range=(lo, hi), time_horizon=horizon,
+                attachment_bias=bias, seed=draw(st.integers(0, 2**32 - 1)), window_T=window_T)
+
+
+@given(synth_args())
+@settings(max_examples=60, deadline=None)
+def test_block_generator_equals_the_per_node_generator(kw):
+    assert casc.generate_synthetic(**kw) == reference_generate_synthetic(**kw)
+
+
+def test_generator_spanning_two_blocks_equals_the_per_node_generator():
+    kw = dict(n_cascades=4100, size_range=(2, 4), time_horizon=30, attachment_bias=0.7, seed=5)
+    assert casc.generate_synthetic(**kw) == reference_generate_synthetic(**kw)
+
+
+@pytest.mark.parametrize("seed, args, window_T", [
+    (11, (200, (6, 18), 80, 1.0), 40),  # the overfit-gate and fit-small corpus
+    (31, (520, (6, 30), 120, 1.0), 60),
+    (21, (300, (11, 40), 60, 1.0), 59),
+    (0, (200, (10, 60), 2200, 1.0), None),  # the configured defaults
+])
+def test_generator_reproduces_known_corpora(seed, args, window_T):
+    kw = dict(seed=seed, window_T=window_T)
+    assert casc.generate_synthetic(*args, **kw) == reference_generate_synthetic(*args, **kw)
 
 
 def test_synthetic_sizes_and_labels_reconcile():

@@ -59,6 +59,35 @@ def test_refuses_size_shape_mismatch():
         ck.parse_arrays(doc)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("values", ["0.5", True], "values must be JSON numbers, got '0.5'"),
+    ("values", [0.5, True], "values must be JSON numbers, got True"),
+    ("values", [0.5, None], "values must be JSON numbers, got None"),
+    ("values", [[0.5], [1.0]], "values must be JSON numbers, got [0.5]"),
+    ("values", "0.5,1.0", "values must be a list of numbers, got '0.5,1.0'"),
+    ("values", [0.5, 10**400], "a value does not fit a float"),
+    ("shape", [2.0], "shape must be a list of integers >= 0, got [2.0]"),
+    ("shape", [True, 2], "shape must be a list of integers >= 0, got [True, 2]"),
+    ("shape", [-1, -2], "shape must be a list of integers >= 0, got [-1, -2]"),
+    ("shape", 2, "shape must be a list of integers >= 0, got 2"),
+], ids=["string", "bool", "null", "nested", "text", "huge integer", "float dim", "bool dim",
+        "negative dims", "bare integer"])
+def test_refuses_values_that_are_not_numbers_and_shapes_that_are_not_dims(field, value, message):
+    doc = ck.dump_arrays({"w": np.ones(2)})
+    doc["arrays"]["w"][field] = value
+    with pytest.raises(CheckpointError) as err:
+        ck.parse_arrays(doc)
+    assert str(err.value) == f"array 'w': {message}"
+
+
+def test_integer_values_and_an_empty_shape_load():
+    doc = ck.dump_arrays({"w": np.ones((2, 1)), "s": np.array(3.0)})
+    doc["arrays"]["w"]["values"] = [1, -2]
+    loaded = ck.parse_arrays(doc)
+    assert loaded["w"].dtype == np.float64 and loaded["w"].tolist() == [[1.0], [-2.0]]
+    assert loaded["s"].shape == () and loaded["s"] == 3.0
+
+
 def test_expected_shapes_catch_missing_and_unexpected():
     doc = ck.dump_arrays({"w": np.ones((2, 3)), "junk": np.ones(1)})
     with pytest.raises(CheckpointError) as err:

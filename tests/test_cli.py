@@ -426,6 +426,31 @@ def test_checkpoint_model_config_takes_only_its_json_types(pipeline, tmp_path, c
     }
 
 
+def test_checkpoint_values_take_only_json_numbers(pipeline, tmp_path, capsys):
+    doc = json.loads((pipeline / "run" / "checkpoint.json").read_text())
+    name = next(iter(doc["arrays"]))
+    doc["arrays"][name]["values"][-1] = None
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["predict", "--checkpoint", str(bad), "--cascades", str(pipeline / "data" / "cascades.jsonl"),
+                 "--out", str(tmp_path / "pred")])
+    assert code == 1
+    assert _only_error_line(capsys) == {
+        "error": "CheckpointError",
+        "message": f"{bad}: array {name!r}: values must be JSON numbers, got None",
+        "details": {},
+    }
+
+
+@pytest.mark.parametrize("command, seed", [("synth", "-1"), ("encode", "-2")])
+def test_negative_seed_fails_with_a_json_error(pipeline, tmp_path, capsys, command, seed):
+    inputs = ["--cascades", str(pipeline / "data" / "cascades.jsonl")] if command == "encode" else []
+    assert main([command, *inputs, "--seed", seed, "--out", str(tmp_path / "out")]) == 1
+    assert _only_error_line(capsys) == {
+        "error": "ConfigError", "message": f"config key 'seed' must be >= 0, got {seed}", "details": {},
+    }
+
+
 def test_missing_input_file_fails_cleanly(tmp_path, capsys):
     code = main(["stats", "--cascades", str(tmp_path / "nope.jsonl"),
                  "--out", str(tmp_path / "o")])
