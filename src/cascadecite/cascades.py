@@ -28,7 +28,8 @@ from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_jsonl
+from .config import DEFAULTS
 from .errors import (
     ConfigError,
     ContractError,
@@ -203,7 +204,7 @@ def build_cascades(
     citations: Citations,
     window_T: int,
     horizon: int | None = None,
-    min_observed: int = 10,
+    min_observed: int = DEFAULTS["min_observed"],
     tally: dict | None = None,
 ) -> list[LabeledCascade]:
     """Group citations into per-root cascades and label future growth.
@@ -325,28 +326,20 @@ class CorpusStats:
 
 
 def compute_stats(trees: Sequence) -> CorpusStats:
-    """Corpus means over tree-converted cascades.
+    """Corpus means of each tree's shape (see `CascadeTree.shape`).
 
-    avg_degree uses the tree identity 2(n-1)/n; avg_edges reports the mean
+    avg_popularity is the mean tree edge count; avg_edges reports the mean
     candidate-edge count of the cascades the trees came from.
     """
     if not trees:
         raise StatsError("no trees to summarize")
-    paths, pops, degs, edges, leaves = [], [], [], [], []
-    for t in trees:
-        n = len(t.adoption_time)
-        depths = [k + 1 for k, level in enumerate(t.levels) for _ in level]
-        paths.append(float(np.mean(depths)) if depths else 0.0)
-        pops.append(n - 1)
-        degs.append(2.0 * (n - 1) / n)
-        edges.append(t.source_edges)
-        leaves.append(sum(1 for v in t.adoption_time if not t.children.get(v)))
+    edges, _, paths, leaves, degrees = zip(*(t.shape for t in trees))
     return CorpusStats(
         cascade_count=len(trees),
         avg_path_length=float(np.mean(paths)),
-        avg_popularity=float(np.mean(pops)),
-        avg_degree=float(np.mean(degs)),
-        avg_edges=float(np.mean(edges)),
+        avg_popularity=float(np.mean(edges)),
+        avg_degree=float(np.mean(degrees)),
+        avg_edges=float(np.mean([t.source_edges for t in trees])),
         avg_leaf_count=float(np.mean(leaves)),
     )
 
@@ -451,7 +444,9 @@ def _expect(value, kind: type, what: str):
 
 
 def cascade_from_dict(doc: dict) -> LabeledCascade | tuple[Cascade, None]:
-    """Ids must be JSON strings, times and counts JSON integers, parents lists."""
+    """Ids must be JSON strings, times and counts JSON integers, parents
+    lists. Every node time lies in [1, window_T), and a label's observed
+    count is the node count."""
     try:
         rows = list(map(itemgetter("id", "t", "parents"), _expect(doc["nodes"], list, "nodes")))
         ids, times, parents = zip(*rows) if rows else ((), (), ())
@@ -469,12 +464,18 @@ def cascade_from_dict(doc: dict) -> LabeledCascade | tuple[Cascade, None]:
             window_T=_expect(doc["window_T"], int, "window_T"),
             nodes=tuple(map(_node, zip(ids, times, map(tuple, parents)))),
         )
+        window = cascade.window_T
+        if times and (min(times) < 1 or max(times) >= window):  # whole column; then name the node
+            pid, t = next((pid, t) for pid, t in zip(ids, times) if not 1 <= t < window)
+            raise ParseError(f"node {pid!r} time {t} lies outside [1, {window})")
         raw = doc.get("label")
         label = None
         if raw is not None:
             observed = _expect(_expect(raw, dict, "label")["observed"], int, "label observed")
             growth = _expect(raw["growth"], int, "label growth")
             label = GrowthLabel(observed_size=observed, growth=growth)
+            if observed != len(ids):
+                raise ParseError(f"label observed {observed} is not the node count {len(ids)}")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad cascade record: {exc}") from None
     return cascade, label
@@ -511,18 +512,4 @@ def write_cascades_jsonl(path: str | Path, pairs: Iterable[tuple[Cascade, Growth
 
 
 def read_cascades_jsonl(path: str | Path) -> list[tuple[Cascade, GrowthLabel | None]]:
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path} line {lineno}: {exc}") from None
-            try:
-                out.append(cascade_from_dict(doc))
-            except (ParseError, ContractError) as exc:
-                raise type(exc)(f"{path} line {lineno}: {exc}") from None
-    return out
+    return read_jsonl(path, cascade_from_dict)

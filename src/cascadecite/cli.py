@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import cascades as casc
 from . import encoding as enc
-from .atomic import atomic_write, write_csv
+from .atomic import atomic_write, write_csv, write_json
 from .config import TOOL_VERSION, VALID_KEYS, parse_horizon, resolve_config, utc_now, write_manifest
 from .errors import CascadeCiteError, ConfigError, ParseError, SchemaMismatchError
 from .model import ModelConfig, load_model, save_model
@@ -64,19 +64,31 @@ def _bin_counts(text: str) -> list[int]:
     return counts
 
 
-def _write_json(path: Path, doc) -> Path:
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(doc, indent=1))
-    return path
-
-
-def _corpus_window(pairs, path) -> int:
+def _read_cascades(path, schema: enc.EncodingSchema | None = None) -> tuple[list, int]:
+    """The cascades in `path` and the one window they share, which must be
+    the window of `schema` (a checkpoint's) when one is given."""
+    pairs = casc.read_cascades_jsonl(path)
     windows = {c.window_T for c, _ in pairs}
     if not windows:
         raise ParseError(f"{path} holds no cascades")
     if len(windows) != 1:
         raise ConfigError(f"cascades carry mixed windows {sorted(windows)}; re-ingest consistently")
-    return windows.pop()
+    window = windows.pop()
+    if schema is not None and window != schema.window_T:
+        raise SchemaMismatchError(
+            f"cascades use window {window} but checkpoint was trained on {schema.window_T}",
+            details={"expected_window": schema.window_T, "got_window": window},
+        )
+    return pairs, window
+
+
+def _encode_against(items, schema: enc.EncodingSchema) -> list[enc.EncodedSample]:
+    """(tree, label) pairs encoded against a schema they may overflow,
+    truncating what does not fit and logging how many trees that took."""
+    samples, clipped = encode_trees(items, schema, truncate=True)
+    if clipped:
+        log.warning("schema truncation applied to %d of %d trees", clipped, len(samples))
+    return samples
 
 
 def _schema_diff(a: enc.EncodingSchema, b: enc.EncodingSchema) -> list[str]:
@@ -86,20 +98,11 @@ def _schema_diff(a: enc.EncodingSchema, b: enc.EncodingSchema) -> list[str]:
 
 def _load_eval_samples(args, ckpt_schema: enc.EncodingSchema) -> list[enc.EncodedSample]:
     """Samples for eval/predict: raw cascades re-encoded, or pre-encoded + schema."""
-    if getattr(args, "cascades", None):
-        pairs = casc.read_cascades_jsonl(args.cascades)
-        window = _corpus_window(pairs, args.cascades)
-        if window != ckpt_schema.window_T:
-            raise SchemaMismatchError(
-                f"cascades use window {window} but checkpoint was trained on {ckpt_schema.window_T}",
-                details={"expected_window": ckpt_schema.window_T, "got_window": window},
-            )
-        samples, clipped = encode_trees([(to_tree(c), lb) for c, lb in pairs], ckpt_schema, truncate=True)
-        if clipped:
-            log.warning("schema truncation applied to %d of %d trees", clipped, len(samples))
-        return samples
-    if getattr(args, "encoded", None):
-        if not getattr(args, "schema", None):
+    if args.cascades:
+        pairs, _ = _read_cascades(args.cascades, ckpt_schema)
+        return _encode_against([(to_tree(c), lb) for c, lb in pairs], ckpt_schema)
+    if args.encoded:
+        if not args.schema:
             raise ConfigError("--encoded requires --schema so the encoding can be verified")
         file_schema = enc.load_schema(args.schema)
         if file_schema != ckpt_schema:
@@ -146,7 +149,7 @@ def _cmd_ingest(args, cfg, counters) -> list[Path]:
     )
     path = out / "cascades.jsonl"
     casc.write_cascades_jsonl(path, pairs)
-    return [path, _write_json(out / "ingest_report.json", counters)]
+    return [path, write_json(out / "ingest_report.json", counters)]
 
 
 def _cmd_stats(args, cfg, counters) -> list[Path]:
@@ -160,13 +163,12 @@ def _cmd_stats(args, cfg, counters) -> list[Path]:
             continue
         stats = casc.compute_stats([to_tree(c) for c, _ in chunk])
         doc[name] = dataclasses.asdict(stats)
-    return [_write_json(out / "stats.json", doc)]
+    return [write_json(out / "stats.json", doc)]
 
 
 def _cmd_encode(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
-    pairs = casc.read_cascades_jsonl(args.cascades)
-    window = _corpus_window(pairs, args.cascades)
+    pairs, window = _read_cascades(args.cascades)
     tr, va, te, schema = encode_split(pairs, cfg["bins"], window, cfg["seed"], tally=counters)
     outputs = [out / "schema.json"]
     enc.save_schema(outputs[0], schema)
@@ -204,7 +206,7 @@ def _cmd_train(args, cfg, counters) -> list[Path]:
     metrics = out / "metrics.csv"
     rows = ((i, *pair) for i, pair in enumerate(zip(report.train_losses, report.val_msles), 1))
     write_csv(metrics, ("epoch", "train_loss", "val_msle"), rows)
-    return [ckpt, metrics, _write_json(out / "report.json", report.to_dict())]
+    return [ckpt, metrics, write_json(out / "report.json", report.to_dict())]
 
 
 def _cmd_eval(args, cfg, counters) -> list[Path]:
@@ -212,7 +214,7 @@ def _cmd_eval(args, cfg, counters) -> list[Path]:
     params, schema = load_model(args.checkpoint)
     samples = _load_eval_samples(args, schema)
     value = evaluate(params, samples)
-    return [_write_json(out / "eval.json", {"msle": value, "count": len(samples)})]
+    return [write_json(out / "eval.json", {"msle": value, "count": len(samples)})]
 
 
 def _cmd_predict(args, cfg, counters) -> list[Path]:
@@ -227,37 +229,29 @@ def _cmd_predict(args, cfg, counters) -> list[Path]:
 
 def _cmd_probe(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
-    pairs = casc.read_cascades_jsonl(args.cascades)
-    window = _corpus_window(pairs, args.cascades)
+    if args.decayed and not args.checkpoint:
+        raise ConfigError("--decayed needs --checkpoint to supply the trained decay")
+    params, schema = load_model(args.checkpoint) if args.checkpoint else (None, None)
+    pairs, window = _read_cascades(args.cascades, schema)
     trees = [to_tree(c) for c, _ in pairs]
     usable = [t for t in trees if t.size >= 2]
     if len(usable) < len(trees):
         log.warning("skipping %d root-only cascades", len(trees) - len(usable))
-
-    decay = None
-    if args.decayed:
-        if not args.checkpoint:
-            raise ConfigError("--decayed needs --checkpoint to supply the trained decay")
-        params, schema = load_model(args.checkpoint)
-        decay = params.decay.values
-    elif args.checkpoint:
-        _, schema = load_model(args.checkpoint)
-    else:
+    if schema is None:
         schema = enc.schema_from_corpus(usable, cfg["bins"], window)
 
+    seqs = [s.seq for s in _encode_against([(t, None) for t in usable], schema)]
     feats = [structural_features(t) for t in usable]
-    seqs = [enc.encode(t, schema, truncate=True) for t in usable]
-    report = run_probe(seqs, feats, seed=cfg["seed"], decay=decay)
+    report = run_probe(seqs, feats, seed=cfg["seed"], decay=params.decay.values if args.decayed else None)
 
     csv_path = out / "probe.csv"
     write_csv(csv_path, FEATURE_NAMES, [[report.mse[name] for name in FEATURE_NAMES]])
-    return [csv_path, _write_json(out / "probe.json", report.to_dict())]
+    return [csv_path, write_json(out / "probe.json", report.to_dict())]
 
 
 def _cmd_sweep(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
-    pairs = casc.read_cascades_jsonl(args.cascades)
-    window = _corpus_window(pairs, args.cascades)
+    pairs, window = _read_cascades(args.cascades)
     rows = sweep_time_interval(
         pairs, _bin_counts(args.bins_list), window, TrainConfig(**_settings(TrainConfig, cfg)),
         model_overrides=_settings(ModelConfig, cfg),

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__ as TOOL_VERSION
-from .atomic import atomic_write
+from .atomic import read_json, write_json
 from .errors import ConfigError
 
 # Every setting and its default. A value must have its default's JSON type:
@@ -83,10 +82,7 @@ def resolve_config(config_path: str | Path | None, overrides: dict | None = None
     cfg = dict(DEFAULTS)
     sources = []
     if config_path is not None:
-        try:
-            doc = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from None
+        doc = read_json(config_path, lambda message: ConfigError(f"config file {message}"))
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
         sources.append((doc, f"config file {config_path}"))
@@ -139,7 +135,6 @@ def write_manifest(
     inputs: list[str | Path],
     outputs: list[str | Path],
     started: str,
-    finished: str | None = None,
     counters: dict | None = None,
 ) -> Path:
     """`<command>_manifest.json`: the resolved config, input digests, output
@@ -153,9 +148,6 @@ def write_manifest(
         "outputs": [str(p) for p in outputs],
         "counters": counters or {},
         "started_utc": started,
-        "finished_utc": finished or utc_now(),
+        "finished_utc": utc_now(),
     }
-    path = Path(out_dir) / f"{command}_manifest.json"
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(manifest, indent=1))
-    return path
+    return write_json(Path(out_dir) / f"{command}_manifest.json", manifest)

@@ -18,7 +18,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_json, read_jsonl, write_json
 from .errors import BinRangeError, ParseError, SchemaError, SchemaOverflowError
 from .trees import CascadeTree
 
@@ -209,15 +209,11 @@ def schema_from_dict(doc: dict) -> EncodingSchema:
 
 
 def save_schema(path: str | Path, schema: EncodingSchema) -> None:
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(schema_to_dict(schema), indent=1))
+    write_json(path, schema_to_dict(schema))
 
 
 def load_schema(path: str | Path) -> EncodingSchema:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    doc = read_json(path, ParseError)
     try:
         return schema_from_dict(doc)
     except ParseError as exc:
@@ -279,14 +275,4 @@ def write_encoded_jsonl(path: str | Path, samples: Iterable[EncodedSample]) -> i
 
 
 def read_encoded_jsonl(path: str | Path) -> list[EncodedSample]:
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(sample_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, ParseError) as exc:
-                raise ParseError(f"{path} line {lineno}: {exc}") from None
-    return out
+    return read_jsonl(path, sample_from_dict)

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as _ckpt
+from .atomic import read_json
 from .autodiff import ParamBuffer, Tensor, conv1d, embed, gru, mlp, sq_loss
 from .config import DEFAULTS, _typed
 from .encoding import DegreeSequence, EncodingSchema, schema_from_dict, schema_to_dict
@@ -321,12 +322,7 @@ def save_model(path: str | Path, params: ModelParams, schema: EncodingSchema) ->
 
 
 def load_model(path: str | Path) -> tuple[ModelParams, EncodingSchema]:
-    import json
-
-    try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise CheckpointError(f"{path} is not valid JSON: {exc}") from None
+    doc = read_json(path, CheckpointError)
     try:
         if not isinstance(doc, dict) or "model_config" not in doc or "schema" not in doc:
             raise CheckpointError("checkpoint lacks model_config/schema sections")

@@ -12,15 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParamBuffer
+from .config import DEFAULTS
 from .errors import NumericError, ShapeError
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates and the denominator's floor
 
 
 @dataclass
 class AdamState:
-    step_size: float = 5e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    step_size: float = DEFAULTS["step_size"]
     t: int = 0
     m: np.ndarray | None = None  # first moments, laid out like the buffer
     v: np.ndarray | None = None  # second moments, same layout
@@ -56,7 +56,7 @@ def adam_step(params: ParamBuffer, state: AdamState) -> AdamState:
             details={"param": name, "step": state.t + 1, "grad_norm": float(np.abs(worst).max())},
         )
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     m, v = state.m, state.v
     tmp, den = state.scratch
     # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
@@ -70,7 +70,7 @@ def adam_step(params: ParamBuffer, state: AdamState) -> AdamState:
     # values -= step_size * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
     np.divide(v, 1.0 - b2**state.t, out=den)
     np.sqrt(den, out=den)
-    den += state.eps
+    den += EPS
     np.divide(m, 1.0 - b1**state.t, out=tmp)
     tmp *= state.step_size
     tmp /= den

@@ -18,44 +18,19 @@ from .autodiff import ParamBuffer, Tape, Tensor, mlp, sq_loss
 from .encoding import DegreeSequence
 from .errors import ConfigError, FeatureError
 from .optim import AdamState, adam_step
-from .trees import CascadeTree
+from .trees import CascadeTree, TreeShape
 
-FEATURE_NAMES = ("edges", "max_path", "ave_path", "leaves", "ave_degree")
+FEATURE_NAMES = TreeShape._fields
 _HIDDEN = 64  # readout width
 _EPOCHS = 200  # full-batch Adam steps
 _STEP_SIZE = 1e-2
 
 
-@dataclass(frozen=True)
-class StructuralFeatures:
-    edges: int
-    max_path: int
-    ave_path: float
-    leaves: int
-    ave_degree: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.edges, self.max_path, self.ave_path, self.leaves, self.ave_degree],
-            dtype=np.float64,
-        )
-
-
-def structural_features(tree: CascadeTree) -> StructuralFeatures:
+def structural_features(tree: CascadeTree) -> TreeShape:
     """Edge count, eccentricity from the root, mean root distance, leaf count, mean degree."""
-    n = tree.size
-    if n < 2:
+    if tree.size < 2:
         raise FeatureError(f"tree {tree.root!r} has no non-root nodes")
-    depths = [k + 1 for k, level in enumerate(tree.levels) for _ in level]
-    leaves = sum(1 for v in tree.adoption_time if not tree.children.get(v))
-    edges = n - 1
-    return StructuralFeatures(
-        edges=edges,
-        max_path=len(tree.levels),
-        ave_path=float(np.mean(depths)),
-        leaves=leaves,
-        ave_degree=2.0 * edges / n,
-    )
+    return tree.shape
 
 
 @dataclass
@@ -71,7 +46,7 @@ class ProbeReport:
 
 def probe(
     seqs: Sequence[DegreeSequence],
-    features: Sequence[StructuralFeatures],
+    features: Sequence[TreeShape],
     seed: int,
     decay: np.ndarray | None = None,
 ) -> ProbeReport:
@@ -93,7 +68,7 @@ def probe(
 
     # every level concatenated as degree * decay[bin]; padding stays 0
     x = np.array([[e.degree * decay[e.bin] for lvl in s.levels for e in lvl] for s in seqs])
-    y_raw = np.stack([f.as_array() for f in features])
+    y_raw = np.array(features, dtype=np.float64)
 
     lo = y_raw.min(axis=0)
     hi = y_raw.max(axis=0)

@@ -10,9 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .cascades import Cascade
 from .errors import MalformedCascadeError, TimeViolationError
+
+
+class TreeShape(NamedTuple):
+    edges: int          # tree edges: every node but the root
+    max_path: int       # the deepest level's distance from the root
+    ave_path: float     # mean distance from the root over non-root nodes; 0.0 for a root alone
+    leaves: int         # nodes without children, a lone root included
+    ave_degree: float   # 2 * edges / node count
 
 
 @dataclass(frozen=True)
@@ -29,6 +38,13 @@ class CascadeTree:
     @property
     def size(self) -> int:
         return len(self.adoption_time)
+
+    @property
+    def shape(self) -> TreeShape:
+        edges = self.size - 1
+        depth_sum = sum(k * len(level) for k, level in enumerate(self.levels, 1))
+        leaves = sum(not self.children.get(v) for v in self.adoption_time)
+        return TreeShape(edges, len(self.levels), depth_sum / edges if edges else 0.0, leaves, 2.0 * edges / self.size)
 
 
 def to_tree(cascade: Cascade) -> CascadeTree:

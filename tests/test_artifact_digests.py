@@ -81,3 +81,21 @@ def test_synth_corpus_matches_its_pinned_digest(tmp_path):
     assert main(["synth", "--out", str(tmp_path), "--n", "200", "--size-min", "6", "--size-max", "18",
                  "--synth-horizon", "80", "--window-days", "40", "--bias", "1.0", "--seed", "11"]) == 0
     assert hashlib.sha256((tmp_path / "cascades.jsonl").read_bytes()).hexdigest() == SYNTH_PINNED
+
+
+# Recorded before stats and probe took their features from one tree shape;
+# trees.jsonl is the latest-parent tree of every cascade the ingest wrote.
+SHAPE_PINNED = {
+    "stats/stats.json": "2100985d085bb6e8f02056c6d76923528fa994ef54ad492dfddc5ee73a35fea5",
+    "trees/trees.jsonl": "11875c95521cd41a3cdb7095e67cbeefc3346146c3503acdc8cdddc433d47690",
+}
+
+
+def test_stats_and_dumped_trees_match_their_pinned_digests(tmp_path):
+    run_ingest_and_encode(tmp_path)
+    cascades = str(tmp_path / "casc" / "cascades.jsonl")
+    assert main(["stats", "--cascades", cascades, "--out", str(tmp_path / "stats"), "--seed", "4"]) == 0
+    assert main(["encode", "--cascades", cascades, "--out", str(tmp_path / "trees"),
+                 "--bins", "5", "--seed", "4", "--dump-trees"]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SHAPE_PINNED}
+    assert got == SHAPE_PINNED

@@ -760,6 +760,34 @@ def test_reader_accepts_only_json_integers_strings_and_lists(tmp_path, path, val
     assert (c.root_time, c.window_T, c.nodes[0].time, lb.growth) == (3, 40, 10, 2)
 
 
+@pytest.mark.parametrize("times, observed, message", [
+    ([0, 10], 2, "node 'a' time 0 lies outside [1, 40)"),
+    ([10, 40], 2, "node 'b' time 40 lies outside [1, 40)"),
+    ([10, -3], 2, "node 'b' time -3 lies outside [1, 40)"),
+    ([10, 500], None, "node 'b' time 500 lies outside [1, 40)"),
+    ([10, 20], 3, "label observed 3 is not the node count 2"),
+    ([10, 20], 0, "label observed 0 is not the node count 2"),
+])
+def test_reader_checks_times_against_the_window_and_the_label_against_the_nodes(tmp_path, times, observed,
+                                                                                 message):
+    doc = {**GOOD_CASCADE, "nodes": [{"id": pid, "t": t, "parents": ["r"]} for pid, t in zip("ab", times)]}
+    doc["label"] = None if observed is None else {"observed": observed, "growth": 2}
+    file = tmp_path / "self.jsonl"
+    file.write_text(json.dumps(GOOD_CASCADE) + "\n" + json.dumps(doc) + "\n")
+    with pytest.raises(ParseError) as info:
+        casc.read_cascades_jsonl(file)
+    assert str(info.value) == f"{file} line 2: {message}"
+
+
+def test_reader_takes_times_at_both_ends_of_the_window(tmp_path):
+    doc = {**GOOD_CASCADE, "nodes": [{"id": pid, "t": t, "parents": ["r"]} for pid, t in zip("ab", (1, 39))],
+           "label": {"observed": 2, "growth": 0}}
+    file = tmp_path / "ends.jsonl"
+    file.write_text(json.dumps(doc) + "\n")
+    ((c, lb),) = casc.read_cascades_jsonl(file)
+    assert [n.time for n in c.nodes] == [1, 39] and lb.observed_size == 2
+
+
 def test_reader_rejects_a_node_without_parent_candidates(tmp_path):
     path = tmp_path / "orphan.jsonl"
     path.write_text('{"root":"r","root_time":0,"window_T":5,"nodes":[{"id":"a","t":1,"parents":[]}],"label":null}\n')

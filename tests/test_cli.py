@@ -274,6 +274,19 @@ def test_probe_runs_with_and_without_checkpoint(pipeline):
                  "--decayed", "--seed", "5"]) == 0
 
 
+def test_probe_on_a_checkpoint_logs_truncated_trees(pipeline, tmp_path, caplog):
+    # stars of 56 to 60 citers are wider at level 1 than any tree the schema was built on
+    src = tmp_path / "wide.jsonl"
+    src.write_text("".join(
+        json.dumps({"root": f"w{n}", "root_time": 0, "window_T": 150, "label": None,
+                    "nodes": [{"id": f"w{n}.{i}", "t": i, "parents": [f"w{n}"]} for i in range(1, n + 1)]}) + "\n"
+        for n in range(56, 61)
+    ))
+    assert main(["probe", "--checkpoint", str(pipeline / "run" / "checkpoint.json"),
+                 "--cascades", str(src), "--out", str(tmp_path / "probe"), "--seed", "5"]) == 0
+    assert "schema truncation applied to 5 of 5 trees" in caplog.text
+
+
 def test_sweep_writes_one_row_per_bin_count(pipeline):
     out = pipeline / "sweep"
     assert main(["sweep", "--cascades", str(pipeline / "data" / "cascades.jsonl"),
@@ -299,6 +312,48 @@ def test_schema_mismatch_is_reported_as_json(pipeline, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "SchemaMismatchError"
     assert any("bin_count" in d for d in err["details"]["diff"])
+
+
+@pytest.mark.parametrize("extra", [[], ["--decayed"]], ids=["raw", "decayed"])
+def test_probe_refuses_cascades_of_another_window_as_predict_does(pipeline, tmp_path, capsys, extra):
+    # the checkpoint's decay is indexed by bins cut on its 150-day window
+    assert main(["synth", "--out", str(tmp_path / "data"), "--n", "20", "--size-min", "6", "--size-max", "12",
+                 "--synth-horizon", "80", "--window-days", "40", "--seed", "5"]) == 0
+    capsys.readouterr()
+    inputs = ["--checkpoint", str(pipeline / "run" / "checkpoint.json"),
+              "--cascades", str(tmp_path / "data" / "cascades.jsonl")]
+    assert main(["predict", *inputs, "--out", str(tmp_path / "pred")]) == 1
+    expected = _only_error_line(capsys)
+    assert expected == {
+        "error": "SchemaMismatchError",
+        "message": "cascades use window 40 but checkpoint was trained on 150",
+        "details": {"expected_window": 150, "got_window": 40},
+    }
+    assert main(["probe", *inputs, *extra, "--out", str(tmp_path / "probe")]) == 1
+    assert _only_error_line(capsys) == expected
+    assert not (tmp_path / "probe" / "probe.json").exists()
+
+
+def _nodes_of(doc: dict, times: list[int], observed: int | None = None) -> dict:
+    doc = {**doc, "nodes": [{"id": f"n{i}", "t": t, "parents": [doc["root"]]} for i, t in enumerate(times)]}
+    doc["label"] = {"observed": len(times) if observed is None else observed, "growth": 3}
+    return doc
+
+
+@pytest.mark.parametrize("command", ["stats", "encode"])
+@pytest.mark.parametrize("times, observed, message", [
+    (list(range(1, 11)), 999, "label observed 999 is not the node count 10"),
+    ([1, 2, 500], None, "node 'n2' time 500 lies outside [1, 150)"),
+], ids=["observed 999 for 10 nodes", "time 500 in a 150-day window"])
+def test_cascades_that_contradict_themselves_fail_with_a_json_error(tmp_path, capsys, command, times, observed,
+                                                                    message):
+    good = _nodes_of({"root": "r", "root_time": 0, "window_T": 150}, [1, 2, 3])
+    path = tmp_path / "cascades.jsonl"
+    bad = _nodes_of({**good, "root": "q"}, times, observed)
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in (good, good, bad, good)))
+    assert main([command, "--cascades", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert _only_error_line(capsys) == {"error": "ParseError", "message": f"{path} line 3: {message}",
+                                        "details": {}}
 
 
 def test_eval_needs_some_input(pipeline, tmp_path, capsys):

@@ -20,7 +20,7 @@ def test_feature_hand_fixture():
     assert f.ave_path == pytest.approx(4.0 / 3.0, abs=1e-15)
     assert f.leaves == 2
     assert f.ave_degree == pytest.approx(1.5, abs=1e-15)
-    assert f.as_array().shape == (5,)
+    assert np.asarray(f).shape == (5,)
 
 
 def test_feature_chain_fixture():
