@@ -14,14 +14,14 @@ date, measured from the corpus epoch (earliest date on file).
 from __future__ import annotations
 
 import datetime as _dt
-import json
 import logging
 import sys
 from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str, in C
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
@@ -37,7 +37,9 @@ from .errors import (
     ParseError,
     SplitError,
     StatsError,
+    TimeViolationError,
 )
+from .trees import to_tree
 
 log = logging.getLogger(__name__)
 
@@ -73,11 +75,10 @@ class Cascade:
 
 @dataclass(frozen=True)
 class GrowthLabel:
-    observed_size: int  # citers inside the window
-    growth: int
+    growth: int  # citers after the window; the cascade's nodes are the citers inside it
 
     def __post_init__(self):
-        if self.growth < 0 or self.observed_size < 0:
+        if self.growth < 0:
             raise ContractError(f"negative label: {self}")
 
 
@@ -275,8 +276,7 @@ def build_cascades(
     for root_id, root_day, n_obs, n_growth in kept:
         cascade = Cascade(root=root_id, root_time=root_day, window_T=window_T, nodes=tuple(nodes[lo:lo + n_obs]))
         lo += n_obs
-        label = GrowthLabel(observed_size=n_obs, growth=n_growth)
-        out.append((cascade, label))
+        out.append((cascade, GrowthLabel(n_growth)))
 
     anchored = int(undated.sum())
     if anchored or dropped_not_after_root:
@@ -430,7 +430,7 @@ def generate_synthetic(
             parents = [(root,) if k == 0 else (root, ids[k]) for k in target[:observed]]
             cascade = Cascade(root=root, root_time=0, window_T=window_T,
                               nodes=tuple(map(_node, zip(ids[1:], t, parents))))
-            out.append((cascade, GrowthLabel(observed_size=observed, growth=n - 1 - observed)))
+            out.append((cascade, GrowthLabel(n - 1 - observed)))
     return out
 
 
@@ -443,20 +443,26 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _name_bad_value(rows) -> None:
+    """Raise ParseError naming the first node id, time, parent list or
+    candidate whose JSON type is wrong; return when there is none."""
+    for pid, t, ps in rows:
+        _expect(pid, str, "node id")
+        _expect(t, int, f"node {pid!r} time")
+        for p in _expect(ps, list, f"node {pid!r} parents"):
+            _expect(p, str, f"node {pid!r} parent id")
+
+
 def cascade_from_dict(doc: dict) -> LabeledCascade | tuple[Cascade, None]:
     """Ids must be JSON strings, times and counts JSON integers, parents
-    lists. Every node time lies in [1, window_T), and a label's observed
-    count is the node count."""
+    lists. Every node time lies in [1, window_T), the record holds what
+    `to_tree` takes, and a label's observed count is the node count. Each
+    check reads whole columns, and names the bad value only on failure."""
     try:
         rows = list(map(itemgetter("id", "t", "parents"), _expect(doc["nodes"], list, "nodes")))
         ids, times, parents = zip(*rows) if rows else ((), (), ())
-        if not ({*map(type, ids)} <= {str} and {*map(type, times)} <= {int}  # whole columns;
-                and {*map(type, parents)} <= {list} and {*map(type, chain(*parents))} <= {str}):
-            for pid, t, ps in rows:  # node by node only to name the bad value
-                _expect(pid, str, "node id")
-                _expect(t, int, f"node {pid!r} time")
-                for p in _expect(ps, list, f"node {pid!r} parents"):
-                    _expect(p, str, f"node {pid!r} parent id")
+        if not ({*map(type, ids)} <= {str} and {*map(type, times)} <= {int} and {*map(type, parents)} <= {list}):
+            _name_bad_value(rows)
         if [] in parents:
             raise ContractError(f"node {ids[parents.index([])]!r} has no parent candidates")
         cascade = Cascade(
@@ -465,15 +471,30 @@ def cascade_from_dict(doc: dict) -> LabeledCascade | tuple[Cascade, None]:
             nodes=tuple(map(_node, zip(ids, times, map(tuple, parents)))),
         )
         window = cascade.window_T
-        if times and (min(times) < 1 or max(times) >= window):  # whole column; then name the node
+        if times and (min(times) < 1 or max(times) >= window):
             pid, t = next((pid, t) for pid, t in zip(ids, times) if not 1 <= t < window)
             raise ParseError(f"node {pid!r} time {t} lies outside [1, {window})")
+        # distinct ids, and each candidate the root or an earlier node; an
+        # unknown candidate reads as window_T, later than every node
+        time_of = dict(zip(ids, times))
+        time_of[cascade.root] = 0
+        get = time_of.get
+        try:
+            ok = len(time_of) > len(ids) and all([get(p, window) < t for t, ps in zip(times, parents) for p in ps])
+        except TypeError:  # a candidate that is a list or an object
+            ok = False
+        if not ok:
+            _name_bad_value(rows)
+            try:  # the fault that to_tree meets first
+                to_tree(cascade)
+            except (MalformedCascadeError, TimeViolationError) as exc:
+                raise ParseError(str(exc)) from None
         raw = doc.get("label")
         label = None
         if raw is not None:
             observed = _expect(_expect(raw, dict, "label")["observed"], int, "label observed")
             growth = _expect(raw["growth"], int, "label growth")
-            label = GrowthLabel(observed_size=observed, growth=growth)
+            label = GrowthLabel(growth)
             if observed != len(ids):
                 raise ParseError(f"label observed {observed} is not the node count {len(ids)}")
     except (KeyError, TypeError) as exc:
@@ -481,30 +502,21 @@ def cascade_from_dict(doc: dict) -> LabeledCascade | tuple[Cascade, None]:
     return cascade, label
 
 
-class _IdTexts(dict):
-    """Paper id -> its JSON text, filled on first use."""
-
-    def __missing__(self, pid: str) -> str:
-        text = self[pid] = json.dumps(pid)
-        return text
-
-
 def write_cascades_jsonl(path: str | Path, pairs: Iterable[tuple[Cascade, GrowthLabel | None]]) -> int:
     """One compact JSON record per cascade: {"root", "root_time", "window_T",
     "nodes": [{"id", "t", "parents"}], "label": {"observed", "growth"} or null},
-    byte for byte as json.dumps gives it with separators (",", ":"). A file
-    names each paper many times, so each id's text is made once."""
-    text = _IdTexts().__getitem__
+    byte for byte as json.dumps gives it with separators (",", ":"). The
+    observed count is the node count."""
     count = 0
     with atomic_write(path) as fh:
         for c, lb in pairs:
             nodes = ",".join(
-                f'{{"id":{text(nid)},"t":{t},"parents":[{",".join(map(text, parents))}]}}'
+                f'{{"id":{_quote(nid)},"t":{t},"parents":[{",".join(map(_quote, parents))}]}}'
                 for nid, t, parents in c.nodes
             )
-            label = "null" if lb is None else f'{{"observed":{lb.observed_size},"growth":{lb.growth}}}'
+            label = "null" if lb is None else f'{{"observed":{len(c.nodes)},"growth":{lb.growth}}}'
             fh.write(
-                f'{{"root":{text(c.root)},"root_time":{c.root_time},"window_T":{c.window_T},'
+                f'{{"root":{_quote(c.root)},"root_time":{c.root_time},"window_T":{c.window_T},'
                 f'"nodes":[{nodes}],"label":{label}}}\n'
             )
             count += 1

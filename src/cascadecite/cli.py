@@ -30,6 +30,7 @@ from .training import (
     encode_trees,
     evaluate,
     predict_rows,
+    reference_msles,
     sweep_time_interval,
     train,
     write_predictions,
@@ -154,7 +155,7 @@ def _cmd_ingest(args, cfg, counters) -> list[Path]:
 
 def _cmd_stats(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
-    pairs = casc.read_cascades_jsonl(args.cascades)
+    pairs, _ = _read_cascades(args.cascades)
     tr, va, te = casc.split_dataset(pairs, cfg["seed"])
     doc = {}
     for name, chunk in (("train", tr), ("val", va), ("test", te)):
@@ -196,10 +197,10 @@ def _cmd_train(args, cfg, counters) -> list[Path]:
     params, report = train(tr, va, TrainConfig(**_settings(TrainConfig, cfg)), mcfg)
 
     test_path = d / "test.encoded.jsonl"
-    if test_path.exists():
-        te = enc.read_encoded_jsonl(test_path)
-        if te:
-            report.test_msle = evaluate(params, te)
+    te = enc.read_encoded_jsonl(test_path) if test_path.exists() else []
+    if te:
+        report.test_msle = evaluate(params, te)
+    report.reference_msle = reference_msles(tr, va, te)
 
     ckpt = out / "checkpoint.json"
     save_model(ckpt, params, schema)

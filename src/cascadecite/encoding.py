@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str, in C
 from math import isfinite
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -155,8 +157,8 @@ def encode(tree: CascadeTree, schema: EncodingSchema, truncate: bool = False) ->
         raise SchemaOverflowError(
             f"tree depth {len(tree.levels)} exceeds schema depth {schema.depth}"
         )
-    children, times = tree.children, tree.adoption_time  # degree: children + parent link (never the root)
-    out = [encode_level([(len(children[v]) + 1, times[v]) for v in nodes], length, schema, truncate)
+    kids, times = Counter(tree.parent.values()).get, tree.adoption_time  # degree: children + parent link (never the root)
+    out = [encode_level([(kids(v, 0) + 1, times[v]) for v in nodes], length, schema, truncate)
            for nodes, length in zip(tree.levels, schema.level_lengths)]
     out += map(pad_run, schema.level_lengths[len(out):])
     return DegreeSequence(levels=tuple(out))
@@ -269,7 +271,8 @@ def write_encoded_jsonl(path: str | Path, samples: Iterable[EncodedSample]) -> i
     with atomic_write(path) as fh:
         for s in samples:
             levels = ",".join(map(level_text, s.seq.levels))
-            fh.write(f'{{"id":{json.dumps(s.id)},"levels":[{levels}],"label":{json.dumps(s.growth)}}}\n')
+            label = "null" if s.growth is None else s.growth
+            fh.write(f'{{"id":{_quote(s.id)},"levels":[{levels}],"label":{label}}}\n')
             count += 1
     return count
 

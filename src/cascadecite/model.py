@@ -106,7 +106,6 @@ class ModelConfig:
             raise ConfigError(f"bad model config: {exc!r}") from None
 
 
-_GRU_KEYS = ("wu", "wr", "wh", "uu", "ur", "uh", "bu", "br", "bh")
 # gate -> (packed block, position of its M columns in that block)
 _GRU_PACKED = {
     "gru_wu": ("gru_w", 0), "gru_wr": ("gru_w", 1), "gru_wh": ("gru_w", 2),
@@ -173,8 +172,7 @@ class ModelParams:
         self.pre_embed = [
             (buf.block(f"pre_w{i}"), buf.block(f"pre_b{i}")) for i in range(config.pre_embed_depth)
         ]
-        self.gru = {key: self._by_name[f"gru_{key}"] for key in _GRU_KEYS}
-        self.gru_packed = (buf.block("gru_w"), buf.block("gru_u"), self.gru["uh"], buf.block("gru_b"))
+        self.gru_packed = (buf.block("gru_w"), buf.block("gru_u"), self._by_name["gru_uh"], buf.block("gru_b"))
         self.conv_kernel = self._by_name["conv_kernel"]
         self.conv_bias = self._by_name["conv_bias"]
         n_head = len(config.head_widths) + 1

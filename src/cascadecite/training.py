@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -18,6 +18,7 @@ from .config import DEFAULTS
 from .encoding import (
     EncodedSample,
     EncodingSchema,
+    PAD,
     encode,
     fits_schema,
     pad_fractions,
@@ -67,15 +68,11 @@ class TrainReport:
     val_msles: list[float] = field(default_factory=list)
     test_msle: float | None = None
     wall_time_sec: float = 0.0
+    reference_msle: dict | None = None  # see `reference_msles`
 
     def to_dict(self) -> dict:
-        return {
-            "epochs_run": self.epochs_run,
-            "best_epoch": self.best_epoch,
-            "best_val_msle": self.best_val_msle,
-            "test_msle": self.test_msle,
-            "wall_time_sec": self.wall_time_sec,
-        }
+        """Every field but the per-epoch lists, which go to metrics.csv."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("train_losses", "val_msles")}
 
 
 @dataclass(frozen=True)
@@ -88,14 +85,16 @@ class Stacked:
     growths: np.ndarray
 
 
-def _stacked(samples: Sequence[EncodedSample], cfg: ModelConfig) -> Stacked:
-    growths = []
+def _growths(samples: Sequence[EncodedSample]) -> np.ndarray:
     for s in samples:
         if s.growth is None:
             raise EvaluationError(f"sample {s.id!r} has no growth label")
-        growths.append(s.growth)
+    return np.array([s.growth for s in samples], dtype=np.int64)
+
+
+def _stacked(samples: Sequence[EncodedSample], cfg: ModelConfig) -> Stacked:
     degrees, bins = stack_sequences([s.seq for s in samples], cfg)
-    return Stacked(degrees, bins, np.asarray(growths, dtype=np.int64))
+    return Stacked(degrees, bins, _growths(samples))
 
 
 _PREDICT_CHUNK = 128  # rows per untaped forward pass
@@ -129,6 +128,37 @@ def evaluate(params: ModelParams, samples: Sequence[EncodedSample] | Stacked) ->
             raise EvaluationError("nothing to evaluate")
         samples = _stacked(samples, params.config)
     return msle(_predict_values(params, samples.degrees, samples.bins), samples.growths)
+
+
+def reference_msles(
+    train_samples: Sequence[EncodedSample],
+    val_samples: Sequence[EncodedSample],
+    test_samples: Sequence[EncodedSample],
+) -> dict[str, dict[str, float | None]]:
+    """Val and test MSLE of two count-only references fitted on the training
+    split; each test value is None when there are no test samples.
+
+    `const` predicts the train mean of log2(G+1). `count_loglinear` is the
+    least-squares line of log2(G+1) on log2(n+1), n a sample's real (non-pad)
+    slot count: Szabo and Huberman's count-only baseline. When every
+    training sample has the same n, it is `const`.
+    """
+    def log_counts(samples):
+        return np.log2([1.0 + sum(len(lvl) - lvl.count(PAD) for lvl in s.seq.levels) for s in samples])
+
+    x, y = log_counts(train_samples), log_target(_growths(train_samples))
+    mean = float(y.mean())
+    dx = x - x.mean()
+    slope = float(dx @ (y - mean) / (dx @ dx)) if x.min() < x.max() else 0.0
+    lines = {"const": (mean, 0.0), "count_loglinear": (mean - slope * x.mean(), slope)}
+    splits = {"val": val_samples, "test": test_samples}
+    return {
+        name: {
+            split: msle(a + b * log_counts(samples), _growths(samples)) if samples else None
+            for split, samples in splits.items()
+        }
+        for name, (a, b) in lines.items()
+    }
 
 
 def train(

@@ -9,11 +9,14 @@ root, with levels defined by distance from the root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cascades import Cascade
 from .errors import MalformedCascadeError, TimeViolationError
+
+if TYPE_CHECKING:  # cascades imports this module: its reader checks records with to_tree
+    from .cascades import Cascade
 
 
 class TreeShape(NamedTuple):
@@ -31,7 +34,6 @@ class CascadeTree:
     window_T: int
     parent: dict[str, str]          # node -> chosen parent; root absent
     adoption_time: dict[str, int]   # every node incl. root (root at 0)
-    children: dict[str, list[str]]  # insertion order = (time, id) of the child
     levels: tuple[tuple[str, ...], ...]  # levels[k-1] = nodes at distance k, (time, id) order
     source_edges: int               # candidate-edge count of the source DAG
 
@@ -39,11 +41,19 @@ class CascadeTree:
     def size(self) -> int:
         return len(self.adoption_time)
 
+    @cached_property
+    def children(self) -> dict[str, list[str]]:
+        """Node -> its children in (time, id) order; every node is a key."""
+        out: dict[str, list[str]] = {v: [] for v in self.adoption_time}
+        for v, p in self.parent.items():  # parent holds the nodes in (time, id) order
+            out[p].append(v)
+        return out
+
     @property
     def shape(self) -> TreeShape:
         edges = self.size - 1
         depth_sum = sum(k * len(level) for k, level in enumerate(self.levels, 1))
-        leaves = sum(not self.children.get(v) for v in self.adoption_time)
+        leaves = self.size - len(set(self.parent.values()))  # nodes that are no one's parent
         return TreeShape(edges, len(self.levels), depth_sum / edges if edges else 0.0, leaves, 2.0 * edges / self.size)
 
 
@@ -55,8 +65,7 @@ def to_tree(cascade: Cascade) -> CascadeTree:
             raise MalformedCascadeError(f"duplicate node id {node.id!r}")
         times[node.id] = node.time
 
-    parent: dict[str, str] = {}
-    children: dict[str, list[str]] = {v: [] for v in times}
+    parent: dict[str, str] = {}  # in (time, id) order of the child
     depth = {cascade.root: 0}
     levels: dict[int, list[str]] = {}  # by depth; a parent adopts earlier, so it is placed first
     for v, t, cands in sorted(cascade.nodes, key=itemgetter(1, 0)):
@@ -75,7 +84,6 @@ def to_tree(cascade: Cascade) -> CascadeTree:
         if best is None:
             raise MalformedCascadeError(f"node {v!r} has no parent candidates")
         parent[v] = best
-        children[best].append(v)
         depth[v] = depth[best] + 1
         levels.setdefault(depth[v], []).append(v)
 
@@ -85,7 +93,6 @@ def to_tree(cascade: Cascade) -> CascadeTree:
         window_T=cascade.window_T,
         parent=parent,
         adoption_time=times,
-        children=children,
         levels=tuple(map(tuple, levels.values())),
         source_edges=sum(map(len, map(itemgetter(2), cascade.nodes))),
     )
@@ -93,14 +100,12 @@ def to_tree(cascade: Cascade) -> CascadeTree:
 
 def tree_to_dict(tree: CascadeTree, label=None) -> dict:
     """JSON form mirroring the cascade schema, with a single parent per node."""
-    doc = {
+    return {
         "root": tree.root,
         "root_time": tree.root_time,
         "window_T": tree.window_T,
         "nodes": [
-            {"id": v, "t": tree.adoption_time[v], "parent": tree.parent[v]}
-            for v in sorted(tree.parent, key=lambda v: (tree.adoption_time[v], v))
+            {"id": v, "t": tree.adoption_time[v], "parent": p} for v, p in tree.parent.items()
         ],
+        "label": None if label is None else {"observed": tree.size - 1, "growth": label.growth},
     }
-    doc["label"] = None if label is None else {"observed": label.observed_size, "growth": label.growth}
-    return doc

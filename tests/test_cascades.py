@@ -19,6 +19,7 @@ from cascadecite.errors import (
     ParseError,
     SplitError,
     StatsError,
+    TimeViolationError,
 )
 from cascadecite.trees import to_tree
 
@@ -100,8 +101,7 @@ def reference_build_cascades(
             nodes.append(CascadeNode(id=pid, time=rel[pid], parents=tuple(c[1] for c in cands)))
 
         cascade = Cascade(root=root, root_time=root_time, window_T=window_T, nodes=tuple(nodes))
-        label = GrowthLabel(observed_size=len(rel), growth=growth)
-        out.append((cascade, label))
+        out.append((cascade, GrowthLabel(growth=growth)))
 
     if anchored or dropped_not_after_root:
         log.warning(
@@ -124,7 +124,7 @@ def cascade_to_dict(cascade: Cascade, label: GrowthLabel | None) -> dict:
         "nodes": [{"id": n.id, "t": n.time, "parents": list(n.parents)} for n in cascade.nodes],
     }
     doc["label"] = (
-        None if label is None else {"observed": label.observed_size, "growth": label.growth}
+        None if label is None else {"observed": len(cascade.nodes), "growth": label.growth}
     )
     return doc
 
@@ -163,8 +163,7 @@ def reference_generate_synthetic(
                 nodes.append(CascadeNode(id=ids[j], time=t, parents=parents))
                 observed += 1
         cascade = Cascade(root=root, root_time=0, window_T=window_T, nodes=tuple(nodes))
-        label = GrowthLabel(observed_size=observed, growth=n - 1 - observed)
-        out.append((cascade, label))
+        out.append((cascade, GrowthLabel(growth=n - 1 - observed)))
     return out
 
 
@@ -249,7 +248,7 @@ def test_window_membership_and_growth_bracket():
     roots = {c.root: (c, lb) for c, lb in pairs}
     c, lb = roots["root"]
     assert [n.id for n in c.nodes] == ["m1", "m2"]
-    assert lb.observed_size == 2
+    assert len(c.nodes) == 2
     assert lb.growth == 1
 
 
@@ -257,8 +256,8 @@ def test_growth_is_final_minus_observed():
     day = {"root": 0} | {f"in{i}": 5 + i for i in range(5)} | {f"out{i}": 400 + i for i in range(4)}
     events = citations(day, ("root", "x"), *((pid, "root") for pid in day if pid != "root"))
     (pair,) = [p for p in casc.build_cascades(events, window_T=365, min_observed=1) if p[0].root == "root"]
-    _, lb = pair
-    assert (lb.observed_size, lb.growth) == (5, 4)
+    c, lb = pair
+    assert (len(c.nodes), lb.growth) == (5, 4)
 
 
 def test_finite_horizon_caps_the_growth_bracket():
@@ -452,7 +451,7 @@ def test_columnar_build_equals_the_dict_build(tmp_path, graph):
     expected = reference_build_cascades(events, **options, tally=expected_tally)
     assert pairs == expected
     for c, lb in pairs:
-        assert type(c.root_time) is int and type(lb.growth) is int and type(lb.observed_size) is int
+        assert type(c.root_time) is int and type(lb.growth) is int
         assert all(type(n.time) is int and type(n.parents) is tuple for n in c.nodes)
     assert tally.pop("duplicate_edges") == len(events) - len({*zip(events.citing, events.cited)})
     assert tally == expected_tally
@@ -607,8 +606,7 @@ def test_synthetic_sizes_and_labels_reconcile():
     pairs = casc.generate_synthetic(40, (4, 9), 60, 1.0, seed=2)
     assert len(pairs) == 40
     for c, lb in pairs:
-        assert 3 <= lb.observed_size + lb.growth <= 8  # nodes ever attached, root excluded
-        assert lb.observed_size == len(c.nodes)
+        assert 3 <= len(c.nodes) + lb.growth <= 8  # nodes ever attached, root excluded
         assert lb.growth >= 0
 
 
@@ -709,7 +707,7 @@ def cascade_files(draw):
     ))
     ids = st.sampled_from(pool)
     node = st.builds(CascadeNode, ids, st.integers(1, 10**6), st.lists(ids, min_size=1, max_size=3).map(tuple))
-    label = st.builds(GrowthLabel, st.integers(0, 10**6), st.integers(0, 10**12))
+    label = st.builds(GrowthLabel, st.integers(0, 10**12))
     return draw(st.lists(st.tuples(
         st.builds(Cascade, ids, st.integers(-10**6, 10**9), st.integers(1, 10**5),
                   st.lists(node, max_size=5).map(tuple)),
@@ -785,7 +783,51 @@ def test_reader_takes_times_at_both_ends_of_the_window(tmp_path):
     file = tmp_path / "ends.jsonl"
     file.write_text(json.dumps(doc) + "\n")
     ((c, lb),) = casc.read_cascades_jsonl(file)
-    assert [n.time for n in c.nodes] == [1, 39] and lb.observed_size == 2
+    assert [n.time for n in c.nodes] == [1, 39] and lb.growth == 0
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([("a", 1, ["r"]), ("a", 2, ["r"])], "duplicate node id 'a'"),
+    ([("r", 1, ["r"])], "duplicate node id 'r'"),
+    ([("a", 1, ["r", "x"])], "node 'a' lists unknown parent candidate 'x'"),
+    ([("a", 3, ["r"]), ("b", 3, ["r", "a"])], "candidate 'a' (t=3) does not precede node 'b' (t=3)"),
+    ([("a", 5, ["r"]), ("b", 3, ["a"])], "candidate 'a' (t=5) does not precede node 'b' (t=3)"),
+    # repeated ids first, then the earliest node in (time, id) order, then its first bad candidate
+    ([("x", 3, ["ghost"]), ("a", 1, ["r"]), ("a", 2, ["r"])], "duplicate node id 'a'"),
+    ([("late", 9, ["ghost"]), ("early", 2, ["phantom"])], "node 'early' lists unknown parent candidate 'phantom'"),
+    ([("b", 2, ["a"]), ("a", 2, ["r", "b", "ghost"])], "candidate 'b' (t=2) does not precede node 'a' (t=2)"),
+    ([("a", 5, ["r"]), ("x", 3, ["ghost", "a"])], "node 'x' lists unknown parent candidate 'ghost'"),
+], ids=["repeated id", "id of the root", "unknown candidate", "candidate at the node's time",
+        "later candidate", "repeat before all", "earliest node", "earliest of a tie", "first candidate"])
+def test_reader_refuses_what_to_tree_refuses_naming_the_file_and_line(tmp_path, rows, message):
+    bad = {**GOOD_CASCADE, "nodes": [{"id": pid, "t": t, "parents": ps} for pid, t, ps in rows], "label": None}
+    file = tmp_path / "dag.jsonl"
+    file.write_text(json.dumps(GOOD_CASCADE) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ParseError) as info:
+        casc.read_cascades_jsonl(file)
+    assert str(info.value) == f"{file} line 2: {message}"
+    with pytest.raises((MalformedCascadeError, TimeViolationError)) as direct:
+        to_tree(Cascade("r", 3, 40, tuple(CascadeNode(pid, t, tuple(ps)) for pid, t, ps in rows)))
+    assert str(direct.value) == message
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(st.sampled_from("rabcd"), st.integers(1, 4),
+                               st.lists(st.sampled_from("rabcdx"), min_size=1, max_size=3)), max_size=5))
+def test_reader_refuses_exactly_what_to_tree_refuses(tmp_path, rows):
+    doc = {"root": "r", "root_time": 0, "window_T": 5, "label": None,
+           "nodes": [{"id": pid, "t": t, "parents": ps} for pid, t, ps in rows]}
+    file = tmp_path / "drawn.jsonl"
+    file.write_text(json.dumps(doc) + "\n")
+    try:
+        to_tree(Cascade("r", 0, 5, tuple(CascadeNode(pid, t, tuple(ps)) for pid, t, ps in rows)))
+    except (MalformedCascadeError, TimeViolationError) as exc:
+        with pytest.raises(ParseError) as info:
+            casc.read_cascades_jsonl(file)
+        assert str(info.value) == f"{file} line 1: {exc}"
+    else:
+        ((c, _),) = casc.read_cascades_jsonl(file)
+        assert [tuple(n) for n in c.nodes] == [(pid, t, tuple(ps)) for pid, t, ps in rows]
 
 
 def test_reader_rejects_a_node_without_parent_candidates(tmp_path):
@@ -797,6 +839,4 @@ def test_reader_rejects_a_node_without_parent_candidates(tmp_path):
 
 def test_growth_label_validates_arithmetic():
     with pytest.raises(ContractError):
-        casc.GrowthLabel(observed_size=-1, growth=1)
-    with pytest.raises(ContractError):
-        casc.GrowthLabel(observed_size=3, growth=-1)
+        casc.GrowthLabel(growth=-1)

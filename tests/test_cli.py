@@ -201,6 +201,15 @@ def test_train_writes_checkpoint_metrics_report(pipeline):
     assert len(lines) == 1 + json.loads((run / "report.json").read_text())["epochs_run"]
 
 
+def test_train_report_holds_the_reference_msles(pipeline):
+    report = json.loads((pipeline / "run" / "report.json").read_text())
+    refs = report["reference_msle"]
+    assert list(refs) == ["const", "count_loglinear"]
+    for name, scores in refs.items():
+        assert list(scores) == ["val", "test"]
+        assert all(type(v) is float and v >= 0.0 for v in scores.values()), name
+
+
 def test_train_manifest_lists_the_test_split_when_it_exists(pipeline, tmp_path):
     enc_dir = pipeline / "enc"
     inputs = json.loads((pipeline / "run" / "train_manifest.json").read_text())["inputs"]
@@ -354,6 +363,19 @@ def test_cascades_that_contradict_themselves_fail_with_a_json_error(tmp_path, ca
     assert main([command, "--cascades", str(path), "--out", str(tmp_path / "out")]) == 1
     assert _only_error_line(capsys) == {"error": "ParseError", "message": f"{path} line 3: {message}",
                                         "details": {}}
+
+
+@pytest.mark.parametrize("command", ["probe", "stats", "encode"])
+def test_a_record_that_to_tree_would_refuse_fails_with_a_json_error_naming_its_line(tmp_path, capsys, command):
+    good = _nodes_of({"root": "r", "root_time": 0, "window_T": 150}, [1, 2, 3])
+    bad = {**good, "root": "q", "nodes": [{"id": "a", "t": 4, "parents": ["q", "x"]}]}
+    path = tmp_path / "cascades.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in (good, good, bad, good)))
+    assert main([command, "--cascades", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert _only_error_line(capsys) == {
+        "error": "ParseError", "message": f"{path} line 3: node 'a' lists unknown parent candidate 'x'",
+        "details": {},
+    }
 
 
 def test_eval_needs_some_input(pipeline, tmp_path, capsys):
@@ -529,7 +551,7 @@ def test_mixed_window_corpora_are_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, extra", [
     ("encode", []), ("probe", []), ("sweep", ["--bins-list", "2"]),
-    ("eval", ["--checkpoint", "run/checkpoint.json"]),
+    ("eval", ["--checkpoint", "run/checkpoint.json"]), ("stats", []),
 ])
 def test_empty_cascade_file_is_reported_as_holding_no_cascades(pipeline, tmp_path, capsys, command, extra):
     path = tmp_path / "cascades.jsonl"
@@ -539,6 +561,19 @@ def test_empty_cascade_file_is_reported_as_holding_no_cascades(pipeline, tmp_pat
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert (err["error"], err["message"]) == ("ParseError", f"{path} holds no cascades")
+
+
+def test_stats_refuses_mixed_windows_as_encode_does(tmp_path, capsys):
+    path = tmp_path / "mixed.jsonl"
+    casc.write_cascades_jsonl(path, [*casc.generate_synthetic(3, (4, 6), 50, 1.0, seed=0, window_T=20),
+                                     *casc.generate_synthetic(3, (4, 6), 50, 1.0, seed=1, window_T=25)])
+    for command in ("encode", "stats"):
+        assert main([command, "--cascades", str(path), "--out", str(tmp_path / command)]) == 1
+        assert _only_error_line(capsys) == {
+            "error": "ConfigError", "message": "cascades carry mixed windows [20, 25]; re-ingest consistently",
+            "details": {},
+        }
+    assert not (tmp_path / "stats" / "stats.json").exists()
 
 
 # ------------------------------------------------------------------- misc

@@ -101,7 +101,7 @@ def test_init_is_seed_deterministic_with_unit_decay():
         for (_, t1), (_, t3) in zip(p1.named(), p3.named())
     )
     assert p1.decay.values.tolist() == [0.0, 1.0, 1.0]
-    assert p1.gru["bu"].values.tolist() == [0.0] * 4
+    assert dict(p1.named())["gru_bu"].values.tolist() == [0.0] * 4
 
 
 def test_params_reject_wrong_tensor_sets():
@@ -400,7 +400,7 @@ def test_every_named_tensor_views_the_flat_buffers():
         assert np.shares_memory(packed.values, buf.values)
     # the packed gates are the named gates side by side
     w, u, uh, b = params.gru_packed
-    g = params.gru
+    g = {name[4:]: t for name, t in params.named() if name.startswith("gru_")}
     np.testing.assert_array_equal(w.values, np.hstack([g["wu"].values, g["wr"].values, g["wh"].values]))
     np.testing.assert_array_equal(u.values, np.hstack([g["uu"].values, g["ur"].values]))
     assert uh is g["uh"]
@@ -442,7 +442,7 @@ def test_adam_names_the_first_non_finite_model_parameter():
     before = params.buffer.values.copy()
     params.buffer.grad.fill(0.0)
     params.head[0][0].grad[0, 0] = np.inf
-    params.gru["ur"].grad[1, 2] = np.nan  # named before the head
+    dict(params.named())["gru_ur"].grad[1, 2] = np.nan  # named before the head
     with pytest.raises(NumericError) as err:
         adam_step(params.buffer, AdamState())
     assert err.value.details["param"] == "gru_ur"

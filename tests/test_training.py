@@ -8,7 +8,7 @@ import pytest
 from cascadecite import training as tr
 from cascadecite.autodiff import Tape
 from cascadecite.cascades import generate_synthetic
-from cascadecite.encoding import EncodedSample, fits_schema, schema_from_corpus
+from cascadecite.encoding import PAD, DegreeSequence, EncodedSample, SeqEntry, fits_schema, schema_from_corpus
 from cascadecite.errors import ConfigError, ContractError, EvaluationError
 from cascadecite.model import ModelConfig, forward_batch, init_params, loss, stack_sequences
 from cascadecite.trees import to_tree
@@ -60,6 +60,43 @@ def test_evaluate_requires_labels():
         tr.evaluate(params, unlabeled)
     with pytest.raises(EvaluationError):
         tr.evaluate(params, [])
+
+
+# --------------------------------------------------------------- references
+
+
+def counted(n: int, growth: int | None, widths=(4, 4)) -> EncodedSample:
+    """A sample with n real slots, filled level by level, and the rest padding."""
+    levels = []
+    for width in widths:
+        real = min(n, width)
+        levels.append((SeqEntry(degree=1, bin=1, is_pad=False),) * real + (PAD,) * (width - real))
+        n -= real
+    return EncodedSample(id="s", seq=DegreeSequence(levels=tuple(levels)), growth=growth)
+
+
+def test_reference_msles_hand_fixture():
+    # x = log2(n+1) is 1, 1, 2, 2 and y = log2(G+1) is 0, 1, 2, 3: the mean is 1.5,
+    # and the least-squares line is y = 2x - 1.5
+    train = [counted(1, 0), counted(1, 1), counted(3, 3), counted(3, 7)]
+    val = [counted(7, 15), counted(1, 0)]  # x 3 and 1, y 4 and 0
+    test = [counted(3, 3)]  # x 2, y 2
+    assert tr.reference_msles(train, val, test) == {
+        "const": {"val": ((1.5 - 4) ** 2 + 1.5**2) / 2, "test": 0.25},
+        "count_loglinear": {"val": ((4.5 - 4) ** 2 + 0.5**2) / 2, "test": 0.25},
+    }
+    assert tr.reference_msles(train, val, [])["count_loglinear"] == {"val": 0.25, "test": None}
+
+
+def test_reference_line_falls_back_to_the_mean_when_all_counts_agree():
+    train = [counted(2, 0), counted(2, 3)]  # y 0 and 2
+    refs = tr.reference_msles(train, [counted(5, 1), counted(0, 7)], [])  # y 1 and 3
+    assert refs["count_loglinear"] == refs["const"] == {"val": (0.0 + 2.0**2) / 2, "test": None}
+
+
+def test_reference_msles_need_labels():
+    with pytest.raises(EvaluationError, match="no growth label"):
+        tr.reference_msles([counted(1, 0), counted(2, 1)], [counted(1, None)], [])
 
 
 # ----------------------------------------------------------------- training

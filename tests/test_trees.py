@@ -10,7 +10,7 @@ from cascadecite.cascades import Cascade, CascadeNode
 from cascadecite.errors import MalformedCascadeError, TimeViolationError
 from cascadecite.trees import to_tree
 
-from oracles import cascade_from_rows, random_dag_cascade, random_tree
+from oracles import brute_latest_parent, cascade_from_rows, random_dag_cascade, random_tree
 
 
 def test_latest_cited_member_becomes_the_single_parent():
@@ -140,6 +140,19 @@ def test_children_lists_follow_time_then_id():
     ])
     t = to_tree(c)
     assert t.children["r"] == ["early", "mid", "late"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_children_invert_the_brute_force_parent_map_in_time_then_id_order(seed):
+    c = random_dag_cascade(np.random.default_rng(seed), max_nodes=25)
+    chosen = brute_latest_parent(c)
+    time = {c.root: 0} | {n.id: n.time for n in c.nodes}
+    expected = {v: [] for v in time}
+    for v in sorted(chosen, key=lambda v: (time[v], v)):
+        expected[chosen[v]].append(v)
+    children = to_tree(c).children
+    assert list(children) == list(expected) and children == expected
 
 
 def test_source_edges_counts_all_candidates():
