@@ -17,14 +17,13 @@ import datetime as _dt
 import logging
 import sys
 from bisect import bisect_left
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str, in C
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,16 +89,12 @@ _node = partial(tuple.__new__, CascadeNode)  # built in C
 # ------------------------------------------------------------------- parsing
 
 
-def _opened(src: str | Path | IO[str] | Iterable[str]):
-    return open(src) if isinstance(src, (str, Path)) else nullcontext(src)
-
-
-def _parse_dates(dates: str | Path | IO[str] | Iterable[str]) -> tuple[dict[str, _dt.date], int]:
+def _parse_dates(dates: str | Path) -> tuple[dict[str, _dt.date], int]:
     """Paper id -> date, and how many lines repeated an id already seen;
     a repeated id keeps the earliest of its dates."""
     out: dict[str, _dt.date] = {}
     repeats = 0
-    with _opened(dates) as fh:
+    with open(dates) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -121,11 +116,7 @@ def _parse_dates(dates: str | Path | IO[str] | Iterable[str]) -> tuple[dict[str,
     return out, repeats
 
 
-def parse_citation_files(
-    edges: str | Path | IO[str] | Iterable[str],
-    dates: str | Path | IO[str] | Iterable[str],
-    tally: dict | None = None,
-) -> Citations:
+def parse_citation_files(edges: str | Path, dates: str | Path, tally: dict | None = None) -> Citations:
     """Read tab-separated edge and date files into each paper's day and one
     row per dated citation.
 
@@ -144,7 +135,7 @@ def parse_citation_files(
     undated = 0
     self_loops = 0
     table = Citations(day_of, [], [])
-    with _opened(edges) as fh:
+    with open(edges) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line[0] == "#":

@@ -3,8 +3,9 @@
 Floats round-trip exactly (json uses repr). The file is written compactly,
 with no whitespace, and atomically; any valid JSON layout of the same
 document loads. Loading takes values only as JSON numbers and shapes only
-as lists of integers >= 0, and refuses version or shape mismatches instead
-of guessing.
+as lists of integers >= 0, and refuses another format or version instead
+of guessing. Which arrays a model needs, and their shapes, is checked by
+the model that takes them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ FORMAT = "cascadecite-arrays"
 VERSION = 1
 
 
-def dump_arrays(arrays: dict[str, np.ndarray], extra: dict | None = None) -> dict:
+def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], extra: dict | None = None) -> None:
     doc = {
         "format": FORMAT,
         "version": VERSION,
@@ -30,18 +31,13 @@ def dump_arrays(arrays: dict[str, np.ndarray], extra: dict | None = None) -> dic
             name: {"shape": list(a.shape), "values": np.asarray(a, dtype=np.float64).ravel().tolist()}
             for name, a in arrays.items()
         },
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], extra: dict | None = None) -> None:
     with atomic_write(path) as fh:
-        fh.write(json.dumps(dump_arrays(arrays, extra), separators=(",", ":")))
+        fh.write(json.dumps(doc, separators=(",", ":")))
 
 
-def parse_arrays(doc: dict, expected_shapes: dict[str, tuple[int, ...]] | None = None) -> dict[str, np.ndarray]:
+def parse_arrays(doc: dict) -> dict[str, np.ndarray]:
     if doc.get("format") != FORMAT:
         raise CheckpointError(f"not a parameter checkpoint (format={doc.get('format')!r})")
     if doc.get("version") != VERSION:
@@ -69,16 +65,4 @@ def parse_arrays(doc: dict, expected_shapes: dict[str, tuple[int, ...]] | None =
             arrays[name] = np.array(values, dtype=np.float64).reshape(shape)
         except OverflowError:  # an integer beyond the float range
             raise CheckpointError(f"array {name!r}: a value does not fit a float") from None
-    if expected_shapes is not None:
-        missing = sorted(set(expected_shapes) - set(arrays))
-        extra_names = sorted(set(arrays) - set(expected_shapes))
-        if missing or extra_names:
-            raise CheckpointError(
-                f"checkpoint arrays do not match: missing {missing}, unexpected {extra_names}"
-            )
-        for name, shape in expected_shapes.items():
-            if arrays[name].shape != tuple(shape):
-                raise CheckpointError(
-                    f"array {name!r} has shape {arrays[name].shape}, expected {tuple(shape)}"
-                )
     return arrays

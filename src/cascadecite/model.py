@@ -35,7 +35,7 @@ from .atomic import read_json
 from .autodiff import ParamBuffer, Tensor, conv1d, embed, gru, mlp, sq_loss
 from .config import DEFAULTS, _typed
 from .encoding import DegreeSequence, EncodingSchema, schema_from_dict, schema_to_dict
-from .errors import CheckpointError, ConfigError, ContractError, ParseError, ShapeError
+from .errors import CheckpointError, ConfigError, ContractError, ParseError, SchemaError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -320,13 +320,19 @@ def save_model(path: str | Path, params: ModelParams, schema: EncodingSchema) ->
 
 
 def load_model(path: str | Path) -> tuple[ModelParams, EncodingSchema]:
+    """The checkpoint's model and schema. Every fault, from the JSON to an
+    array the model does not take, is a CheckpointError naming the file."""
     doc = read_json(path, CheckpointError)
     try:
         if not isinstance(doc, dict) or "model_config" not in doc or "schema" not in doc:
             raise CheckpointError("checkpoint lacks model_config/schema sections")
         cfg = ModelConfig.from_dict(doc["model_config"])
         schema = schema_from_dict(doc["schema"])
-        arrays = _ckpt.parse_arrays(doc, expected_shapes(cfg))
-    except (CheckpointError, ConfigError, ParseError) as exc:
+        for key in ("level_lengths", "bin_count"):  # stored twice: the arrays fit one, inputs follow the other
+            ours, theirs = doc["model_config"][key], doc["schema"][key]
+            if ours != theirs:
+                raise CheckpointError(f"model_config {key} {ours} disagrees with schema {key} {theirs}")
+        params = ModelParams(cfg, _ckpt.parse_arrays(doc))
+    except (CheckpointError, ConfigError, ParseError, SchemaError, ShapeError) as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    return ModelParams(cfg, arrays), schema
+    return params, schema

@@ -170,44 +170,51 @@ def reference_generate_synthetic(
 # ----------------------------------------------------------------- parsing
 
 
-def test_parse_drops_comments_blanks_and_counts_events():
+def parse(tmp_path, edges, dates, **kw) -> Citations:
+    """`parse_citation_files` on these lines, written as an edges and a dates file."""
+    for name, lines in (("edges.tsv", edges), ("dates.tsv", dates)):
+        (tmp_path / name).write_text("".join(f"{line}\n" for line in lines))
+    return casc.parse_citation_files(tmp_path / "edges.tsv", tmp_path / "dates.tsv", **kw)
+
+
+def test_parse_drops_comments_blanks_and_counts_events(tmp_path):
     dates = ["# header", "", "a\t2000-01-01", "b\t2000-01-11"]
     edges = ["# c cites", "b\ta", "", "a\tz"]
     tally = {}
-    table = casc.parse_citation_files(edges, dates, tally=tally)
+    table = parse(tmp_path, edges, dates, tally=tally)
     assert table == Citations(day={"a": 0, "b": 10}, citing=["b", "a"], cited=["a", "z"])  # z has no date
     assert len(table) == 2
     assert tally == {"undated_citer_edges": 0, "self_citations": 0, "duplicate_dates": 0, "events": 2}
 
 
-def test_parse_drops_undated_citers_and_self_citations():
+def test_parse_drops_undated_citers_and_self_citations(tmp_path):
     dates = ["a\t2000-01-01"]
     edges = ["a\ta", "ghost\ta", "a\tb"]
     tally = {}
-    table = casc.parse_citation_files(edges, dates, tally=tally)
+    table = parse(tmp_path, edges, dates, tally=tally)
     assert table.citing == ["a"]
     assert tally["self_citations"] == 1
     assert tally["undated_citer_edges"] == 1
 
 
-def test_parse_errors_carry_line_numbers():
+def test_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ParseError, match="line 2"):
-        casc.parse_citation_files(["a\tb", "broken line"], ["a\t2000-01-01"])
+        parse(tmp_path, ["a\tb", "broken line"], ["a\t2000-01-01"])
     with pytest.raises(ParseError, match="line 3"):
-        casc.parse_citation_files(["a\tb"], ["# x", "a\t2000-01-01", "b\t01/02/2000"])
+        parse(tmp_path, ["a\tb"], ["# x", "a\t2000-01-01", "b\t01/02/2000"])
     with pytest.raises(ParseError):
-        casc.parse_citation_files(["a\tb"], ["# only comments"])
+        parse(tmp_path, ["a\tb"], ["# only comments"])
 
 
-def test_duplicate_dates_keep_the_earliest_and_are_counted():
+def test_duplicate_dates_keep_the_earliest_and_are_counted(tmp_path):
     dates = ["a\t2000-03-01", "b\t2000-02-01", "a\t2000-01-01", "a\t2000-05-01"]
     edges = ["a\tx", "b\ta"]
     tally = {}
-    table = casc.parse_citation_files(edges, dates, tally=tally)
+    table = parse(tmp_path, edges, dates, tally=tally)
     assert tally["duplicate_dates"] == 2
     assert table == Citations(day={"a": 0, "b": 31}, citing=["a", "b"], cited=["x", "a"])
     # the same lines in any order give the same table
-    assert casc.parse_citation_files(edges, dates[::-1]) == table
+    assert parse(tmp_path, edges, dates[::-1]) == table
 
 
 def test_ingest_report_counts_duplicate_dates(tmp_path):
@@ -223,9 +230,9 @@ def test_ingest_report_counts_duplicate_dates(tmp_path):
     assert [n.time for n in c.nodes] == [62, 63, 64]  # days after 1999-12-01, the earlier date
 
 
-def test_event_times_are_days_since_earliest_date():
+def test_event_times_are_days_since_earliest_date(tmp_path):
     dates = ["a\t2000-03-01", "b\t2000-02-01", "c\t2000-02-29"]
-    table = casc.parse_citation_files(["a\tx", "c\tx"], dates)
+    table = parse(tmp_path, ["a\tx", "c\tx"], dates)
     assert {pid: table.day[pid] for pid in table.citing} == {"a": 29, "c": 28}
 
 
@@ -280,11 +287,11 @@ def test_undated_root_is_anchored_before_first_citation():
     assert tally["roots_anchored_without_date"] == 1
 
 
-def test_root_that_cites_nothing_is_dated_from_the_dates_file():
+def test_root_that_cites_nothing_is_dated_from_the_dates_file(tmp_path):
     # R cites nothing; anchoring it before its first citation would put it
     # at day 151 and A at day 1
     tally = {}
-    events = casc.parse_citation_files(["A\tR"], ["R\t2000-01-01", "A\t2000-06-01"], tally=tally)
+    events = parse(tmp_path, ["A\tR"], ["R\t2000-01-01", "A\t2000-06-01"], tally=tally)
     (c, lb), = casc.build_cascades(events, window_T=365, min_observed=1, tally=tally)
     assert (c.root, c.root_time) == ("R", 0)
     assert [(n.id, n.time) for n in c.nodes] == [("A", 152)]
@@ -292,18 +299,18 @@ def test_root_that_cites_nothing_is_dated_from_the_dates_file():
     assert tally["events"] + tally["undated_citer_edges"] + tally["self_citations"] == 1
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     days=st.lists(st.one_of(st.none(), st.integers(0, 800)), min_size=2, max_size=10),
     links=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40),
 )
-def test_dated_roots_keep_their_date_and_only_undated_roots_are_anchored(days, links):
+def test_dated_roots_keep_their_date_and_only_undated_roots_are_anchored(tmp_path, days, links):
     assume(any(d is not None for d in days))
     base = datetime.date(2000, 1, 1)
     dates = [f"p{i}\t{base + datetime.timedelta(days=d)}" for i, d in enumerate(days) if d is not None]
     edges = [f"p{i}\tp{j}" for i, j in links if i < len(days) and j < len(days)]
     tally = {}
-    events = casc.parse_citation_files(edges, dates, tally=tally)
+    events = parse(tmp_path, edges, dates, tally=tally)
     pairs = casc.build_cascades(events, window_T=365, min_observed=0, tally=tally)
     epoch = min(d for d in days if d is not None)
     for c, _ in pairs:
@@ -314,20 +321,20 @@ def test_dated_roots_keep_their_date_and_only_undated_roots_are_anchored(days, l
     assert tally["roots_anchored_without_date"] == undated
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     days=st.lists(st.one_of(st.none(), st.integers(0, 800)), min_size=2, max_size=10),
     links=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40),
     shift=st.integers(-3000, 3000),
 )
-def test_shifting_every_date_leaves_the_cascades_unchanged(days, links, shift):
+def test_shifting_every_date_leaves_the_cascades_unchanged(tmp_path, days, links, shift):
     assume(any(d is not None for d in days))
     edges = [f"p{i}\tp{j}" for i, j in links if i < len(days) and j < len(days)]
 
     def cascades(offset):
         base = datetime.date(2000, 1, 1) + datetime.timedelta(days=offset)
         dates = [f"p{i}\t{base + datetime.timedelta(days=d)}" for i, d in enumerate(days) if d is not None]
-        return casc.build_cascades(casc.parse_citation_files(edges, dates), window_T=365, min_observed=0)
+        return casc.build_cascades(parse(tmp_path, edges, dates), window_T=365, min_observed=0)
 
     assert cascades(shift) == cascades(0)
 
@@ -460,13 +467,13 @@ def test_columnar_build_equals_the_dict_build(tmp_path, graph):
     assert path.read_text() == reference_jsonl(expected)
 
 
-def test_repeated_edge_line_is_counted_once_and_changes_no_cascade():
+def test_repeated_edge_line_is_counted_once_and_changes_no_cascade(tmp_path):
     dates = ["r\t2000-01-01", "a\t2000-01-05", "b\t2000-01-09"]
     edges = ["a\tr", "b\tr", "b\ta"]
     once, twice = {}, {}
-    pairs = casc.build_cascades(casc.parse_citation_files(edges, dates, tally=once),
+    pairs = casc.build_cascades(parse(tmp_path, edges, dates, tally=once),
                                 window_T=30, min_observed=1, tally=once)
-    again = casc.build_cascades(casc.parse_citation_files(edges + ["b\ta"], dates, tally=twice),
+    again = casc.build_cascades(parse(tmp_path, edges + ["b\ta"], dates, tally=twice),
                                 window_T=30, min_observed=1, tally=twice)
     assert again == pairs
     assert (once["duplicate_edges"], twice["duplicate_edges"]) == (0, 1)

@@ -14,6 +14,15 @@ from cascadecite import training as tr
 from cascadecite.encoding import DegreeSequence, SeqEntry
 from cascadecite.errors import CheckpointError
 
+INDENTED = Path(__file__).parent / "data" / "checkpoint_indented.json"
+
+
+def saved(tmp_path, arrays) -> dict:
+    """The document `save_arrays` writes for these arrays."""
+    path = tmp_path / "saved.json"
+    ck.save_arrays(path, arrays)
+    return json.loads(path.read_text())
+
 
 def test_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
@@ -45,15 +54,15 @@ def test_refuses_foreign_format():
         ck.parse_arrays({"format": "other", "version": 1, "arrays": {}})
 
 
-def test_refuses_future_version():
-    doc = ck.dump_arrays({"w": np.ones(2)})
+def test_refuses_future_version(tmp_path):
+    doc = saved(tmp_path, {"w": np.ones(2)})
     doc["version"] = ck.VERSION + 1
     with pytest.raises(CheckpointError):
         ck.parse_arrays(doc)
 
 
-def test_refuses_size_shape_mismatch():
-    doc = ck.dump_arrays({"w": np.ones((2, 3))})
+def test_refuses_size_shape_mismatch(tmp_path):
+    doc = saved(tmp_path, {"w": np.ones((2, 3))})
     doc["arrays"]["w"]["values"] = [1.0, 2.0]
     with pytest.raises(CheckpointError):
         ck.parse_arrays(doc)
@@ -72,34 +81,36 @@ def test_refuses_size_shape_mismatch():
     ("shape", 2, "shape must be a list of integers >= 0, got 2"),
 ], ids=["string", "bool", "null", "nested", "text", "huge integer", "float dim", "bool dim",
         "negative dims", "bare integer"])
-def test_refuses_values_that_are_not_numbers_and_shapes_that_are_not_dims(field, value, message):
-    doc = ck.dump_arrays({"w": np.ones(2)})
+def test_refuses_values_that_are_not_numbers_and_shapes_that_are_not_dims(tmp_path, field, value, message):
+    doc = saved(tmp_path, {"w": np.ones(2)})
     doc["arrays"]["w"][field] = value
     with pytest.raises(CheckpointError) as err:
         ck.parse_arrays(doc)
     assert str(err.value) == f"array 'w': {message}"
 
 
-def test_integer_values_and_an_empty_shape_load():
-    doc = ck.dump_arrays({"w": np.ones((2, 1)), "s": np.array(3.0)})
+def test_integer_values_and_an_empty_shape_load(tmp_path):
+    doc = saved(tmp_path, {"w": np.ones((2, 1)), "s": np.array(3.0)})
     doc["arrays"]["w"]["values"] = [1, -2]
     loaded = ck.parse_arrays(doc)
     assert loaded["w"].dtype == np.float64 and loaded["w"].tolist() == [[1.0], [-2.0]]
     assert loaded["s"].shape == () and loaded["s"] == 3.0
 
 
-def test_expected_shapes_catch_missing_and_unexpected():
-    doc = ck.dump_arrays({"w": np.ones((2, 3)), "junk": np.ones(1)})
+@pytest.mark.parametrize("edit, message", [
+    (lambda arrays: arrays.pop("gru_bh"), "parameter set mismatch: missing ['gru_bh'], unexpected []"),
+    (lambda arrays: arrays.update(junk={"shape": [1], "values": [0.0]}),
+     "parameter set mismatch: missing [], unexpected ['junk']"),
+    (lambda arrays: arrays["pre0_w0"].update(shape=[4, 3]), "parameter 'pre0_w0' has shape (4, 3), expected (3, 4)"),
+], ids=["missing", "extra", "wrong shape"])
+def test_load_model_names_the_file_and_each_array_that_does_not_fit(tmp_path, edit, message):
+    doc = json.loads(INDENTED.read_text())
+    edit(doc["arrays"])
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError) as err:
-        ck.parse_arrays(doc, expected_shapes={"w": (2, 3), "b": (3,)})
-    msg = str(err.value)
-    assert "b" in msg and "junk" in msg
-
-
-def test_expected_shapes_catch_wrong_shape():
-    doc = ck.dump_arrays({"w": np.ones((2, 3))})
-    with pytest.raises(CheckpointError):
-        ck.parse_arrays(doc, expected_shapes={"w": (3, 2)})
+        md.load_model(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_saved_file_is_compact_and_loads_from_any_layout(tmp_path):
@@ -115,7 +126,7 @@ def test_saved_file_is_compact_and_loads_from_any_layout(tmp_path):
 
 def test_indented_checkpoint_from_version_0_2_0_predicts_the_same():
     # written by 0.2.0, which put one float per line; want holds that version's predictions
-    params, schema = md.load_model(Path(__file__).parent / "data" / "checkpoint_indented.json")
+    params, schema = md.load_model(INDENTED)
     assert schema.level_lengths == params.config.level_lengths == (3, 2, 1)
     E, P = SeqEntry, SeqEntry(0, 0, True)
     seqs = [

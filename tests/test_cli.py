@@ -15,7 +15,7 @@ from cascadecite import config as cf
 from cascadecite import encoding as enc
 from cascadecite.cli import main
 from cascadecite.trees import to_tree
-from cascadecite.errors import ConfigError
+from cascadecite.errors import ConfigError, ContractError
 
 
 # ------------------------------------------------------------------- config
@@ -378,6 +378,20 @@ def test_a_record_that_to_tree_would_refuse_fails_with_a_json_error_naming_its_l
     }
 
 
+@pytest.mark.parametrize("command", ["stats", "encode"])
+def test_a_negative_growth_label_fails_with_a_json_error_naming_its_line(tmp_path, capsys, command):
+    doc = _nodes_of({"root": "r", "root_time": 0, "window_T": 150}, [1])
+    doc["label"]["growth"] = -3
+    path = tmp_path / "cascades.jsonl"
+    path.write_text(json.dumps(doc) + "\n")
+    message = f"{path} line 1: negative label: GrowthLabel(growth=-3)"
+    with pytest.raises(ContractError) as err:
+        casc.read_cascades_jsonl(path)
+    assert str(err.value) == message
+    assert main([command, "--cascades", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert _only_error_line(capsys) == {"error": "ContractError", "message": message, "details": {}}
+
+
 def test_eval_needs_some_input(pipeline, tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(pipeline / "run" / "checkpoint.json"),
                  "--out", str(tmp_path / "ev")])
@@ -455,9 +469,11 @@ def _edited(edit):
     ("checkpoint.json", _truncated),
     ("checkpoint.json", _edited(lambda d: d.pop("arrays"))),
     ("checkpoint.json", _edited(lambda d: d["model_config"].pop("level_lengths"))),
+    ("checkpoint.json", _edited(lambda d: d["schema"].update(bin_edges=[0.0, 150.0]))),
     ("schema.json", _truncated),
     ("schema.json", _edited(lambda d: d.update(bin_count="four"))),
 ], ids=["truncated checkpoint", "checkpoint without arrays", "model config without level_lengths",
+        "checkpoint schema with too few bin edges",
         "truncated schema", "schema with a word for bin_count"])
 def test_malformed_checkpoint_or_schema_fails_with_json_error(pipeline, tmp_path, capsys, file, damage):
     ckpt, enc_dir = pipeline / "run" / "checkpoint.json", pipeline / "enc"
@@ -477,6 +493,29 @@ def test_malformed_checkpoint_or_schema_fails_with_json_error(pipeline, tmp_path
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == kind
     assert str(bad) in err["message"]
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("bin_count", lambda s: s.update(bin_count=3, bin_edges=list(enc.uniform_bin_edges(3, s["window_T"])))),
+    ("level_lengths", lambda s: s.update(level_lengths=[*s["level_lengths"][:-1], s["level_lengths"][-1] + 1])),
+], ids=["3 bins", "a longer last level"])
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_a_checkpoint_whose_schema_disagrees_with_its_model_config_fails_naming_both(pipeline, tmp_path, capsys,
+                                                                                     command, key, edit):
+    doc = json.loads((pipeline / "run" / "checkpoint.json").read_text())
+    edit(doc["schema"])
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(doc))
+    code = main([command, "--checkpoint", str(bad), "--cascades", str(pipeline / "data" / "cascades.jsonl"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    ours, theirs = doc["model_config"][key], doc["schema"][key]
+    assert _only_error_line(capsys) == {
+        "error": "CheckpointError",
+        "message": f"{bad}: model_config {key} {ours} disagrees with schema {key} {theirs}",
+        "details": {},
+    }
+    assert [*(tmp_path / "out").iterdir()] == []
 
 
 @pytest.mark.parametrize("key, bad_value, kind", [
