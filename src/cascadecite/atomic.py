@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
-from .errors import CascadeCiteError, ContractError, ParseError
+from .errors import CascadeCiteError, ContractError, ParseError, ShapeError
 
 
 @contextmanager
@@ -61,9 +61,9 @@ def read_json(path: str | Path, error: Callable[[str], CascadeCiteError]):
 
 def read_jsonl(path: str | Path, parse: Callable) -> list:
     """`parse` of each non-blank line's JSON document. A line that is not
-    JSON raises ParseError, and a ParseError or ContractError from `parse`
-    is raised again as its own type; either way with `{path} line N: ` in
-    front of the message."""
+    JSON raises ParseError, and a ParseError, ContractError or ShapeError
+    from `parse` is raised again as its own type; either way with
+    `{path} line N: ` in front of the message."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -74,6 +74,6 @@ def read_jsonl(path: str | Path, parse: Callable) -> list:
                 out.append(parse(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path} line {lineno}: {exc}") from None
-            except (ParseError, ContractError) as exc:
+            except (ParseError, ContractError, ShapeError) as exc:
                 raise type(exc)(f"{path} line {lineno}: {exc}") from None
     return out

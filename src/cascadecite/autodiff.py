@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
 A Tensor is a plain value holder. Primitives compute with numpy and, when a
-Tape is active, append (output, inputs, pull) records to it. backward() walks
-the records in reverse, pulling the output adjoint back onto the inputs, so
-every recorded node is visited exactly once. Running a primitive with no tape
-active performs the identical numpy computation and records nothing, so
-forward values agree bitwise with and without a tape.
+Tape is active, append (output, pull) records to it. backward() walks the
+records in reverse, and each pull adds the output adjoint onto the inputs it
+closes over, so every recorded node is visited exactly once. Running a
+primitive with no tape active performs the identical numpy computation and
+records nothing, so forward values agree bitwise with and without a tape.
 
 Parameters live in a ParamBuffer: one flat value vector and one flat
 gradient vector, which every parameter tensor views. Their adjoints are
@@ -112,7 +112,7 @@ class Tape:
     """Ordered record of primitive applications, replayable in reverse."""
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._entries: list[tuple[Tensor, Callable]] = []
 
     def __enter__(self) -> "Tape":
         global _ACTIVE
@@ -153,7 +153,7 @@ class Tape:
                 p.buffer.grad.fill(0.0)
                 cleared.add(id(p.buffer))
         loss.grad = np.ones_like(loss.values)
-        for out, _, pull in reversed(self._entries):
+        for out, pull in reversed(self._entries):
             g = out.grad
             if g is None:
                 continue
@@ -162,9 +162,9 @@ class Tape:
         return [np.zeros_like(p.values) if p.grad is None else p.grad for p in params]
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], pull: Callable) -> Tensor:
+def _record(out: Tensor, pull: Callable) -> Tensor:
     if _ACTIVE is not None:
-        _ACTIVE._entries.append((out, inputs, pull))
+        _ACTIVE._entries.append((out, pull))
     return out
 
 
@@ -261,7 +261,7 @@ def embed(
         _acc(decay, sums.reshape(depth, n).sum(axis=0))
         _acc(layers[0][0], dw0)
 
-    _record(out, (decay, *(t for layer in layers for t in layer)), pull)
+    _record(out, pull)
     return out, x
 
 
@@ -355,7 +355,7 @@ def gru(x: Tensor, w: Tensor, u: Tensor, uh: Tensor, b: Tensor) -> tuple[Tensor,
         _acc(u, prev.reshape(depth * nb, m).T @ flat[:, : 2 * m])
         _acc(uh, (gate_r * prev).reshape(depth * nb, m).T @ flat[:, 2 * m :])
 
-    _record(out, (x, w, u, uh, b), pull)
+    _record(out, pull)
     return out, gates
 
 
@@ -408,8 +408,7 @@ def conv1d(
         if bias is not None:
             _acc(bias, np.asarray(g.sum()))
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    return _record(out, inputs, pull)
+    return _record(out, pull)
 
 
 def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
@@ -447,7 +446,7 @@ def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
             g = g @ w.values.T
         _acc(x, g.reshape(x.shape))
 
-    return _record(out, (x, *(t for layer in layers for t in layer)), pull)
+    return _record(out, pull)
 
 
 def sq_loss(
@@ -473,7 +472,7 @@ def sq_loss(
             _acc(weights, (2.0 * (g * reg)) * wv)
         _acc(pred, (2.0 * (g * scale)) * e)
 
-    return _record(out, (pred, weights) if penalized else (pred,), pull)
+    return _record(out, pull)
 
 
 # ---------------------------------------------------------- gradient checking

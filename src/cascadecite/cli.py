@@ -115,7 +115,7 @@ def _load_eval_samples(args, ckpt_schema: enc.EncodingSchema) -> list[enc.Encode
                     "diff": _schema_diff(ckpt_schema, file_schema),
                 },
             )
-        return enc.read_encoded_jsonl(args.encoded)
+        return enc.read_encoded_jsonl(args.encoded, ckpt_schema)
     raise ConfigError("pass --cascades FILE, or --encoded FILE with --schema FILE")
 
 
@@ -191,13 +191,12 @@ def _cmd_train(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     d = Path(args.encoded_dir)
     schema = enc.load_schema(d / "schema.json")
-    tr = enc.read_encoded_jsonl(d / "train.encoded.jsonl")
-    va = enc.read_encoded_jsonl(d / "val.encoded.jsonl")
+    tr = enc.read_encoded_jsonl(d / "train.encoded.jsonl", schema)
+    va = enc.read_encoded_jsonl(d / "val.encoded.jsonl", schema)
+    test_path = d / "test.encoded.jsonl"
+    te = enc.read_encoded_jsonl(test_path, schema) if test_path.exists() else []
     mcfg = ModelConfig.from_schema(schema, **_settings(ModelConfig, cfg))
     params, report = train(tr, va, TrainConfig(**_settings(TrainConfig, cfg)), mcfg)
-
-    test_path = d / "test.encoded.jsonl"
-    te = enc.read_encoded_jsonl(test_path) if test_path.exists() else []
     if te:
         report.test_msle = evaluate(params, te)
     report.reference_msle = reference_msles(tr, va, te)
@@ -243,7 +242,8 @@ def _cmd_probe(args, cfg, counters) -> list[Path]:
 
     seqs = [s.seq for s in _encode_against([(t, None) for t in usable], schema)]
     feats = [structural_features(t) for t in usable]
-    report = run_probe(seqs, feats, seed=cfg["seed"], decay=params.decay.values if args.decayed else None)
+    decay = params.decay.values if args.decayed else None
+    report = run_probe(*enc.stack_sequences(seqs, schema.level_lengths), feats, seed=cfg["seed"], decay=decay)
 
     csv_path = out / "probe.csv"
     write_csv(csv_path, FEATURE_NAMES, [[report.mse[name] for name in FEATURE_NAMES]])

@@ -6,6 +6,8 @@ sorted by degree descending with earlier adopters first on ties, then pads
 with (0, bin 0) up to the schema length. Bin 0 is reserved for padding; real
 adoption times map to bins 1..L. Most slots are padding, so every pad tail
 and empty level is one shared run of the one `PAD` entry, `pad_run(n)`.
+Only this module reads slots: the rest of the package takes the (degrees,
+bins) matrices of `stack_sequences` and the per-level `real_counts`.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from math import isfinite
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .atomic import atomic_write, read_json, read_jsonl, write_json
-from .errors import BinRangeError, ParseError, SchemaError, SchemaOverflowError
+from .errors import BinRangeError, ContractError, ParseError, SchemaError, SchemaOverflowError, ShapeError
 from .trees import CascadeTree
 
 PAD_BIN = 0
@@ -174,13 +178,37 @@ class EncodedSample:
     growth: int | None
 
 
+def real_counts(seq: DegreeSequence) -> list[int]:
+    """Per level, how many of its slots hold a node rather than padding."""
+    return [len(lvl) - lvl.count(PAD) for lvl in seq.levels]
+
+
 def pad_fractions(samples: Sequence[EncodedSample], schema: EncodingSchema) -> list[float]:
     """Share of each level's slots that hold padding, over the samples."""
-    pads = [0] * schema.depth
-    for s in samples:
-        for k, lvl in enumerate(s.seq.levels):
-            pads[k] += lvl.count(PAD)
-    return [p / (n * len(samples)) if samples else 0.0 for p, n in zip(pads, schema.level_lengths)]
+    if not samples:
+        return [0.0] * schema.depth
+    real = map(sum, zip(*[real_counts(s.seq) for s in samples]))  # per level, over the samples
+    return [(n * len(samples) - r) / (n * len(samples)) for r, n in zip(real, schema.level_lengths)]
+
+
+def _check_shape(levels: tuple, level_lengths: Sequence[int]) -> None:
+    if len(levels) != len(level_lengths):
+        raise ShapeError(f"sequence has {len(levels)} levels, schema wants {len(level_lengths)}")
+    for k, (lvl, length) in enumerate(zip(levels, level_lengths), 1):
+        if len(lvl) != length:
+            raise ShapeError(f"level {k} holds {len(lvl)} entries, schema wants {length}")
+
+
+def stack_sequences(seqs: Sequence[DegreeSequence], level_lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack samples into a (degrees, bins) pair of (N, total_length)
+    matrices, float64 and int64, each row its levels side by side."""
+    if not seqs:
+        raise ContractError("no sequences to stack")
+    for s in seqs:
+        _check_shape(s.levels, level_lengths)
+    degrees = np.array([[e.degree for lvl in s.levels for e in lvl] for s in seqs], dtype=np.float64)
+    bins = np.array([[e.bin for lvl in s.levels for e in lvl] for s in seqs], dtype=np.int64)
+    return degrees, bins
 
 
 def schema_to_dict(schema: EncodingSchema) -> dict:
@@ -230,11 +258,11 @@ def _slot(pair) -> SeqEntry:
             if degree == 0 and b == PAD_BIN:
                 return PAD
             if degree >= 1 and b >= 1:
-                return SeqEntry(degree=degree, bin=b, is_pad=False)
+                return _entry(degree, b)
     raise ParseError(f"slot {pair!r} is neither [0, 0] nor a [degree, bin] pair of integers >= 1")
 
 
-def sample_from_dict(doc: dict) -> EncodedSample:
+def sample_from_dict(doc: dict, level_lengths: Sequence[int]) -> EncodedSample:
     try:
         levels = tuple(tuple(_slot(e) for e in lvl) for lvl in doc["levels"])
         sid, growth = doc["id"], doc.get("label")
@@ -242,6 +270,7 @@ def sample_from_dict(doc: dict) -> EncodedSample:
         raise ParseError(f"bad encoded record: {exc}") from None
     if type(sid) is not str or not (growth is None or type(growth) is int and growth >= 0):
         raise ParseError(f"need a string id and a label >= 0 or null, got {sid!r} and {growth!r}")
+    _check_shape(levels, level_lengths)
     return EncodedSample(id=sid, seq=DegreeSequence(levels=levels), growth=growth)
 
 
@@ -277,5 +306,6 @@ def write_encoded_jsonl(path: str | Path, samples: Iterable[EncodedSample]) -> i
     return count
 
 
-def read_encoded_jsonl(path: str | Path) -> list[EncodedSample]:
-    return read_jsonl(path, sample_from_dict)
+def read_encoded_jsonl(path: str | Path, schema: EncodingSchema) -> list[EncodedSample]:
+    """The samples in `path`; a row whose levels do not fit `schema` is a ShapeError."""
+    return read_jsonl(path, partial(sample_from_dict, level_lengths=schema.level_lengths))

@@ -34,7 +34,7 @@ from . import checkpoint as _ckpt
 from .atomic import read_json
 from .autodiff import ParamBuffer, Tensor, conv1d, embed, gru, mlp, sq_loss
 from .config import DEFAULTS, _typed
-from .encoding import DegreeSequence, EncodingSchema, schema_from_dict, schema_to_dict
+from .encoding import EncodingSchema, schema_from_dict, schema_to_dict
 from .errors import CheckpointError, ConfigError, ContractError, ParseError, SchemaError, ShapeError
 
 
@@ -257,7 +257,7 @@ def forward_batch(
     """Predicted log2(G+1) for a batch of stacked encodings; shape (B, 1).
 
     degrees and bins are (B, total_length) arrays with the levels side by
-    side in schema order, as `stack_sequences` returns them.
+    side in schema order, as `encoding.stack_sequences` returns them.
     """
     cfg = params.config
     x, decayed = embed(params.decay, degrees, bins, cfg.level_lengths, params.pre_embed)
@@ -277,24 +277,6 @@ def forward_batch(
             "concat": z.values.reshape(len(z.values), -1).copy(),
         })
     return mlp(z, params.head)
-
-
-def stack_sequences(seqs: list[DegreeSequence], cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Stack samples into a (degrees, bins) pair of (N, total_length)
-    matrices, float64 and int64, each row its levels side by side."""
-    if not seqs:
-        raise ContractError("no sequences to stack")
-    for s in seqs:
-        if len(s.levels) != cfg.depth:
-            raise ShapeError(f"sequence has {len(s.levels)} levels, schema wants {cfg.depth}")
-        for k, lvl in enumerate(s.levels):
-            if len(lvl) != cfg.level_lengths[k]:
-                raise ShapeError(
-                    f"level {k + 1} holds {len(lvl)} entries, schema wants {cfg.level_lengths[k]}"
-                )
-    degrees = np.array([[e.degree for lvl in s.levels for e in lvl] for s in seqs], dtype=np.float64)
-    bins = np.array([[e.bin for lvl in s.levels for e in lvl] for s in seqs], dtype=np.int64)
-    return degrees, bins
 
 
 def loss(preds: Tensor, growths, params: ModelParams) -> Tensor:

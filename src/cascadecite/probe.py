@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import ParamBuffer, Tape, Tensor, mlp, sq_loss
-from .encoding import DegreeSequence
 from .errors import ConfigError, FeatureError
 from .optim import AdamState, adam_step
 from .trees import CascadeTree, TreeShape
@@ -45,45 +44,41 @@ class ProbeReport:
 
 
 def probe(
-    seqs: Sequence[DegreeSequence],
+    degrees: np.ndarray,
+    bins: np.ndarray,
     features: Sequence[TreeShape],
     seed: int,
     decay: np.ndarray | None = None,
 ) -> ProbeReport:
     """Fit an MLP readout from flattened encodings to min-max-scaled features.
 
-    decay=None probes the raw degree sequences (all-ones decay over real
-    bins); passing a trained decay vector probes the time-scaled inputs.
-    Returns held-out per-feature MSE on the normalized scale (80/20 split by
-    seed). Constant features are reported as 0 with a flag.
+    degrees and bins are stacked encodings, as `encoding.stack_sequences`
+    returns them. decay=None probes the raw degree sequences (all-ones decay
+    over real bins); passing a trained decay vector probes the time-scaled
+    inputs. Returns held-out per-feature MSE on the normalized scale (80/20
+    split by seed). Constant features are reported as 0 with a flag.
     """
-    if len(seqs) != len(features):
-        raise ConfigError(f"{len(seqs)} encodings vs {len(features)} feature rows")
-    if len(seqs) < 5:
-        raise ConfigError(f"probe needs at least 5 samples, got {len(seqs)}")
+    if len(degrees) != len(features):
+        raise ConfigError(f"{len(degrees)} encodings vs {len(features)} feature rows")
+    if len(degrees) < 5:
+        raise ConfigError(f"probe needs at least 5 samples, got {len(degrees)}")
     if decay is None:
-        bins = 1 + max(e.bin for s in seqs for lvl in s.levels for e in lvl)
-        decay = np.ones(bins)
+        decay = np.ones(1 + bins.max())
         decay[0] = 0.0
 
-    # every level concatenated as degree * decay[bin]; padding stays 0
-    x = np.array([[e.degree * decay[e.bin] for lvl in s.levels for e in lvl] for s in seqs])
+    x = degrees * decay[bins]  # as `embed` takes its inputs; padding stays 0
     y_raw = np.array(features, dtype=np.float64)
 
     lo = y_raw.min(axis=0)
-    hi = y_raw.max(axis=0)
-    span = hi - lo
-    flags = {}
+    span = y_raw.max(axis=0) - lo
     live = span > 0
-    for j, name in enumerate(FEATURE_NAMES):
-        if not live[j]:
-            flags[name] = "constant feature; reported as 0"
+    flags = {name: "constant feature; reported as 0" for name, ok in zip(FEATURE_NAMES, live) if not ok}
     y = np.zeros_like(y_raw)
     y[:, live] = (y_raw[:, live] - lo[live]) / span[live]
 
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(seqs))
-    n_train = int(round(0.8 * len(seqs)))
+    order = rng.permutation(len(degrees))
+    n_train = int(round(0.8 * len(degrees)))
     tr, te = order[:n_train], order[n_train:]
     if len(te) == 0:
         raise ConfigError("probe split left no held-out samples")
@@ -110,7 +105,5 @@ def probe(
 
     preds = mlp(Tensor(x[te]), layers).values
     per_feature = ((preds - y[te]) ** 2).mean(axis=0)
-    mse = {}
-    for j, name in enumerate(FEATURE_NAMES):
-        mse[name] = 0.0 if not live[j] else float(per_feature[j])
+    mse = {name: float(v) if ok else 0.0 for name, v, ok in zip(FEATURE_NAMES, per_feature, live)}
     return ProbeReport(mse=mse, flags=flags, n_train=len(tr), n_test=len(te))

@@ -18,11 +18,12 @@ from .config import DEFAULTS
 from .encoding import (
     EncodedSample,
     EncodingSchema,
-    PAD,
     encode,
     fits_schema,
     pad_fractions,
+    real_counts,
     schema_from_corpus,
+    stack_sequences,
 )
 from .errors import ConfigError, ContractError, EvaluationError, TrainingDivergedError
 from .model import (
@@ -33,7 +34,6 @@ from .model import (
     growth_from_log,
     log_target,
     loss as model_loss,
-    stack_sequences,
 )
 from .optim import AdamState, adam_step
 from .trees import CascadeTree, to_tree
@@ -93,8 +93,7 @@ def _growths(samples: Sequence[EncodedSample]) -> np.ndarray:
 
 
 def _stacked(samples: Sequence[EncodedSample], cfg: ModelConfig) -> Stacked:
-    degrees, bins = stack_sequences([s.seq for s in samples], cfg)
-    return Stacked(degrees, bins, _growths(samples))
+    return Stacked(*stack_sequences([s.seq for s in samples], cfg.level_lengths), _growths(samples))
 
 
 _PREDICT_CHUNK = 128  # rows per untaped forward pass
@@ -144,7 +143,7 @@ def reference_msles(
     training sample has the same n, it is `const`.
     """
     def log_counts(samples):
-        return np.log2([1.0 + sum(len(lvl) - lvl.count(PAD) for lvl in s.seq.levels) for s in samples])
+        return np.log2([1.0 + sum(real_counts(s.seq)) for s in samples])
 
     x, y = log_counts(train_samples), log_target(_growths(train_samples))
     mean = float(y.mean())
@@ -247,7 +246,7 @@ def predict_rows(params: ModelParams, samples: Sequence[EncodedSample]) -> list[
     """(id, predicted log2(G+1), back-transformed growth clamped at 0) rows."""
     if not samples:
         return []
-    values = _predict_values(params, *stack_sequences([s.seq for s in samples], params.config))
+    values = _predict_values(params, *stack_sequences([s.seq for s in samples], params.config.level_lengths))
     return [
         (s.id, float(v), growth_from_log(float(v))) for s, v in zip(samples, values)
     ]

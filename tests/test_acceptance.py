@@ -24,6 +24,7 @@ from cascadecite.encoding import (
     encode,
     encode_level,
     schema_from_corpus,
+    stack_sequences,
 )
 from cascadecite.probe import probe, structural_features
 from cascadecite.trees import to_tree
@@ -83,7 +84,7 @@ def test_full_model_gradients_match_central_differences():
             t.values += rng.normal(0.0, 0.1, size=t.values.shape)
         params.decay.values[0] = 0.0
         seqs = [_random_sequence(cfg, rng) for _ in range(int(rng.integers(2, 5)))]
-        deg_rows, bin_rows = md.stack_sequences(seqs, cfg)
+        deg_rows, bin_rows = stack_sequences(seqs, cfg.level_lengths)
         growths = rng.integers(0, 40, size=len(seqs)).astype(np.float64)
 
         def f():
@@ -249,13 +250,14 @@ def test_probe_recovers_edges_and_leaves_with_shuffled_control():
     schema = schema_from_corpus(trees, bin_count=6, window_T=60)
     seqs = [encode(t, schema) for t in trees]
     feats = [structural_features(t) for t in trees]
+    degrees, bins = stack_sequences(seqs, schema.level_lengths)
 
-    report = probe(seqs, feats, seed=31)
+    report = probe(degrees, bins, feats, seed=31)
     assert report.mse["edges"] < 0.05, f"edges MSE {report.mse['edges']:.5f}"
     assert report.mse["leaves"] < 0.05, f"leaves MSE {report.mse['leaves']:.5f}"
 
     perm = np.random.default_rng(31).permutation(len(feats))
-    control = probe(seqs, [feats[i] for i in perm], seed=31)
+    control = probe(degrees, bins, [feats[i] for i in perm], seed=31)
     assert control.mse["edges"] >= 10 * report.mse["edges"], (
         f"control {control.mse['edges']:.5f} vs {report.mse['edges']:.5f}")
     assert control.mse["leaves"] >= 10 * report.mse["leaves"], (

@@ -64,7 +64,7 @@ def stacked(*xs):
         for x, gk in zip(xs, g):
             ad._acc(x, gk)
 
-    return ad._record(out, xs, pull)
+    return ad._record(out, pull)
 
 
 def gru_reference(xs, w, u, uh, b):
@@ -538,7 +538,7 @@ def skewed(x, coord, factor):
         g.flat[coord] *= factor
         ad._acc(x, g)
 
-    return ad._record(out, (x,), pull)
+    return ad._record(out, pull)
 
 
 def half_sum_sq(x, coord=0, factor=1.0):

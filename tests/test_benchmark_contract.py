@@ -4,7 +4,7 @@ perfbench/tracing.py wraps public functions of the package by name, counts
 ingested citations by the length of the parse result and padding by reading
 the encoded samples. A rename or removal there would only show when the
 benchmark runs traced; this test makes it fail here instead, on a tiny
-synth + encode run and a tiny ingest run.
+synth + encode + train + predict run and a tiny ingest run.
 """
 
 import json
@@ -28,6 +28,11 @@ def test_tracer_installs_and_counts_encoding(tmp_path, monkeypatch):
                          "--seed", "11"]) == 0
         assert cli.main(["encode", "--cascades", str(data / "cascades.jsonl"),
                          "--out", str(enc_dir), "--bins", "6", "--seed", "11"]) == 0
+        run = tmp_path / "run"
+        assert cli.main(["train", "--encoded-dir", str(enc_dir), "--out", str(run), "--max-epochs", "2",
+                         "--embed-width", "8", "--seed", "1"]) == 0
+        assert cli.main(["predict", "--checkpoint", str(run / "checkpoint.json"), "--cascades",
+                         str(data / "cascades.jsonl"), "--out", str(tmp_path / "pred")]) == 0
         edges, dates, casc_dir = tmp_path / "edges.tsv", tmp_path / "dates.tsv", tmp_path / "ingest"
         edges.write_text("a\tr\nb\tr\nb\ta\nb\ta\nc\tr\nghost\tr\nd\tq\n")
         dates.write_text("r\t2000-01-01\na\t2000-01-05\nb\t2000-01-09\nc\t2000-02-01\nd\t2000-03-01\n")
@@ -43,3 +48,8 @@ def test_tracer_installs_and_counts_encoding(tmp_path, monkeypatch):
     assert (counts["cascades.events"], counts["cascades.count"]) == (report["events"], report["cascades"]) == (6, 3)
     assert {"cli.synth", "cli.encode", "training.encode_split", "encoding.encode",
             "cli.ingest", "cascades.parse", "cascades.build"} <= {s.name for s in tracer.spans}
+    # train stacks its three splits and predict its one input; a step records one entry per fused block
+    assert {"training.train", "model.forward", "model.loss", "model.stack", "autodiff.backward",
+            "optim.adam", "checkpoint.save", "checkpoint.load", "model.predict_forward"} <= {
+        s.name for s in tracer.spans}
+    assert (counts["autodiff.tape_entries"], counts["model.stack_calls"]) == (5, 4)

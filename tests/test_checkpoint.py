@@ -11,7 +11,7 @@ from cascadecite import checkpoint as ck
 from cascadecite import encoding as enc
 from cascadecite import model as md
 from cascadecite import training as tr
-from cascadecite.encoding import DegreeSequence, SeqEntry
+from cascadecite.encoding import DegreeSequence, SeqEntry, stack_sequences
 from cascadecite.errors import CheckpointError
 
 INDENTED = Path(__file__).parent / "data" / "checkpoint_indented.json"
@@ -134,7 +134,7 @@ def test_indented_checkpoint_from_version_0_2_0_predicts_the_same():
         DegreeSequence(levels=((E(1, 1, False), P, P), (P, P), (P,))),
         DegreeSequence(levels=((E(4, 2, False), E(1, 2, False), P), (E(3, 1, False), E(1, 1, False)), (P,))),
     ]
-    got = md.forward_batch(params, *md.stack_sequences(seqs, params.config)).values[:, 0]
+    got = md.forward_batch(params, *stack_sequences(seqs, schema.level_lengths)).values[:, 0]
     want = [-0.48666297133517394, -0.5830268194066817, -0.6696299177513275]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 

@@ -245,6 +245,28 @@ def test_eval_accepts_encoded_and_raw_inputs(pipeline):
     assert json.loads((out2 / "eval.json").read_text())["count"] == 30
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_an_encoded_row_that_misfits_the_schema_fails_naming_its_file_and_line(pipeline, tmp_path, capsys, command):
+    enc_dir = tmp_path / "enc"
+    shutil.copytree(pipeline / "enc", enc_dir)
+    path = enc_dir / "test.encoded.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    width = len(rows[1]["levels"][0])
+    del rows[1]["levels"][0][-1]  # row 2 loses one slot of its first level
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    if command == "train":
+        argv = ["train", "--encoded-dir", str(enc_dir), "--max-epochs", "1", "--embed-width", "8"]
+    else:
+        argv = [command, "--checkpoint", str(pipeline / "run" / "checkpoint.json"), "--encoded", str(path),
+                "--schema", str(enc_dir / "schema.json")]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert _only_error_line(capsys) == {
+        "error": "ShapeError",
+        "message": f"{path} line 2: level 1 holds {width - 1} entries, schema wants {width}",
+        "details": {},
+    }
+
+
 def test_predict_writes_csv(pipeline):
     run = pipeline / "run"
     out = pipeline / "pred"

@@ -344,15 +344,15 @@ def test_encoded_sample_jsonl_roundtrip(tmp_path):
         samples.append(enc.EncodedSample(id=f"t{i}", seq=enc.encode(t, schema), growth=i if i % 2 else None))
     path = tmp_path / "enc.jsonl"
     assert enc.write_encoded_jsonl(path, samples) == 8
-    back = enc.read_encoded_jsonl(path)
+    back = enc.read_encoded_jsonl(path, schema)
     assert back == samples
 
 
 def test_encoded_jsonl_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"id": "a", "levels": [], "label": null}\n{"id": "b"}\n')
+    path.write_text('{"id": "a", "levels": [[[0, 0]]], "label": null}\n{"id": "b"}\n')
     with pytest.raises(ParseError, match="line 2"):
-        enc.read_encoded_jsonl(path)
+        enc.read_encoded_jsonl(path, make_schema([1]))
 
 
 def test_read_back_pads_are_the_shared_entry(tmp_path):
@@ -362,7 +362,7 @@ def test_read_back_pads_are_the_shared_entry(tmp_path):
     samples = [enc.EncodedSample(id=f"t{i}", seq=enc.encode(t, schema), growth=i) for i, t in enumerate(trees)]
     path = tmp_path / "enc.jsonl"
     enc.write_encoded_jsonl(path, samples)
-    back = enc.read_encoded_jsonl(path)
+    back = enc.read_encoded_jsonl(path, schema)
     assert back == samples
     slots = [e for s in back for lvl in s.seq.levels for e in lvl]
     pads = [e for e in slots if e.is_pad]
@@ -379,7 +379,7 @@ def test_malformed_slots_raise_with_the_line_number(tmp_path, slot):
     path = tmp_path / "bad.jsonl"
     path.write_text(f'{{"id":"a","levels":[[[0,0]]],"label":null}}\n{{"id":"b","levels":[[{slot}]],"label":null}}\n')
     with pytest.raises(ParseError, match="line 2"):
-        enc.read_encoded_jsonl(path)
+        enc.read_encoded_jsonl(path, make_schema([1]))
 
 
 @pytest.mark.parametrize("record, message", [
@@ -393,7 +393,7 @@ def test_encoded_records_take_string_ids_and_count_labels(tmp_path, record, mess
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id":"a","levels":[[[1,1]]],"label":0}\n{' + record + "}\n")
     with pytest.raises(ParseError) as info:
-        enc.read_encoded_jsonl(path)
+        enc.read_encoded_jsonl(path, make_schema([1]))
     assert str(info.value) == f"{path} line 2: {message}"
 
 
@@ -404,7 +404,7 @@ def test_encoded_rows_are_degree_bin_pairs(tmp_path):
     path = tmp_path / "pairs.jsonl"
     enc.write_encoded_jsonl(path, [sample])
     assert path.read_text() == '{"id":"r","levels":[[[2,1],[1,2],[0,0]],[[1,2]]],"label":4}\n'
-    (back,) = enc.read_encoded_jsonl(path)
+    (back,) = enc.read_encoded_jsonl(path, schema)
     assert back == sample
     assert [e.is_pad for e in back.seq.levels[0]] == [False, False, True]
 
@@ -416,7 +416,7 @@ def test_encoded_jsonl_rejects_dict_slots(tmp_path):
         '{"id":"b","levels":[[{"d":1,"bin":1}]],"label":null}\n'
     )
     with pytest.raises(ParseError, match=r"old\.jsonl line 2: .*\[degree, bin\] pair"):
-        enc.read_encoded_jsonl(path)
+        enc.read_encoded_jsonl(path, make_schema([1]))
 
 
 def dict_form_row(sample):

@@ -5,7 +5,7 @@ import pytest
 
 from cascadecite import model as md
 from cascadecite.autodiff import Tape, Tensor, _acc, _record, conv1d, grad_check, gru, sq_loss
-from cascadecite.encoding import DegreeSequence, SeqEntry, uniform_bin_edges, EncodingSchema
+from cascadecite.encoding import DegreeSequence, SeqEntry, stack_sequences, uniform_bin_edges, EncodingSchema
 from cascadecite.errors import CheckpointError, ConfigError, ContractError, NumericError, ShapeError
 from cascadecite.optim import AdamState, adam_step
 
@@ -139,7 +139,7 @@ def test_apply_time_decay_hand_values():
     params.decay.values[...] = [0.0, 0.5, 0.25]  # in place: the tensor views the buffer
     seq = DegreeSequence(levels=((SeqEntry(2, 1, False), SeqEntry(3, 2, False), SeqEntry(0, 0, True)),))
     trace = {}
-    md.forward_batch(params, *md.stack_sequences([seq], cfg), trace=trace)
+    md.forward_batch(params, *stack_sequences([seq], cfg.level_lengths), trace=trace)
     assert trace["decayed"][0].tolist() == [[1.0, 0.75, 0.0]]
 
 
@@ -151,7 +151,7 @@ def test_each_level_decays_its_own_columns():
         (SeqEntry(2, 1, False), SeqEntry(3, 2, False), SeqEntry(0, 0, True)),
         (SeqEntry(4, 2, False), SeqEntry(0, 0, True)),
     ))
-    degrees, bins = md.stack_sequences([seq], cfg)
+    degrees, bins = stack_sequences([seq], cfg.level_lengths)
     assert (degrees.dtype, bins.dtype) == (np.float64, np.int64)
     assert degrees.tolist() == [[2, 3, 0, 4, 0]] and bins.tolist() == [[1, 2, 0, 2, 0]]
     trace = {}
@@ -169,7 +169,7 @@ def test_apply_time_decay_rejects_out_of_range_bins():
     params = md.init_params(cfg, 0)
     seq = DegreeSequence(levels=((SeqEntry(1, 7, False),),))
     with pytest.raises(ContractError):
-        md.forward_batch(params, *md.stack_sequences([seq], cfg))
+        md.forward_batch(params, *stack_sequences([seq], cfg.level_lengths))
 
 
 def test_forward_shape_gates_and_conv_sign():
@@ -177,7 +177,7 @@ def test_forward_shape_gates_and_conv_sign():
     cfg = tiny_config()
     params = md.init_params(cfg, 2)
     seqs = [seq_for(cfg, rng) for _ in range(4)]
-    degrees, bins = md.stack_sequences(seqs, cfg)
+    degrees, bins = stack_sequences(seqs, cfg.level_lengths)
     trace = {}
     out = md.forward_batch(params, degrees, bins, trace=trace)
     assert out.shape == (4, 1)
@@ -196,7 +196,7 @@ def test_decay_scales_inputs_linearly():
     cfg = tiny_config()
     params = md.init_params(cfg, 4)
     seq = seq_for(cfg, rng)
-    degrees, bins = md.stack_sequences([seq], cfg)
+    degrees, bins = stack_sequences([seq], cfg.level_lengths)
 
     t1, t2 = {}, {}
     md.forward_batch(params, degrees, bins, trace=t1)
@@ -211,9 +211,9 @@ def test_single_and_batched_forward_agree():
     cfg = tiny_config()
     params = md.init_params(cfg, 6)
     seqs = [seq_for(cfg, rng) for _ in range(3)]
-    degrees, bins = md.stack_sequences(seqs, cfg)
+    degrees, bins = stack_sequences(seqs, cfg.level_lengths)
     batched = md.forward_batch(params, degrees, bins).values
-    singles = np.vstack([md.forward_batch(params, *md.stack_sequences([s], cfg)).values for s in seqs])
+    singles = np.vstack([md.forward_batch(params, *stack_sequences([s], cfg.level_lengths)).values for s in seqs])
     np.testing.assert_allclose(batched, singles, atol=1e-12)
 
 
@@ -228,7 +228,7 @@ def test_forward_matches_a_per_level_reference_bitwise():
             t.values += rng.normal(0.0, 0.1, size=t.values.shape)
         named = dict(params.named())
         for n_rows in (1, 4):
-            degrees, bins = md.stack_sequences([seq_for(cfg, rng) for _ in range(n_rows)], cfg)
+            degrees, bins = stack_sequences([seq_for(cfg, rng) for _ in range(n_rows)], cfg.level_lengths)
             levels, lo = [], 0
             for k, length in enumerate(cfg.level_lengths):
                 x = params.decay.values[bins[:, lo : lo + length]] * degrees[:, lo : lo + length]
@@ -256,9 +256,9 @@ def test_stack_rejects_mismatched_sequences():
     cfg = tiny_config()
     bad = DegreeSequence(levels=((SeqEntry(1, 1, False),),))  # one level, wrong width
     with pytest.raises(ShapeError):
-        md.stack_sequences([bad], cfg)
+        stack_sequences([bad], cfg.level_lengths)
     with pytest.raises(ContractError):
-        md.stack_sequences([], cfg)
+        stack_sequences([], cfg.level_lengths)
 
 
 def test_loss_matches_independent_recompute():
@@ -266,7 +266,7 @@ def test_loss_matches_independent_recompute():
     cfg = tiny_config(alpha=2.0, reg_weight=0.5)
     params = md.init_params(cfg, 8)
     seqs = [seq_for(cfg, rng) for _ in range(3)]
-    degrees, bins = md.stack_sequences(seqs, cfg)
+    degrees, bins = stack_sequences(seqs, cfg.level_lengths)
     preds = md.forward_batch(params, degrees, bins)
     growths = np.array([0, 3, 7])
 
@@ -281,7 +281,7 @@ def test_loss_matches_independent_recompute():
 def test_loss_without_regularization_is_pure_data_term():
     cfg = tiny_config(alpha=1.0, reg_weight=0.0)
     params = md.init_params(cfg, 9)
-    preds = md.forward_batch(params, *md.stack_sequences([seq_for(cfg, np.random.default_rng(0))], cfg))
+    preds = md.forward_batch(params, *stack_sequences([seq_for(cfg, np.random.default_rng(0))], cfg.level_lengths))
     value = md.loss(preds, np.array([1]), params).item()
     assert value == pytest.approx(float((preds.values[0, 0] - 1.0) ** 2), rel=1e-12)
 
@@ -297,7 +297,7 @@ def test_regularizer_covers_weights_not_biases_or_decay():
 def test_loss_shape_and_label_validation():
     cfg = tiny_config()
     params = md.init_params(cfg, 11)
-    preds = md.forward_batch(params, *md.stack_sequences([seq_for(cfg, np.random.default_rng(1))], cfg))
+    preds = md.forward_batch(params, *stack_sequences([seq_for(cfg, np.random.default_rng(1))], cfg.level_lengths))
     with pytest.raises(ShapeError):
         md.loss(preds, np.array([1, 2]), params)
     with pytest.raises(ContractError):
@@ -311,7 +311,7 @@ def test_training_steps_reduce_loss_for_many_seeds():
         params = md.init_params(cfg, seed)
         seqs = [seq_for(cfg, rng) for _ in range(6)]
         growths = np.asarray(rng.integers(0, 20, size=6))
-        degrees, bins = md.stack_sequences(seqs, cfg)
+        degrees, bins = stack_sequences(seqs, cfg.level_lengths)
         state = AdamState(step_size=5e-3)
         tensors = params.tensors()
 
@@ -332,7 +332,7 @@ def test_padding_decay_slot_receives_zero_gradient():
     cfg = tiny_config()
     params = md.init_params(cfg, 13)
     seqs = [seq_for(cfg, rng) for _ in range(4)]
-    degrees, bins = md.stack_sequences(seqs, cfg)
+    degrees, bins = stack_sequences(seqs, cfg.level_lengths)
     with Tape() as tape:
         value = md.loss(md.forward_batch(params, degrees, bins), np.array([1, 2, 3, 4]), params)
     (g,) = tape.backward(value, params=[params.decay])
@@ -344,7 +344,7 @@ def test_unused_bin_gets_zero_decay_gradient():
     params = md.init_params(cfg, 14)
     # both entries in bin 1; bins 2 and 3 never appear
     seq = DegreeSequence(levels=((SeqEntry(2, 1, False), SeqEntry(1, 1, False)),))
-    degrees, bins = md.stack_sequences([seq], cfg)
+    degrees, bins = stack_sequences([seq], cfg.level_lengths)
     with Tape() as tape:
         value = md.loss(md.forward_batch(params, degrees, bins), np.array([2]), params)
     (g,) = tape.backward(value, params=[params.decay])
@@ -354,7 +354,7 @@ def test_unused_bin_gets_zero_decay_gradient():
 
 def scaled_adjoint(x, factor):
     """Identity on x whose adjoint is multiplied by factor: a wrong gradient."""
-    return _record(Tensor(x.values), (x,), lambda g: _acc(x, g * factor))
+    return _record(Tensor(x.values), lambda g: _acc(x, g * factor))
 
 
 @pytest.mark.parametrize("which", range(4))  # packed w, u, uh, b
@@ -367,7 +367,7 @@ def test_full_model_grad_check_rejects_one_gru_gradient_scaled_by_1_001(monkeypa
         t.values += rng.normal(0.0, 0.1, size=t.values.shape)  # off the relu kinks
     params.decay.values[0] = 0.0
     seqs = [seq_for(cfg, rng) for _ in range(4)]
-    degrees, bins = md.stack_sequences(seqs, cfg)
+    degrees, bins = stack_sequences(seqs, cfg.level_lengths)
     growths = rng.integers(0, 40, size=4).astype(np.float64)
 
     def f():
@@ -425,7 +425,7 @@ def test_second_backward_on_one_tape_does_not_double_count():
     rng = np.random.default_rng(19)
     cfg = tiny_config()
     params = md.init_params(cfg, 20)
-    degrees, bins = md.stack_sequences([seq_for(cfg, rng) for _ in range(3)], cfg)
+    degrees, bins = stack_sequences([seq_for(cfg, rng) for _ in range(3)], cfg.level_lengths)
     with Tape() as tape:
         value = md.loss(md.forward_batch(params, degrees, bins), np.array([1, 2, 3]), params)
     first = [g.copy() for g in tape.backward(value, params=params.tensors())]
@@ -462,7 +462,7 @@ def test_model_checkpoint_roundtrip(tmp_path):
     for (n1, t1), (n2, t2) in zip(params.named(), loaded.named()):
         assert n1 == n2
         np.testing.assert_array_equal(t1.values, t2.values)
-    rows = md.stack_sequences([seq_for(cfg, rng)], cfg)
+    rows = stack_sequences([seq_for(cfg, rng)], cfg.level_lengths)
     np.testing.assert_array_equal(
         md.forward_batch(params, *rows).values, md.forward_batch(loaded, *rows).values
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cascadecite.cascades import generate_synthetic
-from cascadecite.encoding import encode
+from cascadecite.encoding import encode, stack_sequences
 from cascadecite.errors import ConfigError, FeatureError
 from cascadecite.probe import FEATURE_NAMES, probe, structural_features
 from cascadecite.trees import to_tree
@@ -54,9 +54,9 @@ def test_probe_learns_exact_functions_of_the_encoding():
     trees = [t for t in (to_tree(c) for c, _ in pairs) if t.size >= 2]
     rng = np.random.default_rng(0)
     schema = schema_with_slack(trees, bin_count=4, window_T=60, rng=rng)
-    seqs = [encode(t, schema) for t in trees]
+    degrees, bins = stack_sequences([encode(t, schema) for t in trees], schema.level_lengths)
     feats = [structural_features(t) for t in trees]
-    report = probe(seqs, feats, seed=0)
+    report = probe(degrees, bins, feats, seed=0)
     assert set(report.mse) == set(FEATURE_NAMES)
     assert report.n_train + report.n_test == len(trees)
     assert report.mse["edges"] < 0.05
@@ -71,22 +71,22 @@ def test_probe_flags_constant_features():
     ]
     rng = np.random.default_rng(1)
     schema = schema_with_slack(trees, bin_count=2, window_T=10, rng=rng)
-    seqs = [encode(t, schema) for t in trees]
+    degrees, bins = stack_sequences([encode(t, schema) for t in trees], schema.level_lengths)
     feats = [structural_features(t) for t in trees]
-    report = probe(seqs, feats, seed=0)
+    report = probe(degrees, bins, feats, seed=0)
     assert set(report.flags) == set(FEATURE_NAMES)
     assert all(report.mse[name] == 0.0 for name in FEATURE_NAMES)
 
 
 def test_probe_validates_inputs():
-    with pytest.raises(ConfigError):
-        probe([], [], seed=0)
     t = tree_from_parent_rows("r", [("a", 1, "r")])
     rng = np.random.default_rng(2)
     schema = schema_with_slack([t], bin_count=2, window_T=10, rng=rng)
-    seq = encode(t, schema)
+    degrees, bins = stack_sequences([encode(t, schema)] * 6, schema.level_lengths)
     f = structural_features(t)
     with pytest.raises(ConfigError):
-        probe([seq] * 6, [f] * 5, seed=0)
+        probe(degrees[:0], bins[:0], [], seed=0)
     with pytest.raises(ConfigError):
-        probe([seq] * 4, [f] * 4, seed=0)
+        probe(degrees, bins, [f] * 5, seed=0)
+    with pytest.raises(ConfigError):
+        probe(degrees[:4], bins[:4], [f] * 4, seed=0)

@@ -8,9 +8,11 @@ import pytest
 from cascadecite import training as tr
 from cascadecite.autodiff import Tape
 from cascadecite.cascades import generate_synthetic
-from cascadecite.encoding import PAD, DegreeSequence, EncodedSample, SeqEntry, fits_schema, schema_from_corpus
+from cascadecite.encoding import (
+    PAD, DegreeSequence, EncodedSample, SeqEntry, fits_schema, schema_from_corpus, stack_sequences,
+)
 from cascadecite.errors import ConfigError, ContractError, EvaluationError
-from cascadecite.model import ModelConfig, forward_batch, init_params, loss, stack_sequences
+from cascadecite.model import ModelConfig, forward_batch, init_params, loss
 from cascadecite.trees import to_tree
 
 
@@ -123,7 +125,7 @@ def test_default_model_step_stays_within_tape_budget():
     mcfg = ModelConfig.from_schema(schema)
     params = init_params(mcfg, 0)
     batch = train[:32]
-    degrees, bins = stack_sequences([s.seq for s in batch], mcfg)
+    degrees, bins = stack_sequences([s.seq for s in batch], mcfg.level_lengths)
     with Tape() as tape:
         loss(forward_batch(params, degrees, bins), np.array([s.growth for s in batch]), params)
     # the level embedding, the GRU, the conv, the head and the loss
