@@ -2,10 +2,10 @@
 
 Floats round-trip exactly (json uses repr). The file is written compactly,
 with no whitespace, and atomically; any valid JSON layout of the same
-document loads. Loading takes values only as JSON numbers and shapes only
-as lists of integers >= 0, and refuses another format or version instead
-of guessing. Which arrays a model needs, and their shapes, is checked by
-the model that takes them.
+document loads. Loading takes values only as finite JSON numbers and
+shapes only as lists of integers >= 0, and refuses another format or
+version instead of guessing. Which arrays a model needs, and their shapes,
+is checked by the model that takes them.
 """
 
 from __future__ import annotations
@@ -65,4 +65,7 @@ def parse_arrays(doc: dict) -> dict[str, np.ndarray]:
             arrays[name] = np.array(values, dtype=np.float64).reshape(shape)
         except OverflowError:  # an integer beyond the float range
             raise CheckpointError(f"array {name!r}: a value does not fit a float") from None
+        if not np.isfinite(arrays[name]).all():  # NaN, Infinity, or a literal such as 1e400
+            bad = next(v for v in values if not math.isfinite(v))
+            raise CheckpointError(f"array {name!r}: values must be finite, got {bad!r}")
     return arrays

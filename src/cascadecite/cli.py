@@ -86,7 +86,7 @@ def _read_cascades(path, schema: enc.EncodingSchema | None = None) -> tuple[list
 def _encode_against(items, schema: enc.EncodingSchema) -> list[enc.EncodedSample]:
     """(tree, label) pairs encoded against a schema they may overflow,
     truncating what does not fit and logging how many trees that took."""
-    samples, clipped = encode_trees(items, schema, truncate=True)
+    samples, clipped = encode_trees(items, schema)
     if clipped:
         log.warning("schema truncation applied to %d of %d trees", clipped, len(samples))
     return samples

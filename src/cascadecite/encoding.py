@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .atomic import atomic_write, read_json, read_jsonl, write_json
-from .errors import BinRangeError, ContractError, ParseError, SchemaError, SchemaOverflowError, ShapeError
+from .errors import BinRangeError, ContractError, ParseError, SchemaError, ShapeError
 from .trees import CascadeTree
 
 PAD_BIN = 0
@@ -85,7 +85,8 @@ def uniform_bin_edges(bin_count: int, window_T: int) -> tuple[float, ...]:
 def schema_from_corpus(
     trees: Sequence[CascadeTree], bin_count: int, window_T: int
 ) -> EncodingSchema:
-    """Max depth and per-level max width over the corpus, uniform bin edges."""
+    """Max depth and per-level max width over the corpus, uniform bin edges.
+    Adoption times are checked where `encode` bins them."""
     if not trees:
         raise SchemaError("cannot build a schema from an empty corpus")
     depth = max(len(t.levels) for t in trees)
@@ -95,11 +96,6 @@ def schema_from_corpus(
     for t in trees:
         for k, level in enumerate(t.levels):
             lengths[k] = max(lengths[k], len(level))
-        worst = max(t.adoption_time.values())  # the root's 0 when there are no other nodes
-        if worst >= window_T:
-            raise SchemaError(
-                f"tree {t.root!r} has adoption time {worst} outside window [0, {window_T})"
-            )
     return EncodingSchema(
         level_lengths=tuple(lengths),
         bin_count=bin_count,
@@ -121,20 +117,13 @@ def encode_level(
     pairs: Iterable[tuple[int, int]],
     length: int,
     schema: EncodingSchema,
-    truncate: bool = False,
 ) -> tuple[SeqEntry, ...]:
-    """Sort (degree, adoption_time) pairs and pad to the schema length.
+    """Sort (degree, adoption_time) pairs, keep the first `length` and pad to it.
 
-    Descending degree, earlier adopters first on ties. Overlong levels raise
-    unless truncate, which keeps the `length` largest-degree entries.
+    Descending degree, earlier adopters first on ties; an overlong level
+    loses its lowest-degree, latest-adopted entries.
     """
-    keys = sorted([(-d, t) for d, t in pairs])
-    if len(keys) > length:
-        if not truncate:
-            raise SchemaOverflowError(
-                f"level holds {len(keys)} nodes but schema allows {length}"
-            )
-        keys = keys[:length]
+    keys = sorted([(-d, t) for d, t in pairs])[:length]
     bins = _time_bins([t for _, t in keys], schema)
     return tuple([_entry(-nd, b) for (nd, _), b in zip(keys, bins)]) + pad_run(length - len(keys))
 
@@ -150,19 +139,16 @@ def fits_schema(tree: CascadeTree, schema: EncodingSchema) -> bool:
     return all(len(lvl) <= schema.level_lengths[k] for k, lvl in enumerate(tree.levels))
 
 
-def encode(tree: CascadeTree, schema: EncodingSchema, truncate: bool = False) -> DegreeSequence:
+def encode(tree: CascadeTree, schema: EncodingSchema) -> DegreeSequence:
     """Per-level sorted, padded (degree, bin) sequences for one tree.
 
-    Levels past the tree's depth come out as all padding. Trees wider or
-    deeper than the schema raise unless truncate, which drops the extra
-    lowest-degree nodes per level and any levels past the schema depth.
+    Levels past the tree's depth come out as all padding. A tree wider or
+    deeper than the schema is fitted to it: each level keeps its `length`
+    largest-degree nodes, levels past the schema depth go, and only the kept
+    nodes' times are binned. `fits_schema` tells whether anything is cut.
     """
-    if len(tree.levels) > schema.depth and not truncate:
-        raise SchemaOverflowError(
-            f"tree depth {len(tree.levels)} exceeds schema depth {schema.depth}"
-        )
     kids, times = Counter(tree.parent.values()).get, tree.adoption_time  # degree: children + parent link (never the root)
-    out = [encode_level([(kids(v, 0) + 1, times[v]) for v in nodes], length, schema, truncate)
+    out = [encode_level([(kids(v, 0) + 1, times[v]) for v in nodes], length, schema)
            for nodes, length in zip(tree.levels, schema.level_lengths)]
     out += map(pad_run, schema.level_lengths[len(out):])
     return DegreeSequence(levels=tuple(out))
@@ -243,10 +229,11 @@ def save_schema(path: str | Path, schema: EncodingSchema) -> None:
 
 
 def load_schema(path: str | Path) -> EncodingSchema:
+    """The schema in `path`; any fault in it is a ParseError naming the file."""
     doc = read_json(path, ParseError)
     try:
         return schema_from_dict(doc)
-    except ParseError as exc:
+    except (ParseError, SchemaError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 

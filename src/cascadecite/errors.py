@@ -37,10 +37,6 @@ class SchemaError(CascadeCiteError):
     pass
 
 
-class SchemaOverflowError(CascadeCiteError):
-    pass
-
-
 class SchemaMismatchError(CascadeCiteError):
     pass
 

@@ -296,17 +296,16 @@ def msle_from_predictions(
 
 
 def encode_trees(
-    items: Sequence[tuple[CascadeTree, GrowthLabel | None]], schema: EncodingSchema, truncate: bool
+    items: Sequence[tuple[CascadeTree, GrowthLabel | None]], schema: EncodingSchema
 ) -> tuple[list[EncodedSample], int]:
     """Encode (tree, label) pairs against a schema; also returns how many
-    trees were truncated to fit it (always 0 unless truncate)."""
+    trees were truncated to fit it."""
     out = []
     clipped = 0
     for t, lb in items:
-        if truncate and not fits_schema(t, schema):
-            clipped += 1
+        clipped += not fits_schema(t, schema)
         growth = None if lb is None else lb.growth
-        out.append(EncodedSample(id=t.root, seq=encode(t, schema, truncate=truncate), growth=growth))
+        out.append(EncodedSample(id=t.root, seq=encode(t, schema), growth=growth))
     return out, clipped
 
 
@@ -320,19 +319,19 @@ def encode_split(
     """Split, build the schema on train only, encode all three splits.
 
     Validation and test trees that overflow the train-built schema are
-    truncated (lowest degrees dropped per level) rather than rejected.
-    When given, `tally` receives the samples per split, the truncated val
-    and test trees, and the padding fraction of each level over all three
-    splits.
+    truncated (lowest degrees dropped per level) rather than rejected; the
+    train trees always fit, since they size the schema. When given, `tally`
+    receives the samples per split, the truncated val and test trees, and
+    the padding fraction of each level over all three splits.
     """
     tr, va, te = split_dataset(list(pairs), seed)
     tr_trees = [(to_tree(c), lb) for c, lb in tr]
     va_trees = [(to_tree(c), lb) for c, lb in va]
     te_trees = [(to_tree(c), lb) for c, lb in te]
     schema = schema_from_corpus([t for t, _ in tr_trees], bin_count, window_T)
-    train_enc, _ = encode_trees(tr_trees, schema, truncate=False)
-    val_enc, cv = encode_trees(va_trees, schema, truncate=True)
-    test_enc, ct = encode_trees(te_trees, schema, truncate=True)
+    train_enc, _ = encode_trees(tr_trees, schema)
+    val_enc, cv = encode_trees(va_trees, schema)
+    test_enc, ct = encode_trees(te_trees, schema)
     if cv or ct:
         log.warning("schema truncation applied to %d val and %d test trees", cv, ct)
     if tally is not None:

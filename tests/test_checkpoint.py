@@ -75,11 +75,13 @@ def test_refuses_size_shape_mismatch(tmp_path):
     ("values", [[0.5], [1.0]], "values must be JSON numbers, got [0.5]"),
     ("values", "0.5,1.0", "values must be a list of numbers, got '0.5,1.0'"),
     ("values", [0.5, 10**400], "a value does not fit a float"),
+    ("values", [0.5, float("nan")], "values must be finite, got nan"),
+    ("values", [float("-inf"), 0.5], "values must be finite, got -inf"),
     ("shape", [2.0], "shape must be a list of integers >= 0, got [2.0]"),
     ("shape", [True, 2], "shape must be a list of integers >= 0, got [True, 2]"),
     ("shape", [-1, -2], "shape must be a list of integers >= 0, got [-1, -2]"),
     ("shape", 2, "shape must be a list of integers >= 0, got 2"),
-], ids=["string", "bool", "null", "nested", "text", "huge integer", "float dim", "bool dim",
+], ids=["string", "bool", "null", "nested", "text", "huge integer", "NaN", "-Infinity", "float dim", "bool dim",
         "negative dims", "bare integer"])
 def test_refuses_values_that_are_not_numbers_and_shapes_that_are_not_dims(tmp_path, field, value, message):
     doc = saved(tmp_path, {"w": np.ones(2)})

@@ -487,16 +487,30 @@ def _edited(edit):
     return damage
 
 
+def _head_b2_as(literal: str):
+    """The checkpoint with the first value of its head_b2 array written as `literal`."""
+    def damage(doc_text: str) -> str:
+        doc = json.loads(doc_text)
+        doc["arrays"]["head_b2"]["values"][0] = "<value>"
+        return json.dumps(doc).replace('"<value>"', literal)
+    return damage
+
+
 @pytest.mark.parametrize("file,damage", [
     ("checkpoint.json", _truncated),
     ("checkpoint.json", _edited(lambda d: d.pop("arrays"))),
     ("checkpoint.json", _edited(lambda d: d["model_config"].pop("level_lengths"))),
     ("checkpoint.json", _edited(lambda d: d["schema"].update(bin_edges=[0.0, 150.0]))),
+    ("checkpoint.json", _head_b2_as("NaN")),
+    ("checkpoint.json", _head_b2_as("Infinity")),
+    ("checkpoint.json", _head_b2_as("1e400")),
     ("schema.json", _truncated),
     ("schema.json", _edited(lambda d: d.update(bin_count="four"))),
+    ("schema.json", _edited(lambda d: d["bin_edges"].pop())),
 ], ids=["truncated checkpoint", "checkpoint without arrays", "model config without level_lengths",
-        "checkpoint schema with too few bin edges",
-        "truncated schema", "schema with a word for bin_count"])
+        "checkpoint schema with too few bin edges", "checkpoint value NaN", "checkpoint value Infinity",
+        "checkpoint value 1e400",
+        "truncated schema", "schema with a word for bin_count", "schema with too few bin edges"])
 def test_malformed_checkpoint_or_schema_fails_with_json_error(pipeline, tmp_path, capsys, file, damage):
     ckpt, enc_dir = pipeline / "run" / "checkpoint.json", pipeline / "enc"
     if file == "schema.json":

@@ -12,7 +12,6 @@ from cascadecite.errors import (
     BinRangeError,
     ParseError,
     SchemaError,
-    SchemaOverflowError,
 )
 from cascadecite.trees import to_tree
 
@@ -87,9 +86,11 @@ def test_corpus_schema_rejects_empty_or_flat_corpora():
 
 
 def test_corpus_schema_rejects_out_of_window_times():
+    # the schema reads no times; encoding bins them, and refuses one outside the window
     t = tree_from_parent_rows("r", [("a", 50, "r")], window_T=100)
-    with pytest.raises(SchemaError, match="outside window"):
-        enc.schema_from_corpus([t], 4, 50)
+    schema = enc.schema_from_corpus([t], 4, 50)
+    with pytest.raises(BinRangeError, match=r"time 50 outside \[0, 50\)"):
+        enc.encode(t, schema)
 
 
 # ----------------------------------------------------------------- binning
@@ -205,9 +206,7 @@ def test_reference_degree_rows_reproduce_with_final_pad():
 def test_overlong_level_raises_unless_truncated():
     schema = make_schema([2], bins=2, window=10)
     pairs = [(3, 1), (1, 2), (2, 3)]
-    with pytest.raises(SchemaOverflowError):
-        enc.encode_level(pairs, 2, schema)
-    row = enc.encode_level(pairs, 2, schema, truncate=True)
+    row = enc.encode_level(pairs, 2, schema)
     assert [e.degree for e in row] == [3, 2]  # lowest degree dropped
 
 
@@ -235,9 +234,7 @@ def test_encode_fills_missing_levels_with_padding():
 def test_encode_rejects_overdeep_trees_unless_truncated():
     t = tree_from_parent_rows("r", [("a", 1, "r"), ("b", 2, "a"), ("c", 3, "b")], window_T=10)
     schema = make_schema([1, 1], bins=2, window=10)
-    with pytest.raises(SchemaOverflowError, match="depth"):
-        enc.encode(t, schema)
-    seq = enc.encode(t, schema, truncate=True)
+    seq = enc.encode(t, schema)
     assert len(seq.levels) == 2
     assert [e.degree for e in seq.levels[1]] == [2]
 
@@ -274,7 +271,7 @@ def test_every_pad_is_the_shared_entry_and_levels_equal_per_slot_ones():
         lengths = list(schema.level_lengths)
         lengths[0] = max(1, lengths[0] - 2)
         schema = enc.EncodingSchema(tuple(lengths), schema.bin_count, 90, schema.bin_edges)
-        seq = enc.encode(t, schema, truncate=True)
+        seq = enc.encode(t, schema)
         for k, lvl in enumerate(seq.levels):
             nodes = t.levels[k] if k < len(t.levels) else ()
             pairs = [(len(t.children[v]) + 1, t.adoption_time[v]) for v in nodes]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cascadecite import probe as probe_module
 from cascadecite.cascades import generate_synthetic
 from cascadecite.encoding import encode, stack_sequences
 from cascadecite.errors import ConfigError, FeatureError
@@ -61,6 +62,34 @@ def test_probe_learns_exact_functions_of_the_encoding():
     assert report.n_train + report.n_test == len(trees)
     assert report.mse["edges"] < 0.05
     assert report.mse["leaves"] < 0.05
+
+
+@pytest.mark.parametrize("decay", [None, np.array([0.0, 0.9, 0.55, 0.3, 0.125])], ids=["raw", "decayed"])
+def test_the_readout_takes_each_slot_degree_times_the_decay_of_its_bin(monkeypatch, decay):
+    rng = np.random.default_rng(31)
+    trees = [random_tree(rng, max_nodes=25) for _ in range(12)]
+    schema = schema_with_slack(trees, bin_count=4, window_T=90, rng=rng)
+    seqs = [encode(t, schema) for t in trees]
+    inputs, mlp = [], probe_module.mlp
+
+    def spy(x, layers):
+        inputs.append(x.values.copy())
+        return mlp(x, layers)
+
+    monkeypatch.setattr(probe_module, "mlp", spy)
+    probe(*stack_sequences(seqs, schema.level_lengths), [structural_features(t) for t in trees], seed=0,
+          decay=decay)
+
+    weights = np.array([0.0, 1.0, 1.0, 1.0, 1.0]) if decay is None else decay  # raw: 1 on every real bin
+    want = np.array([[e.degree * weights[e.bin] for lvl in s.levels for e in lvl] for s in seqs])
+    assert all(np.array_equal(x, inputs[0]) for x in inputs[:-1])  # every training step reads one matrix
+    got = np.concatenate([inputs[0], inputs[-1]])  # the training rows, then the held-out rows
+
+    def by_row(m):
+        return m[np.lexsort(m.T[::-1])]
+
+    assert got.shape == want.shape
+    assert np.array_equal(by_row(got), by_row(want))
 
 
 def test_probe_flags_constant_features():

@@ -234,18 +234,30 @@ def test_encode_split_partitions_and_labels():
 
 
 def test_schema_is_built_from_train_split_only():
-    pairs = generate_synthetic(20, (6, 12), 80, 1.0, seed=1)
-    train, val, test, schema = tr.encode_split(pairs, bin_count=3, window_T=40, seed=1)
-    widths = [0] * schema.depth
-    train_ids = {s.id for s in train}
-    train_trees = [to_tree(c) for c, _ in pairs if c.root in train_ids]
-    for t in train_trees:
-        for k, lvl in enumerate(t.levels):
-            widths[k] = max(widths[k], len(lvl))
-    assert schema.level_lengths == tuple(widths)
-    # held-out samples may be clipped, but they always land in schema shape
-    for s in val + test:
-        assert tuple(len(lvl) for lvl in s.seq.levels) == schema.level_lengths
+    fit_small = generate_synthetic(200, (6, 18), 80, 1.0, seed=11, window_T=40)  # the benchmark corpus
+    for pairs, bin_count, split_seed, cut in [
+        (generate_synthetic(20, (6, 12), 80, 1.0, seed=1), 3, 1, None),
+        (generate_synthetic(20, (6, 12), 80, 1.0, seed=1), 1, 4, None),
+        (generate_synthetic(60, (6, 25), 120, 0.5, seed=3, window_T=40), 5, 2, None),
+        (fit_small, 6, 11, (0, 0)),  # the benchmark's split
+        (fit_small, 6, 6, (2, 1)),  # a split that cuts 2 val trees and 1 test tree
+        (fit_small, 2, 6, (2, 1)),
+    ]:
+        train, val, test, schema = tr.encode_split(pairs, bin_count=bin_count, window_T=40, seed=split_seed)
+        trees = {c.root: to_tree(c) for c, _ in pairs}
+        train_trees = [trees[s.id] for s in train]
+        widths = [0] * schema.depth
+        for t in train_trees:
+            for k, lvl in enumerate(t.levels):
+                widths[k] = max(widths[k], len(lvl))
+        assert schema.level_lengths == tuple(widths)
+        # every train tree fits the schema it sized, so encoding cuts none of them
+        assert all(fits_schema(t, schema) for t in train_trees)
+        # held-out samples may be clipped, but they always land in schema shape
+        for s in val + test:
+            assert tuple(len(lvl) for lvl in s.seq.levels) == schema.level_lengths
+        if cut is not None:
+            assert tuple(sum(not fits_schema(trees[s.id], schema) for s in part) for part in (val, test)) == cut
 
 
 def test_encode_split_passes_through_missing_labels():
@@ -278,10 +290,10 @@ def test_encode_trees_counts_truncated_trees():
     pairs = generate_synthetic(12, (6, 14), 80, 1.0, seed=4, window_T=40)
     trees = [(to_tree(c), lb) for c, lb in pairs]
     narrow = schema_from_corpus([t for t, _ in trees[:3]], bin_count=3, window_T=40)
-    samples, clipped = tr.encode_trees(trees, narrow, truncate=True)
+    samples, clipped = tr.encode_trees(trees, narrow)
     assert clipped == sum(not fits_schema(t, narrow) for t, _ in trees) > 0
     assert [s.id for s in samples] == [c.root for c, _ in pairs]
     assert [s.growth for s in samples] == [lb.growth for _, lb in pairs]
     assert all(tuple(map(len, s.seq.levels)) == narrow.level_lengths for s in samples)
-    _, none_clipped = tr.encode_trees(trees[:3], narrow, truncate=False)
+    _, none_clipped = tr.encode_trees(trees[:3], narrow)  # the trees that sized the schema
     assert none_clipped == 0
