@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .atomic import atomic_write, read_jsonl
-from .config import DEFAULTS
+from .config import DEFAULTS, MAX_WINDOW_DAYS
 from .errors import (
     ConfigError,
     ContractError,
@@ -65,11 +65,6 @@ class Cascade:
     root_time: int  # days since corpus epoch
     window_T: int
     nodes: tuple[CascadeNode, ...]  # sorted by (time, id); root not included
-
-    @property
-    def size(self) -> int:
-        """Node count including the root."""
-        return len(self.nodes) + 1
 
 
 @dataclass(frozen=True)
@@ -462,6 +457,8 @@ def cascade_from_dict(doc: dict) -> LabeledCascade | tuple[Cascade, None]:
             nodes=tuple(map(_node, zip(ids, times, map(tuple, parents)))),
         )
         window = cascade.window_T
+        if not 1 <= window <= MAX_WINDOW_DAYS:
+            raise ParseError(f"window_T {window} lies outside [1, {MAX_WINDOW_DAYS}]")
         if times and (min(times) < 1 or max(times) >= window):
             pid, t = next((pid, t) for pid, t in zip(ids, times) if not 1 <= t < window)
             raise ParseError(f"node {pid!r} time {t} lies outside [1, {window})")

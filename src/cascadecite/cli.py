@@ -23,7 +23,7 @@ from .atomic import atomic_write, write_csv, write_json
 from .config import TOOL_VERSION, VALID_KEYS, parse_horizon, resolve_config, utc_now, write_manifest
 from .errors import CascadeCiteError, ConfigError, ParseError, SchemaMismatchError
 from .model import ModelConfig, load_model, save_model
-from .probe import FEATURE_NAMES, probe as run_probe, structural_features
+from .probe import FEATURE_NAMES, probe as run_probe
 from .training import (
     TrainConfig,
     encode_split,
@@ -241,7 +241,7 @@ def _cmd_probe(args, cfg, counters) -> list[Path]:
         schema = enc.schema_from_corpus(usable, cfg["bins"], window)
 
     seqs = [s.seq for s in _encode_against([(t, None) for t in usable], schema)]
-    feats = [structural_features(t) for t in usable]
+    feats = [t.shape for t in usable]
     decay = params.decay.values if args.decayed else None
     report = run_probe(*enc.stack_sequences(seqs, schema.level_lengths), feats, seed=cfg["seed"], decay=decay)
 

@@ -44,6 +44,7 @@ DEFAULTS: dict = {
 VALID_KEYS = frozenset(DEFAULTS) | {"window_years"}
 
 DAYS_PER_YEAR = 365
+MAX_WINDOW_DAYS = 100_000  # about 274 years, longer than any citation record
 
 
 def parse_horizon(value) -> int | None:
@@ -106,8 +107,8 @@ def resolve_config(config_path: str | Path | None, overrides: dict | None = None
             cfg[key] = parse_horizon(value) or "end"
         else:
             cfg[key] = _typed(key, value, DEFAULTS[key])
-    if cfg["window_days"] < 1:
-        raise ConfigError(f"window_days must be >= 1, got {cfg['window_days']}")
+    if not 1 <= cfg["window_days"] <= MAX_WINDOW_DAYS:
+        raise ConfigError(f"window_days must lie in [1, {MAX_WINDOW_DAYS}], got {cfg['window_days']}")
     if cfg["seed"] < 0:  # NumPy seeds no generator from a negative integer
         raise ConfigError(f"config key 'seed' must be >= 0, got {cfg['seed']}")
     return cfg

@@ -86,9 +86,12 @@ def schema_from_corpus(
     trees: Sequence[CascadeTree], bin_count: int, window_T: int
 ) -> EncodingSchema:
     """Max depth and per-level max width over the corpus, uniform bin edges.
-    Adoption times are checked where `encode` bins them."""
+    Adoption times are whole days, so there are at most window_T bins; the
+    times themselves are checked where `encode` bins them."""
     if not trees:
         raise SchemaError("cannot build a schema from an empty corpus")
+    if bin_count > window_T:
+        raise SchemaError(f"bin_count {bin_count} exceeds the {window_T}-day window; bins are at least a day wide")
     depth = max(len(t.levels) for t in trees)
     if depth == 0:
         raise SchemaError("corpus holds only root-only trees; no levels to size")
@@ -237,27 +240,35 @@ def load_schema(path: str | Path) -> EncodingSchema:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _slot(pair) -> SeqEntry:
-    """[0, 0] is the pad; any other slot is two integers, both >= 1."""
+_MAX_DEGREE = 2**53  # the largest integer that float64 holds exactly
+
+
+def _slot(pair, bin_count: int) -> SeqEntry:
+    """[0, 0] is the pad; any other slot is a degree in [1, 2**53] and a bin
+    in [1, bin_count], the ones the model's stacked input can take."""
     if isinstance(pair, list) and len(pair) == 2:
         degree, b = pair
         if type(degree) is int and type(b) is int:  # not bool, float or str
             if degree == 0 and b == PAD_BIN:
                 return PAD
-            if degree >= 1 and b >= 1:
+            if 1 <= degree <= _MAX_DEGREE and 1 <= b <= bin_count:
                 return _entry(degree, b)
-    raise ParseError(f"slot {pair!r} is neither [0, 0] nor a [degree, bin] pair of integers >= 1")
+    raise ParseError(
+        f"slot {pair!r} is neither [0, 0] nor a [degree, bin] pair of integers"
+        f" with 1 <= degree <= 2**53 and 1 <= bin <= {bin_count}"
+    )
 
 
-def sample_from_dict(doc: dict, level_lengths: Sequence[int]) -> EncodedSample:
+def sample_from_dict(doc: dict, schema: EncodingSchema) -> EncodedSample:
+    bin_count = schema.bin_count
     try:
-        levels = tuple(tuple(_slot(e) for e in lvl) for lvl in doc["levels"])
+        levels = tuple(tuple(_slot(e, bin_count) for e in lvl) for lvl in doc["levels"])
         sid, growth = doc["id"], doc.get("label")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad encoded record: {exc}") from None
     if type(sid) is not str or not (growth is None or type(growth) is int and growth >= 0):
         raise ParseError(f"need a string id and a label >= 0 or null, got {sid!r} and {growth!r}")
-    _check_shape(levels, level_lengths)
+    _check_shape(levels, schema.level_lengths)
     return EncodedSample(id=sid, seq=DegreeSequence(levels=levels), growth=growth)
 
 
@@ -294,5 +305,6 @@ def write_encoded_jsonl(path: str | Path, samples: Iterable[EncodedSample]) -> i
 
 
 def read_encoded_jsonl(path: str | Path, schema: EncodingSchema) -> list[EncodedSample]:
-    """The samples in `path`; a row whose levels do not fit `schema` is a ShapeError."""
-    return read_jsonl(path, partial(sample_from_dict, level_lengths=schema.level_lengths))
+    """The samples in `path`; a row whose levels do not fit `schema` is a
+    ShapeError, and a slot the model cannot take (see `_slot`) a ParseError."""
+    return read_jsonl(path, partial(sample_from_dict, schema=schema))

@@ -67,7 +67,3 @@ class TrainingDivergedError(CascadeCiteError):
 
 class EvaluationError(CascadeCiteError):
     pass
-
-
-class FeatureError(CascadeCiteError):
-    pass

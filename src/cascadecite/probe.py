@@ -15,21 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import ParamBuffer, Tape, Tensor, mlp, sq_loss
-from .errors import ConfigError, FeatureError
+from .errors import ConfigError
 from .optim import AdamState, adam_step
-from .trees import CascadeTree, TreeShape
+from .trees import TreeShape
 
 FEATURE_NAMES = TreeShape._fields
 _HIDDEN = 64  # readout width
 _EPOCHS = 200  # full-batch Adam steps
 _STEP_SIZE = 1e-2
-
-
-def structural_features(tree: CascadeTree) -> TreeShape:
-    """Edge count, eccentricity from the root, mean root distance, leaf count, mean degree."""
-    if tree.size < 2:
-        raise FeatureError(f"tree {tree.root!r} has no non-root nodes")
-    return tree.shape
 
 
 @dataclass

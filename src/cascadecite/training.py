@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import logging
 import time
 from dataclasses import dataclass, field, fields
@@ -189,43 +188,45 @@ def train(
     train_losses: list[float] = []
     val_msles: list[float] = []
 
-    for epoch in range(1, tcfg.max_epochs + 1):
-        order = rng.permutation(len(train_samples))
-        batch_losses = []
-        for lo in range(0, len(order), tcfg.batch_size):
-            rows = order[lo : lo + tcfg.batch_size]
-            with Tape() as tape:
-                preds = forward_batch(params, train_set.degrees[rows], train_set.bins[rows])
-                batch_loss = model_loss(preds, train_set.growths[rows], params)
-            value = batch_loss.item()
-            if not np.isfinite(value):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}",
-                    details={
-                        "epoch": epoch,
-                        "batch_ids": [train_samples[i].id for i in rows],
-                        "param_norms": {
-                            name: float(np.abs(t.values).max()) for name, t in params.named()
+    # every loss is checked, so an overflowing run ends in one TrainingDivergedError, not in NumPy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, tcfg.max_epochs + 1):
+            order = rng.permutation(len(train_samples))
+            batch_losses = []
+            for lo in range(0, len(order), tcfg.batch_size):
+                rows = order[lo : lo + tcfg.batch_size]
+                with Tape() as tape:
+                    preds = forward_batch(params, train_set.degrees[rows], train_set.bins[rows])
+                    batch_loss = model_loss(preds, train_set.growths[rows], params)
+                value = batch_loss.item()
+                if not np.isfinite(value):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}",
+                        details={
+                            "epoch": epoch,
+                            "batch_ids": [train_samples[i].id for i in rows],
+                            "param_norms": {
+                                name: float(np.abs(t.values).max()) for name, t in params.named()
+                            },
                         },
-                    },
-                )
-            tape.backward(batch_loss, params=tensors)
-            adam_step(params.buffer, state)
-            batch_losses.append(value)
+                    )
+                tape.backward(batch_loss, params=tensors)
+                adam_step(params.buffer, state)
+                batch_losses.append(value)
 
-        train_losses.append(float(np.mean(batch_losses)))
-        val = evaluate(params, val_set)
-        val_msles.append(val)
-        if val < best_val:
-            best_val = val
-            best_epoch = epoch
-            best_values = params.buffer.values.copy()
-            since_best = 0
-        else:
-            since_best += 1
-        log.info("epoch %d train_loss %.6f val_msle %.6f", epoch, train_losses[-1], val)
-        if since_best >= tcfg.patience:
-            break
+            train_losses.append(float(np.mean(batch_losses)))
+            val = evaluate(params, val_set)
+            val_msles.append(val)
+            if val < best_val:
+                best_val = val
+                best_epoch = epoch
+                best_values = params.buffer.values.copy()
+                since_best = 0
+            else:
+                since_best += 1
+            log.info("epoch %d train_loss %.6f val_msle %.6f", epoch, train_losses[-1], val)
+            if since_best >= tcfg.patience:
+                break
 
     params.buffer.values[...] = best_values  # in place: every parameter views the buffer
     report = TrainReport(
@@ -252,44 +253,10 @@ def predict_rows(params: ModelParams, samples: Sequence[EncodedSample]) -> list[
     ]
 
 
-_PREDICTIONS_HEADER = ["id", "pred_log2", "pred_growth"]
-
-
 def write_predictions(path: str | Path, rows: Sequence[tuple[str, float, float]]) -> None:
     """CSV with minimal quoting, so an id holding a comma or a quote
     survives; floats are written with repr, which keeps every bit."""
-    write_csv(path, _PREDICTIONS_HEADER, rows)
-
-
-def read_predictions(path: str | Path) -> list[tuple[str, float, float]]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _PREDICTIONS_HEADER:
-            raise EvaluationError(f"unexpected predictions header {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise EvaluationError(f"{path} line {reader.line_num}: expected 3 fields, got {row!r}")
-            pid, plog, pg = row
-            out.append((pid, float(plog), float(pg)))
-    return out
-
-
-def msle_from_predictions(
-    rows: Sequence[tuple[str, float, float]], samples: Sequence[EncodedSample]
-) -> float:
-    """Recompute MSLE from stored prediction rows against labeled samples."""
-    by_id = {s.id: s.growth for s in samples}
-    preds, growths = [], []
-    for pid, plog, _ in rows:
-        if pid not in by_id or by_id[pid] is None:
-            raise EvaluationError(f"no labeled sample for prediction {pid!r}")
-        preds.append(plog)
-        growths.append(by_id[pid])
-    return msle(np.asarray(preds), np.asarray(growths))
+    write_csv(path, ("id", "pred_log2", "pred_growth"), rows)
 
 
 # ------------------------------------------------------------------ encoding

@@ -9,7 +9,6 @@ root, with levels defined by distance from the root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -40,14 +39,6 @@ class CascadeTree:
     @property
     def size(self) -> int:
         return len(self.adoption_time)
-
-    @cached_property
-    def children(self) -> dict[str, list[str]]:
-        """Node -> its children in (time, id) order; every node is a key."""
-        out: dict[str, list[str]] = {v: [] for v in self.adoption_time}
-        for v, p in self.parent.items():  # parent holds the nodes in (time, id) order
-            out[p].append(v)
-        return out
 
     @property
     def shape(self) -> TreeShape:

@@ -3,6 +3,7 @@
 import datetime
 import json
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -666,8 +667,7 @@ def test_high_attachment_bias_approaches_uniform_choice():
     def mean_max_tree_degree(pairs):
         vals = []
         for c, _ in pairs:
-            t = to_tree(c)
-            vals.append(max(len(v) for v in t.children.values()))
+            vals.append(max(Counter(to_tree(c).parent.values()).values(), default=0))
         return float(np.mean(vals))
 
     assert mean_max_tree_degree(skew) > mean_max_tree_degree(flat)

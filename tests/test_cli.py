@@ -62,6 +62,19 @@ def test_unknown_config_keys_listed(tmp_path):
         cf.resolve_config(path, None)
 
 
+@pytest.mark.parametrize("overrides, days", [
+    ({"window_days": 0}, 0),
+    ({"window_days": cf.MAX_WINDOW_DAYS + 1}, cf.MAX_WINDOW_DAYS + 1),
+    ({"window_days": 10**400}, 10**400),
+    ({"window_years": 1e300}, round(1e300 * cf.DAYS_PER_YEAR)),
+], ids=["0 days", "one day past the bound", "10**400 days", "1e300 years"])
+def test_window_days_lie_within_one_bound_after_years_resolve(overrides, days):
+    with pytest.raises(ConfigError) as info:
+        cf.resolve_config(None, overrides)
+    assert str(info.value) == f"window_days must lie in [1, {cf.MAX_WINDOW_DAYS}], got {days}"
+    assert cf.resolve_config(None, {"window_days": cf.MAX_WINDOW_DAYS})["window_days"] == cf.MAX_WINDOW_DAYS
+
+
 def test_resolved_config_rereads_identically(tmp_path):
     cfg = cf.resolve_config(None, {"window_years": 1.5, "bins": 4})
     path = tmp_path / "resolved.json"
@@ -227,6 +240,24 @@ def test_train_manifest_lists_the_test_split_when_it_exists(pipeline, tmp_path):
         "schema.json", "train.encoded.jsonl", "val.encoded.jsonl")}
 
 
+def test_a_diverging_run_prints_one_json_line_and_writes_no_checkpoint(pipeline, tmp_path):
+    out = tmp_path / "run"
+    run = _run_module("train", "--encoded-dir", pipeline / "enc", "--out", out,
+                      "--step-size", "1e200", "--max-epochs", "3", "--batch-size", "8", "--embed-width", "8")
+    assert run.returncode == 1
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1, lines  # no NumPy overflow warnings before it
+    err = json.loads(lines[0])
+    assert (err["error"], err["message"], err["details"]["epoch"]) == (
+        "TrainingDivergedError", "non-finite loss at epoch 1", 1)
+    train_rows = (pipeline / "enc" / "train.encoded.jsonl").read_text().splitlines()
+    train_ids = {json.loads(line)["id"] for line in train_rows}
+    assert err["details"]["batch_ids"] and set(err["details"]["batch_ids"]) <= train_ids
+    arrays = json.loads((pipeline / "run" / "checkpoint.json").read_text())["arrays"]
+    assert list(err["details"]["param_norms"]) == list(arrays)
+    assert not (out / "checkpoint.json").exists()
+
+
 def test_eval_accepts_encoded_and_raw_inputs(pipeline):
     run = pipeline / "run"
     enc_dir = pipeline / "enc"
@@ -265,6 +296,29 @@ def test_an_encoded_row_that_misfits_the_schema_fails_naming_its_file_and_line(p
         "message": f"{path} line 2: level 1 holds {width - 1} entries, schema wants {width}",
         "details": {},
     }
+
+
+@pytest.mark.parametrize("slot", [[2, 99], [10**400, 1], [2, 2**63]], ids=["bin 99", "degree 10**400", "bin 2**63"])
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_an_encoded_slot_the_model_cannot_take_fails_naming_its_file_and_line(pipeline, tmp_path, capsys,
+                                                                              command, slot):
+    enc_dir = tmp_path / "enc"
+    shutil.copytree(pipeline / "enc", enc_dir)
+    path = enc_dir / f"{'val' if command == 'train' else 'test'}.encoded.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[1]["levels"][0][0] = slot
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    if command == "train":
+        argv = ["train", "--encoded-dir", str(enc_dir), "--max-epochs", "1", "--embed-width", "8"]
+    else:
+        argv = [command, "--checkpoint", str(pipeline / "run" / "checkpoint.json"), "--encoded", str(path),
+                "--schema", str(enc_dir / "schema.json")]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = _only_error_line(capsys)
+    assert err["error"] == "ParseError"
+    assert err["message"].startswith(f"{path} line 2: slot {slot!r} is neither [0, 0] nor")
+    assert err["message"].endswith("1 <= bin <= 4")
+    assert not (tmp_path / "out" / "checkpoint.json").exists()
 
 
 def test_predict_writes_csv(pipeline):
@@ -438,6 +492,15 @@ def test_bad_config_file_fails_with_json_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ConfigError"
     assert "made_up" in err["message"]
+
+
+def _run_module(*argv) -> subprocess.CompletedProcess:
+    """`python -m cascadecite *argv` in a child process, which finds the
+    package where this process imported it from."""
+    src = str(Path(cascadecite.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "cascadecite", *map(str, argv)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def _only_error_line(capsys) -> dict:
@@ -651,17 +714,52 @@ def test_stats_refuses_mixed_windows_as_encode_does(tmp_path, capsys):
     assert not (tmp_path / "stats" / "stats.json").exists()
 
 
+def test_an_oversized_window_fails_at_ingest_and_at_each_cascade_read(tmp_path, capsys):
+    edges, dates = tmp_path / "edges.tsv", tmp_path / "dates.tsv"
+    edges.write_text("b\ta\n")
+    dates.write_text("a\t2000-01-01\nb\t2000-02-01\n")
+    huge = 10**400
+    assert main(["ingest", "--edges", str(edges), "--dates", str(dates), "--window-days", str(huge),
+                 "--min-observed", "1", "--out", str(tmp_path / "ingest")]) == 1
+    assert _only_error_line(capsys) == {
+        "error": "ConfigError", "message": f"window_days must lie in [1, {cf.MAX_WINDOW_DAYS}], got {huge}",
+        "details": {},
+    }
+    assert not (tmp_path / "ingest" / "cascades.jsonl").exists()
+
+    path = tmp_path / "cascades.jsonl"  # as written before the bound: one cascade with that window
+    path.write_text(json.dumps({"root": "a", "root_time": 0, "window_T": huge,
+                                "nodes": [{"id": "b", "t": 31, "parents": ["a"]}], "label": None}) + "\n")
+    for command in ("encode", "probe"):
+        assert main([command, "--cascades", str(path), "--out", str(tmp_path / command)]) == 1
+        assert _only_error_line(capsys) == {
+            "error": "ParseError",
+            "message": f"{path} line 1: window_T {huge} lies outside [1, {cf.MAX_WINDOW_DAYS}]",
+            "details": {},
+        }
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("encode", ["--bins", "41"]), ("probe", ["--bins", "41"]), ("sweep", ["--bins-list", "41,2"]),
+])
+def test_more_bins_than_days_in_the_window_fail_with_a_json_error(tmp_path, capsys, command, extra):
+    path = tmp_path / "cascades.jsonl"
+    casc.write_cascades_jsonl(path, casc.generate_synthetic(12, (4, 8), 80, 1.0, seed=3, window_T=40))
+    assert main([command, "--cascades", str(path), "--out", str(tmp_path / "out"), *extra]) == 1
+    assert _only_error_line(capsys) == {
+        "error": "SchemaError", "message": "bin_count 41 exceeds the 40-day window; bins are at least a day wide",
+        "details": {},
+    }
+    assert main(["encode", "--cascades", str(path), "--out", str(tmp_path / "ok"), "--bins", "40"]) == 0
+    assert json.loads((tmp_path / "ok" / "schema.json").read_text())["bin_count"] == 40
+
+
 # ------------------------------------------------------------------- misc
 
 
 def test_module_entrypoint_reports_version():
-    # the child process finds the package where this process imported it from
-    src = str(Path(cascadecite.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-m", "cascadecite", "--version"],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    out = _run_module("--version")
+    assert out.returncode == 0
     assert out.stdout.strip() == f"cascadecite {cascadecite.__version__}"
     assert cf.TOOL_VERSION is cascadecite.__version__
 

@@ -1,6 +1,8 @@
 """Schema building, time binning, level sorting, padding, serialization."""
 
 import json
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -203,7 +205,7 @@ def test_reference_degree_rows_reproduce_with_final_pad():
     ]
 
 
-def test_overlong_level_raises_unless_truncated():
+def test_overlong_level_keeps_its_highest_degrees():
     schema = make_schema([2], bins=2, window=10)
     pairs = [(3, 1), (1, 2), (2, 3)]
     row = enc.encode_level(pairs, 2, schema)
@@ -231,7 +233,7 @@ def test_encode_fills_missing_levels_with_padding():
     assert seq.levels[1] == (enc.SeqEntry(0, enc.PAD_BIN, True),) * 2
 
 
-def test_encode_rejects_overdeep_trees_unless_truncated():
+def test_overdeep_tree_loses_levels_past_the_schema():
     t = tree_from_parent_rows("r", [("a", 1, "r"), ("b", 2, "a"), ("c", 3, "b")], window_T=10)
     schema = make_schema([1, 1], bins=2, window=10)
     seq = enc.encode(t, schema)
@@ -272,9 +274,10 @@ def test_every_pad_is_the_shared_entry_and_levels_equal_per_slot_ones():
         lengths[0] = max(1, lengths[0] - 2)
         schema = enc.EncodingSchema(tuple(lengths), schema.bin_count, 90, schema.bin_edges)
         seq = enc.encode(t, schema)
+        kids = Counter(t.parent.values())
         for k, lvl in enumerate(seq.levels):
             nodes = t.levels[k] if k < len(t.levels) else ()
-            pairs = [(len(t.children[v]) + 1, t.adoption_time[v]) for v in nodes]
+            pairs = [(kids[v] + 1, t.adoption_time[v]) for v in nodes]
             assert lvl == per_slot_encode_level(pairs, schema.level_lengths[k], schema)
             for e in lvl:
                 assert (e is enc.PAD) == e.is_pad
@@ -370,13 +373,25 @@ def test_read_back_pads_are_the_shared_entry(tmp_path):
 @pytest.mark.parametrize(
     "slot",
     ["[0]", '["a",0]', "[0,0,0]", "[1.5,1]", '["7",1]', "[true,1]", "[1,true]", "[0,0.0]",
-     "[3,0]", "[0,2]", "[-1,1]", "[2,-1]"],
+     "[3,0]", "[0,2]", "[-1,1]", "[2,-1]",
+     # a bin past the schema's 4, or a degree past 2**53
+     "[2,5]", "[2,99]", pytest.param(f"[2,{2**63}]", id="[2,2**63]"),
+     pytest.param(f"[{2**53 + 1},1]", id="[2**53+1,1]"), pytest.param(f"[{10**400},1]", id="[10**400,1]")],
 )
 def test_malformed_slots_raise_with_the_line_number(tmp_path, slot):
     path = tmp_path / "bad.jsonl"
     path.write_text(f'{{"id":"a","levels":[[[0,0]]],"label":null}}\n{{"id":"b","levels":[[{slot}]],"label":null}}\n')
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))} line 2: slot "):
         enc.read_encoded_jsonl(path, make_schema([1]))
+
+
+def test_slots_at_the_largest_degree_and_bin_read_back(tmp_path):
+    path = tmp_path / "edge.jsonl"
+    path.write_text(f'{{"id":"a","levels":[[[{2**53},4]]],"label":null}}\n')
+    (back,) = enc.read_encoded_jsonl(path, make_schema([1]))
+    assert back.seq.levels == ((enc.SeqEntry(2**53, 4, False),),)
+    degrees, bins = enc.stack_sequences([back.seq], (1,))
+    assert degrees[0, 0] == 2**53 and bins[0, 0] == 4
 
 
 @pytest.mark.parametrize("record, message", [

@@ -6,8 +6,8 @@ import pytest
 from cascadecite import probe as probe_module
 from cascadecite.cascades import generate_synthetic
 from cascadecite.encoding import encode, stack_sequences
-from cascadecite.errors import ConfigError, FeatureError
-from cascadecite.probe import FEATURE_NAMES, probe, structural_features
+from cascadecite.errors import ConfigError
+from cascadecite.probe import FEATURE_NAMES, probe
 from cascadecite.trees import to_tree
 
 from oracles import random_tree, schema_with_slack, tree_from_parent_rows
@@ -15,7 +15,7 @@ from oracles import random_tree, schema_with_slack, tree_from_parent_rows
 
 def test_feature_hand_fixture():
     t = tree_from_parent_rows("r", [("a", 1, "r"), ("b", 2, "r"), ("c", 3, "a")])
-    f = structural_features(t)
+    f = t.shape
     assert f.edges == 3
     assert f.max_path == 2
     assert f.ave_path == pytest.approx(4.0 / 3.0, abs=1e-15)
@@ -26,15 +26,9 @@ def test_feature_hand_fixture():
 
 def test_feature_chain_fixture():
     t = tree_from_parent_rows("r", [("a", 1, "r"), ("b", 2, "a"), ("c", 3, "b")])
-    f = structural_features(t)
+    f = t.shape
     assert (f.edges, f.max_path, f.leaves) == (3, 3, 1)
     assert f.ave_path == 2.0
-
-
-def test_features_require_a_non_root_node():
-    from cascadecite.cascades import Cascade
-    with pytest.raises(FeatureError):
-        structural_features(to_tree(Cascade(root="r", root_time=0, window_T=5, nodes=())))
 
 
 def test_encoding_carries_edges_and_leaves_exactly():
@@ -43,7 +37,7 @@ def test_encoding_carries_edges_and_leaves_exactly():
     trees = [random_tree(rng, max_nodes=25) for _ in range(40)]
     schema = schema_with_slack(trees, bin_count=4, window_T=90, rng=rng)
     for t in trees:
-        f = structural_features(t)
+        f = t.shape
         seq = encode(t, schema)
         entries = [e for lvl in seq.levels for e in lvl]
         assert sum(1 for e in entries if not e.is_pad) == f.edges
@@ -56,7 +50,7 @@ def test_probe_learns_exact_functions_of_the_encoding():
     rng = np.random.default_rng(0)
     schema = schema_with_slack(trees, bin_count=4, window_T=60, rng=rng)
     degrees, bins = stack_sequences([encode(t, schema) for t in trees], schema.level_lengths)
-    feats = [structural_features(t) for t in trees]
+    feats = [t.shape for t in trees]
     report = probe(degrees, bins, feats, seed=0)
     assert set(report.mse) == set(FEATURE_NAMES)
     assert report.n_train + report.n_test == len(trees)
@@ -77,7 +71,7 @@ def test_the_readout_takes_each_slot_degree_times_the_decay_of_its_bin(monkeypat
         return mlp(x, layers)
 
     monkeypatch.setattr(probe_module, "mlp", spy)
-    probe(*stack_sequences(seqs, schema.level_lengths), [structural_features(t) for t in trees], seed=0,
+    probe(*stack_sequences(seqs, schema.level_lengths), [t.shape for t in trees], seed=0,
           decay=decay)
 
     weights = np.array([0.0, 1.0, 1.0, 1.0, 1.0]) if decay is None else decay  # raw: 1 on every real bin
@@ -101,7 +95,7 @@ def test_probe_flags_constant_features():
     rng = np.random.default_rng(1)
     schema = schema_with_slack(trees, bin_count=2, window_T=10, rng=rng)
     degrees, bins = stack_sequences([encode(t, schema) for t in trees], schema.level_lengths)
-    feats = [structural_features(t) for t in trees]
+    feats = [t.shape for t in trees]
     report = probe(degrees, bins, feats, seed=0)
     assert set(report.flags) == set(FEATURE_NAMES)
     assert all(report.mse[name] == 0.0 for name in FEATURE_NAMES)
@@ -112,7 +106,7 @@ def test_probe_validates_inputs():
     rng = np.random.default_rng(2)
     schema = schema_with_slack([t], bin_count=2, window_T=10, rng=rng)
     degrees, bins = stack_sequences([encode(t, schema)] * 6, schema.level_lengths)
-    f = structural_features(t)
+    f = t.shape
     with pytest.raises(ConfigError):
         probe(degrees[:0], bins[:0], [], seed=0)
     with pytest.raises(ConfigError):

@@ -181,36 +181,20 @@ def test_prediction_rows_match_evaluate_exactly(tmp_path):
 
     path = tmp_path / "preds.csv"
     tr.write_predictions(path, rows)
-    back = tr.read_predictions(path)
+    with open(path, newline="") as fh:
+        back = [(r["id"], float(r["pred_log2"]), float(r["pred_growth"])) for r in csv.DictReader(fh)]
     assert back == rows  # repr serialization keeps every float bit
-    assert tr.msle_from_predictions(back, val) == tr.evaluate(params, val)
+    assert tr.msle(np.array([r[1] for r in back]), np.array([s.growth for s in val])) == tr.evaluate(params, val)
 
 
 def test_predictions_round_trip_ids_with_commas_and_quotes(tmp_path):
     rows = [("plain", 0.5, 0.41), ("a,b", 1.0, 1.0), ('say "hi"', -0.25, 0.0), ("'q',\"x\"", 2.0, 3.0)]
     path = tmp_path / "preds.csv"
     tr.write_predictions(path, rows)
-    assert tr.read_predictions(path) == rows
     with open(path, newline="") as fh:
         got = [(r["id"], float(r["pred_log2"]), float(r["pred_growth"])) for r in csv.DictReader(fh)]
     assert got == rows
     assert path.read_text().splitlines()[:2] == ["id,pred_log2,pred_growth", "plain,0.5,0.41"]
-    path.write_text("id,pred_log2,pred_growth\na,b,0.5,0.41\n")  # an id with an unquoted comma
-    with pytest.raises(EvaluationError, match="line 2"):
-        tr.read_predictions(path)
-
-
-def test_read_predictions_rejects_other_headers(tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("a,b\n")
-    with pytest.raises(EvaluationError):
-        tr.read_predictions(path)
-
-
-def test_msle_from_predictions_requires_matching_ids():
-    train, _, _, schema = small_dataset()
-    with pytest.raises(EvaluationError):
-        tr.msle_from_predictions([("missing", 1.0, 1.0)], train)
 
 
 def test_predict_rows_empty_is_empty():

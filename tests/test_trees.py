@@ -139,7 +139,7 @@ def test_children_lists_follow_time_then_id():
         ("late", 9, ("r",)), ("early", 1, ("r",)), ("mid", 5, ("r",)),
     ])
     t = to_tree(c)
-    assert t.children["r"] == ["early", "mid", "late"]
+    assert [v for v, p in t.parent.items() if p == "r"] == ["early", "mid", "late"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,11 +148,16 @@ def test_children_invert_the_brute_force_parent_map_in_time_then_id_order(seed):
     c = random_dag_cascade(np.random.default_rng(seed), max_nodes=25)
     chosen = brute_latest_parent(c)
     time = {c.root: 0} | {n.id: n.time for n in c.nodes}
+    order = sorted(chosen, key=lambda v: (time[v], v))
     expected = {v: [] for v in time}
-    for v in sorted(chosen, key=lambda v: (time[v], v)):
+    for v in order:
         expected[chosen[v]].append(v)
-    children = to_tree(c).children
-    assert list(children) == list(expected) and children == expected
+    parent = to_tree(c).parent
+    children = {v: [] for v in time}
+    for v, p in parent.items():  # children in the order the tree lists the nodes
+        children[p].append(v)
+    assert children == expected
+    assert list(parent) == order
 
 
 def test_source_edges_counts_all_candidates():
