@@ -65,20 +65,11 @@ class Cascade:
     root_time: int  # days since corpus epoch
     window_T: int
     nodes: tuple[CascadeNode, ...]  # sorted by (time, id); root not included
+    growth: int | None = None  # citers after the window, the label; None: unlabeled
 
-
-@dataclass(frozen=True)
-class GrowthLabel:
-    growth: int  # citers after the window; the cascade's nodes are the citers inside it
-
-    def __post_init__(self):
-        if self.growth < 0:
-            raise ContractError(f"negative label: {self}")
-
-
-LabeledCascade = tuple[Cascade, GrowthLabel]
 
 _node = partial(tuple.__new__, CascadeNode)  # built in C
+_MAX_HORIZON = 2**63  # its last day, 2**63 - 1, is the largest int64
 
 
 # ------------------------------------------------------------------- parsing
@@ -193,7 +184,7 @@ def build_cascades(
     horizon: int | None = None,
     min_observed: int = DEFAULTS["min_observed"],
     tally: dict | None = None,
-) -> list[LabeledCascade]:
+) -> list[Cascade]:
     """Group citations into per-root cascades and label future growth.
 
     horizon is the growth bracket width in days (growth counts citers with
@@ -257,12 +248,12 @@ def build_cascades(
     bounds = [*(first + np.arange(len(paper))).tolist(), len(parent_ids)]
     parents = [parent_ids[a:b] for a, b in zip(bounds, bounds[1:])]
     nodes = list(map(_node, zip(names[paper].tolist(), at.tolist(), parents)))
-    out: list[LabeledCascade] = []
+    out: list[Cascade] = []
     lo = 0
     for root_id, root_day, n_obs, n_growth in kept:
-        cascade = Cascade(root=root_id, root_time=root_day, window_T=window_T, nodes=tuple(nodes[lo:lo + n_obs]))
+        out.append(Cascade(root=root_id, root_time=root_day, window_T=window_T,
+                           nodes=tuple(nodes[lo:lo + n_obs]), growth=n_growth))
         lo += n_obs
-        out.append((cascade, GrowthLabel(n_growth)))
 
     anchored = int(undated.sum())
     if anchored or dropped_not_after_root:
@@ -361,7 +352,7 @@ def generate_synthetic(
     seed: int,
     *,
     window_T: int | None = None,
-) -> list[LabeledCascade]:
+) -> list[Cascade]:
     """Preferential-attachment cascades with increasing integer-day times.
 
     Each cascade draws its total size n from size_range (inclusive, root
@@ -394,11 +385,13 @@ def generate_synthetic(
         window_T = time_horizon // 2
     if not (1 <= window_T <= time_horizon):
         raise ConfigError(f"window_T must lie in [1, time_horizon], got {window_T}")
+    if time_horizon > _MAX_HORIZON:
+        raise ConfigError(f"time_horizon {time_horizon} exceeds {_MAX_HORIZON}, the most days NumPy can draw from")
 
     rng = np.random.default_rng(seed)
-    pool = np.array([t for t in range(1, time_horizon) if t != window_T])
+    pool_size = time_horizon - 1 - (window_T < time_horizon)  # the days in [1, time_horizon) but window_T
     block = max(1, min(4096, (1 << 20) // hi))  # bounds the (block, hi) temporaries
-    out: list[LabeledCascade] = []
+    out: list[Cascade] = []
     for first in range(0, n_cascades, block):
         cis = range(first, min(first + block, n_cascades))
         sizes, times = [], []
@@ -406,7 +399,9 @@ def generate_synthetic(
         for r in range(len(cis)):  # the random stream, in cascade order
             n = int(rng.integers(lo, hi + 1))
             sizes.append(n)
-            times.append(np.sort(rng.choice(pool, size=n - 1, replace=False)).tolist())
+            days = rng.choice(pool_size, size=n - 1, replace=False) + 1  # index i: day i + 1, then
+            days += days >= window_T  # one more from window_T on
+            times.append(np.sort(days).tolist())
             uniforms[r, : n - 1] = rng.random(n - 1)
         targets = _attach(uniforms, attachment_bias).tolist()
         for ci, n, t, target in zip(cis, sizes, times, targets):
@@ -414,9 +409,8 @@ def generate_synthetic(
             observed = bisect_left(t, window_T)  # times ascend
             ids = [root, *(f"{root}n{j:03d}" for j in range(1, observed + 1))]
             parents = [(root,) if k == 0 else (root, ids[k]) for k in target[:observed]]
-            cascade = Cascade(root=root, root_time=0, window_T=window_T,
-                              nodes=tuple(map(_node, zip(ids[1:], t, parents))))
-            out.append((cascade, GrowthLabel(n - 1 - observed)))
+            out.append(Cascade(root=root, root_time=0, window_T=window_T,
+                               nodes=tuple(map(_node, zip(ids[1:], t, parents))), growth=n - 1 - observed))
     return out
 
 
@@ -439,11 +433,12 @@ def _name_bad_value(rows) -> None:
             _expect(p, str, f"node {pid!r} parent id")
 
 
-def cascade_from_dict(doc: dict) -> LabeledCascade | tuple[Cascade, None]:
+def cascade_from_dict(doc: dict) -> Cascade:
     """Ids must be JSON strings, times and counts JSON integers, parents
     lists. Every node time lies in [1, window_T), the record holds what
-    `to_tree` takes, and a label's observed count is the node count. Each
-    check reads whole columns, and names the bad value only on failure."""
+    `to_tree` takes, and a label's observed count is the node count and its
+    growth is not negative. Each check reads whole columns, and names the
+    bad value only on failure."""
     try:
         rows = list(map(itemgetter("id", "t", "parents"), _expect(doc["nodes"], list, "nodes")))
         ids, times, parents = zip(*rows) if rows else ((), (), ())
@@ -451,12 +446,10 @@ def cascade_from_dict(doc: dict) -> LabeledCascade | tuple[Cascade, None]:
             _name_bad_value(rows)
         if [] in parents:
             raise ContractError(f"node {ids[parents.index([])]!r} has no parent candidates")
-        cascade = Cascade(
-            root=_expect(doc["root"], str, "root"), root_time=_expect(doc["root_time"], int, "root_time"),
-            window_T=_expect(doc["window_T"], int, "window_T"),
-            nodes=tuple(map(_node, zip(ids, times, map(tuple, parents)))),
-        )
-        window = cascade.window_T
+        root = _expect(doc["root"], str, "root")
+        root_time = _expect(doc["root_time"], int, "root_time")
+        window = _expect(doc["window_T"], int, "window_T")
+        nodes = tuple(map(_node, zip(ids, times, map(tuple, parents))))
         if not 1 <= window <= MAX_WINDOW_DAYS:
             raise ParseError(f"window_T {window} lies outside [1, {MAX_WINDOW_DAYS}]")
         if times and (min(times) < 1 or max(times) >= window):
@@ -465,7 +458,7 @@ def cascade_from_dict(doc: dict) -> LabeledCascade | tuple[Cascade, None]:
         # distinct ids, and each candidate the root or an earlier node; an
         # unknown candidate reads as window_T, later than every node
         time_of = dict(zip(ids, times))
-        time_of[cascade.root] = 0
+        time_of[root] = 0
         get = time_of.get
         try:
             ok = len(time_of) > len(ids) and all([get(p, window) < t for t, ps in zip(times, parents) for p in ps])
@@ -474,35 +467,36 @@ def cascade_from_dict(doc: dict) -> LabeledCascade | tuple[Cascade, None]:
         if not ok:
             _name_bad_value(rows)
             try:  # the fault that to_tree meets first
-                to_tree(cascade)
+                to_tree(Cascade(root=root, root_time=root_time, window_T=window, nodes=nodes))
             except (MalformedCascadeError, TimeViolationError) as exc:
                 raise ParseError(str(exc)) from None
         raw = doc.get("label")
-        label = None
+        growth = None
         if raw is not None:
             observed = _expect(_expect(raw, dict, "label")["observed"], int, "label observed")
             growth = _expect(raw["growth"], int, "label growth")
-            label = GrowthLabel(growth)
+            if growth < 0:
+                raise ParseError(f"label growth must be >= 0, got {growth}")
             if observed != len(ids):
                 raise ParseError(f"label observed {observed} is not the node count {len(ids)}")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad cascade record: {exc}") from None
-    return cascade, label
+    return Cascade(root=root, root_time=root_time, window_T=window, nodes=nodes, growth=growth)
 
 
-def write_cascades_jsonl(path: str | Path, pairs: Iterable[tuple[Cascade, GrowthLabel | None]]) -> int:
+def write_cascades_jsonl(path: str | Path, cascades: Iterable[Cascade]) -> int:
     """One compact JSON record per cascade: {"root", "root_time", "window_T",
     "nodes": [{"id", "t", "parents"}], "label": {"observed", "growth"} or null},
     byte for byte as json.dumps gives it with separators (",", ":"). The
     observed count is the node count."""
     count = 0
     with atomic_write(path) as fh:
-        for c, lb in pairs:
+        for c in cascades:
             nodes = ",".join(
                 f'{{"id":{_quote(nid)},"t":{t},"parents":[{",".join(map(_quote, parents))}]}}'
                 for nid, t, parents in c.nodes
             )
-            label = "null" if lb is None else f'{{"observed":{len(c.nodes)},"growth":{lb.growth}}}'
+            label = "null" if c.growth is None else f'{{"observed":{len(c.nodes)},"growth":{c.growth}}}'
             fh.write(
                 f'{{"root":{_quote(c.root)},"root_time":{c.root_time},"window_T":{c.window_T},'
                 f'"nodes":[{nodes}],"label":{label}}}\n'
@@ -511,5 +505,5 @@ def write_cascades_jsonl(path: str | Path, pairs: Iterable[tuple[Cascade, Growth
     return count
 
 
-def read_cascades_jsonl(path: str | Path) -> list[tuple[Cascade, GrowthLabel | None]]:
+def read_cascades_jsonl(path: str | Path) -> list[Cascade]:
     return read_jsonl(path, cascade_from_dict)

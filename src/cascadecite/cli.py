@@ -15,6 +15,7 @@ import functools
 import json
 import logging
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import cascades as casc
@@ -65,28 +66,32 @@ def _bin_counts(text: str) -> list[int]:
     return counts
 
 
-def _read_cascades(path, schema: enc.EncodingSchema | None = None) -> tuple[list, int]:
-    """The cascades in `path` and the one window they share, which must be
-    the window of `schema` (a checkpoint's) when one is given."""
-    pairs = casc.read_cascades_jsonl(path)
-    windows = {c.window_T for c, _ in pairs}
+def _read_cascades(path, schema: enc.EncodingSchema | None = None) -> tuple[list[casc.Cascade], int]:
+    """The cascades in `path`, each root once, and the one window they
+    share, which must be the window of `schema` (a checkpoint's) when one
+    is given."""
+    cascades = casc.read_cascades_jsonl(path)
+    windows = {c.window_T for c in cascades}
     if not windows:
         raise ParseError(f"{path} holds no cascades")
     if len(windows) != 1:
         raise ConfigError(f"cascades carry mixed windows {sorted(windows)}; re-ingest consistently")
+    if len({c.root for c in cascades}) < len(cascades):
+        root = next(r for r, n in Counter(c.root for c in cascades).items() if n > 1)
+        raise ParseError(f"{path} holds cascade root {root!r} more than once")
     window = windows.pop()
     if schema is not None and window != schema.window_T:
         raise SchemaMismatchError(
             f"cascades use window {window} but checkpoint was trained on {schema.window_T}",
             details={"expected_window": schema.window_T, "got_window": window},
         )
-    return pairs, window
+    return cascades, window
 
 
-def _encode_against(items, schema: enc.EncodingSchema) -> list[enc.EncodedSample]:
-    """(tree, label) pairs encoded against a schema they may overflow,
-    truncating what does not fit and logging how many trees that took."""
-    samples, clipped = encode_trees(items, schema)
+def _encode_against(trees, schema: enc.EncodingSchema) -> list[enc.EncodedSample]:
+    """Trees encoded against a schema they may overflow, truncating what
+    does not fit and logging how many trees that took."""
+    samples, clipped = encode_trees(trees, schema)
     if clipped:
         log.warning("schema truncation applied to %d of %d trees", clipped, len(samples))
     return samples
@@ -99,9 +104,11 @@ def _schema_diff(a: enc.EncodingSchema, b: enc.EncodingSchema) -> list[str]:
 
 def _load_eval_samples(args, ckpt_schema: enc.EncodingSchema) -> list[enc.EncodedSample]:
     """Samples for eval/predict: raw cascades re-encoded, or pre-encoded + schema."""
+    if args.cascades and args.encoded:
+        raise ConfigError("pass --cascades FILE or --encoded FILE, not both")
     if args.cascades:
-        pairs, _ = _read_cascades(args.cascades, ckpt_schema)
-        return _encode_against([(to_tree(c), lb) for c, lb in pairs], ckpt_schema)
+        cascades, _ = _read_cascades(args.cascades, ckpt_schema)
+        return _encode_against([to_tree(c) for c in cascades], ckpt_schema)
     if args.encoded:
         if not args.schema:
             raise ConfigError("--encoded requires --schema so the encoding can be verified")
@@ -115,7 +122,10 @@ def _load_eval_samples(args, ckpt_schema: enc.EncodingSchema) -> list[enc.Encode
                     "diff": _schema_diff(ckpt_schema, file_schema),
                 },
             )
-        return enc.read_encoded_jsonl(args.encoded, ckpt_schema)
+        samples = enc.read_encoded_jsonl(args.encoded, ckpt_schema)
+        if not samples:
+            raise ParseError(f"{args.encoded} holds no encoded rows")
+        return samples
     raise ConfigError("pass --cascades FILE, or --encoded FILE with --schema FILE")
 
 
@@ -124,7 +134,7 @@ def _load_eval_samples(args, ckpt_schema: enc.EncodingSchema) -> list[enc.Encode
 
 def _cmd_synth(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
-    pairs = casc.generate_synthetic(
+    cascades = casc.generate_synthetic(
         cfg["synth_n"],
         (cfg["synth_size_min"], cfg["synth_size_max"]),
         cfg["synth_horizon"],
@@ -133,7 +143,7 @@ def _cmd_synth(args, cfg, counters) -> list[Path]:
         window_T=cfg["window_days"],
     )
     path = out / "cascades.jsonl"
-    n = casc.write_cascades_jsonl(path, pairs)
+    n = casc.write_cascades_jsonl(path, cascades)
     log.info("wrote %d synthetic cascades to %s", n, path)
     return [path]
 
@@ -141,7 +151,7 @@ def _cmd_synth(args, cfg, counters) -> list[Path]:
 def _cmd_ingest(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
     citations = casc.parse_citation_files(args.edges, args.dates, tally=counters)
-    pairs = casc.build_cascades(
+    cascades = casc.build_cascades(
         citations,
         window_T=cfg["window_days"],
         horizon=parse_horizon(cfg["horizon"]),
@@ -149,28 +159,28 @@ def _cmd_ingest(args, cfg, counters) -> list[Path]:
         tally=counters,
     )
     path = out / "cascades.jsonl"
-    casc.write_cascades_jsonl(path, pairs)
+    casc.write_cascades_jsonl(path, cascades)
     return [path, write_json(out / "ingest_report.json", counters)]
 
 
 def _cmd_stats(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
-    pairs, _ = _read_cascades(args.cascades)
-    tr, va, te = casc.split_dataset(pairs, cfg["seed"])
+    cascades, _ = _read_cascades(args.cascades)
+    tr, va, te = casc.split_dataset(cascades, cfg["seed"])
     doc = {}
     for name, chunk in (("train", tr), ("val", va), ("test", te)):
         if not chunk:
             doc[name] = None
             continue
-        stats = casc.compute_stats([to_tree(c) for c, _ in chunk])
+        stats = casc.compute_stats([to_tree(c) for c in chunk])
         doc[name] = dataclasses.asdict(stats)
     return [write_json(out / "stats.json", doc)]
 
 
 def _cmd_encode(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
-    pairs, window = _read_cascades(args.cascades)
-    tr, va, te, schema = encode_split(pairs, cfg["bins"], window, cfg["seed"], tally=counters)
+    cascades, window = _read_cascades(args.cascades)
+    tr, va, te, schema = encode_split(cascades, cfg["bins"], window, cfg["seed"], tally=counters)
     outputs = [out / "schema.json"]
     enc.save_schema(outputs[0], schema)
     for name, samples in (("train", tr), ("val", va), ("test", te)):
@@ -180,8 +190,8 @@ def _cmd_encode(args, cfg, counters) -> list[Path]:
     if args.dump_trees:
         path = out / "trees.jsonl"
         with atomic_write(path) as fh:
-            for c, lb in pairs:
-                fh.write(json.dumps(tree_to_dict(to_tree(c), lb), separators=(",", ":")))
+            for c in cascades:
+                fh.write(json.dumps(tree_to_dict(to_tree(c)), separators=(",", ":")))
                 fh.write("\n")
         outputs.append(path)
     return outputs
@@ -232,15 +242,15 @@ def _cmd_probe(args, cfg, counters) -> list[Path]:
     if args.decayed and not args.checkpoint:
         raise ConfigError("--decayed needs --checkpoint to supply the trained decay")
     params, schema = load_model(args.checkpoint) if args.checkpoint else (None, None)
-    pairs, window = _read_cascades(args.cascades, schema)
-    trees = [to_tree(c) for c, _ in pairs]
+    cascades, window = _read_cascades(args.cascades, schema)
+    trees = [to_tree(c) for c in cascades]
     usable = [t for t in trees if t.size >= 2]
     if len(usable) < len(trees):
         log.warning("skipping %d root-only cascades", len(trees) - len(usable))
     if schema is None:
         schema = enc.schema_from_corpus(usable, cfg["bins"], window)
 
-    seqs = [s.seq for s in _encode_against([(t, None) for t in usable], schema)]
+    seqs = [s.seq for s in _encode_against(usable, schema)]
     feats = [t.shape for t in usable]
     decay = params.decay.values if args.decayed else None
     report = run_probe(*enc.stack_sequences(seqs, schema.level_lengths), feats, seed=cfg["seed"], decay=decay)
@@ -252,9 +262,9 @@ def _cmd_probe(args, cfg, counters) -> list[Path]:
 
 def _cmd_sweep(args, cfg, counters) -> list[Path]:
     out = _out_dir(args)
-    pairs, window = _read_cascades(args.cascades)
+    cascades, window = _read_cascades(args.cascades)
     rows = sweep_time_interval(
-        pairs, _bin_counts(args.bins_list), window, TrainConfig(**_settings(TrainConfig, cfg)),
+        cascades, _bin_counts(args.bins_list), window, TrainConfig(**_settings(TrainConfig, cfg)),
         model_overrides=_settings(ModelConfig, cfg),
     )
     path = out / "sweep.csv"

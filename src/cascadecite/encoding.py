@@ -305,6 +305,11 @@ def write_encoded_jsonl(path: str | Path, samples: Iterable[EncodedSample]) -> i
 
 
 def read_encoded_jsonl(path: str | Path, schema: EncodingSchema) -> list[EncodedSample]:
-    """The samples in `path`; a row whose levels do not fit `schema` is a
-    ShapeError, and a slot the model cannot take (see `_slot`) a ParseError."""
-    return read_jsonl(path, partial(sample_from_dict, schema=schema))
+    """The samples in `path`, each id once; a row whose levels do not fit
+    `schema` is a ShapeError, and a slot the model cannot take (see `_slot`)
+    or a repeated id a ParseError."""
+    samples = read_jsonl(path, partial(sample_from_dict, schema=schema))
+    if len({s.id for s in samples}) < len(samples):
+        sid = next(i for i, n in Counter(s.id for s in samples).items() if n > 1)
+        raise ParseError(f"{path} holds encoded id {sid!r} more than once")
+    return samples

@@ -12,7 +12,7 @@ import numpy as np
 
 from .atomic import write_csv
 from .autodiff import Tape
-from .cascades import GrowthLabel, LabeledCascade, split_dataset
+from .cascades import Cascade, split_dataset
 from .config import DEFAULTS
 from .encoding import (
     EncodedSample,
@@ -262,22 +262,19 @@ def write_predictions(path: str | Path, rows: Sequence[tuple[str, float, float]]
 # ------------------------------------------------------------------ encoding
 
 
-def encode_trees(
-    items: Sequence[tuple[CascadeTree, GrowthLabel | None]], schema: EncodingSchema
-) -> tuple[list[EncodedSample], int]:
-    """Encode (tree, label) pairs against a schema; also returns how many
-    trees were truncated to fit it."""
+def encode_trees(trees: Sequence[CascadeTree], schema: EncodingSchema) -> tuple[list[EncodedSample], int]:
+    """Encode trees against a schema; also returns how many trees were
+    truncated to fit it."""
     out = []
     clipped = 0
-    for t, lb in items:
+    for t in trees:
         clipped += not fits_schema(t, schema)
-        growth = None if lb is None else lb.growth
-        out.append(EncodedSample(id=t.root, seq=encode(t, schema), growth=growth))
+        out.append(EncodedSample(id=t.root, seq=encode(t, schema), growth=t.growth))
     return out, clipped
 
 
 def encode_split(
-    pairs: Sequence[LabeledCascade],
+    cascades: Sequence[Cascade],
     bin_count: int,
     window_T: int,
     seed: int,
@@ -291,11 +288,11 @@ def encode_split(
     receives the samples per split, the truncated val and test trees, and
     the padding fraction of each level over all three splits.
     """
-    tr, va, te = split_dataset(list(pairs), seed)
-    tr_trees = [(to_tree(c), lb) for c, lb in tr]
-    va_trees = [(to_tree(c), lb) for c, lb in va]
-    te_trees = [(to_tree(c), lb) for c, lb in te]
-    schema = schema_from_corpus([t for t, _ in tr_trees], bin_count, window_T)
+    tr, va, te = split_dataset(list(cascades), seed)
+    tr_trees = [to_tree(c) for c in tr]
+    va_trees = [to_tree(c) for c in va]
+    te_trees = [to_tree(c) for c in te]
+    schema = schema_from_corpus(tr_trees, bin_count, window_T)
     train_enc, _ = encode_trees(tr_trees, schema)
     val_enc, cv = encode_trees(va_trees, schema)
     test_enc, ct = encode_trees(te_trees, schema)
@@ -317,7 +314,7 @@ class SweepRow(NamedTuple):  # one sweep.csv row
 
 
 def sweep_time_interval(
-    pairs: Sequence[LabeledCascade],
+    cascades: Sequence[Cascade],
     bin_counts: Sequence[int],
     window_T: int,
     tcfg: TrainConfig,
@@ -328,7 +325,7 @@ def sweep_time_interval(
         raise ConfigError(f"sweep needs at least 2 bin counts, got {list(bin_counts)}")
     rows = []
     for bins in bin_counts:
-        tr, va, te, schema = encode_split(pairs, bins, window_T, tcfg.seed)
+        tr, va, te, schema = encode_split(cascades, bins, window_T, tcfg.seed)
         mcfg = ModelConfig.from_schema(schema, **(model_overrides or {}))
         params, _ = train(tr, va, tcfg, mcfg)
         rows.append(SweepRow(bins=bins, test_msle=evaluate(params, te)))

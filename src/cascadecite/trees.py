@@ -35,6 +35,7 @@ class CascadeTree:
     adoption_time: dict[str, int]   # every node incl. root (root at 0)
     levels: tuple[tuple[str, ...], ...]  # levels[k-1] = nodes at distance k, (time, id) order
     source_edges: int               # candidate-edge count of the source DAG
+    growth: int | None = None       # the source cascade's label; None: unlabeled
 
     @property
     def size(self) -> int:
@@ -86,10 +87,11 @@ def to_tree(cascade: Cascade) -> CascadeTree:
         adoption_time=times,
         levels=tuple(map(tuple, levels.values())),
         source_edges=sum(map(len, map(itemgetter(2), cascade.nodes))),
+        growth=cascade.growth,
     )
 
 
-def tree_to_dict(tree: CascadeTree, label=None) -> dict:
+def tree_to_dict(tree: CascadeTree) -> dict:
     """JSON form mirroring the cascade schema, with a single parent per node."""
     return {
         "root": tree.root,
@@ -98,5 +100,5 @@ def tree_to_dict(tree: CascadeTree, label=None) -> dict:
         "nodes": [
             {"id": v, "t": tree.adoption_time[v], "parent": p} for v, p in tree.parent.items()
         ],
-        "label": None if label is None else {"observed": tree.size - 1, "growth": label.growth},
+        "label": None if tree.growth is None else {"observed": tree.size - 1, "growth": tree.growth},
     }

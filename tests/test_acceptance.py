@@ -182,12 +182,12 @@ def test_default_model_overfits_200_cascades_quickly():
     """Default model on 200 synthetic cascades reaches training MSLE < 0.1
     within 500 epochs and five minutes on one core."""
     started = time.monotonic()
-    pairs = generate_synthetic(200, (6, 18), 80, 1.0, seed=11, window_T=40)
-    trees = [(to_tree(c), lb) for c, lb in pairs]
-    schema = schema_from_corpus([t for t, _ in trees], bin_count=6, window_T=40)
+    cascades = generate_synthetic(200, (6, 18), 80, 1.0, seed=11, window_T=40)
+    trees = [to_tree(c) for c in cascades]
+    schema = schema_from_corpus(trees, bin_count=6, window_T=40)
     samples = [
-        EncodedSample(id=t.root, seq=encode(t, schema), growth=lb.growth)
-        for t, lb in trees
+        EncodedSample(id=t.root, seq=encode(t, schema), growth=t.growth)
+        for t in trees
     ]
     mcfg = md.ModelConfig.from_schema(schema)
     tcfg = tr.TrainConfig(max_epochs=500, patience=500, seed=11)
@@ -227,8 +227,8 @@ def test_msle_fixtures_and_prediction_file_round_trip(tmp_path):
 def test_tree_average_degree_identity_and_corpus_mean():
     """Every converted tree has average degree exactly 2(n-1)/n when
     counted node by node, and the corpus mean sits in [1.8, 2.0]."""
-    pairs = generate_synthetic(300, (11, 40), 60, 1.0, seed=21, window_T=59)
-    trees = [to_tree(c) for c, _ in pairs]
+    cascades = generate_synthetic(300, (11, 40), 60, 1.0, seed=21, window_T=59)
+    trees = [to_tree(c) for c in cascades]
     for t in trees:
         # independent count: root's degree is its child count, every other
         # node adds one for the edge to its parent
@@ -249,8 +249,8 @@ def test_probe_recovers_edges_and_leaves_with_shuffled_control():
     """A readout trained on 500 encoded synthetic trees predicts edge and
     leaf counts with held-out normalized MSE < 0.05; the same readout on
     shuffled labels is at least 10x worse."""
-    pairs = generate_synthetic(520, (6, 30), 120, 1.0, seed=31, window_T=60)
-    trees = [t for t in (to_tree(c) for c, _ in pairs) if t.size >= 2][:500]
+    cascades = generate_synthetic(520, (6, 30), 120, 1.0, seed=31, window_T=60)
+    trees = [t for t in (to_tree(c) for c in cascades) if t.size >= 2][:500]
     assert len(trees) == 500
     schema = schema_from_corpus(trees, bin_count=6, window_T=60)
     seqs = [encode(t, schema) for t in trees]

@@ -53,3 +53,6 @@ def test_tracer_installs_and_counts_encoding(tmp_path, monkeypatch):
             "optim.adam", "checkpoint.save", "checkpoint.load", "model.predict_forward"} <= {
         s.name for s in tracer.spans}
     assert (counts["autodiff.tape_entries"], counts["model.stack_calls"]) == (5, 4)
+    # encode and predict each convert every cascade once; a tree's size counts its root
+    nodes = sum(len(json.loads(line)["nodes"]) + 1 for line in (data / "cascades.jsonl").read_text().splitlines())
+    assert counts["trees.nodes"] == 2 * nodes

@@ -1,8 +1,10 @@
 """Parsing, cascade building, splitting, stats, and the synthetic generator."""
 
+import dataclasses
 import datetime
 import json
 import logging
+import time
 from collections import Counter
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cascadecite import cascades as casc
-from cascadecite.cascades import Cascade, CascadeNode, Citations, GrowthLabel, LabeledCascade
+from cascadecite.cascades import Cascade, CascadeNode, Citations
 from cascadecite.cli import main
 from cascadecite.errors import (
     ConfigError,
@@ -42,7 +44,7 @@ def reference_build_cascades(
     horizon: int | None = None,
     min_observed: int = 10,
     tally: dict | None = None,
-) -> list[LabeledCascade]:
+) -> list[Cascade]:
     """Group citations into per-root cascades and label future growth.
 
     horizon is the growth bracket width in days (growth counts citers with
@@ -68,7 +70,7 @@ def reference_build_cascades(
     anchored = 0
     dropped_not_after_root = 0
     filtered_small = 0
-    out: list[LabeledCascade] = []
+    out: list[Cascade] = []
     for root in sorted(citers_of):
         citers = citers_of[root]
         root_time = date_of.get(root)
@@ -101,8 +103,8 @@ def reference_build_cascades(
             cands.sort()
             nodes.append(CascadeNode(id=pid, time=rel[pid], parents=tuple(c[1] for c in cands)))
 
-        cascade = Cascade(root=root, root_time=root_time, window_T=window_T, nodes=tuple(nodes))
-        out.append((cascade, GrowthLabel(growth=growth)))
+        cascade = Cascade(root=root, root_time=root_time, window_T=window_T, nodes=tuple(nodes), growth=growth)
+        out.append(cascade)
 
     if anchored or dropped_not_after_root:
         log.warning(
@@ -117,7 +119,7 @@ def reference_build_cascades(
     return out
 
 
-def cascade_to_dict(cascade: Cascade, label: GrowthLabel | None) -> dict:
+def cascade_to_dict(cascade: Cascade) -> dict:
     doc = {
         "root": cascade.root,
         "root_time": cascade.root_time,
@@ -125,7 +127,7 @@ def cascade_to_dict(cascade: Cascade, label: GrowthLabel | None) -> dict:
         "nodes": [{"id": n.id, "t": n.time, "parents": list(n.parents)} for n in cascade.nodes],
     }
     doc["label"] = (
-        None if label is None else {"observed": len(cascade.nodes), "growth": label.growth}
+        None if cascade.growth is None else {"observed": len(cascade.nodes), "growth": cascade.growth}
     )
     return doc
 
@@ -138,14 +140,14 @@ def reference_generate_synthetic(
     seed: int,
     *,
     window_T: int | None = None,
-) -> list[LabeledCascade]:
+) -> list[Cascade]:
     """One cascade after another, one `rng.choice(j, p=...)` per attached node."""
     lo, hi = size_range
     if window_T is None:
         window_T = time_horizon // 2
     rng = np.random.default_rng(seed)
     pool = np.array([t for t in range(1, time_horizon) if t != window_T])
-    out: list[LabeledCascade] = []
+    out: list[Cascade] = []
     for ci in range(n_cascades):
         n = int(rng.integers(lo, hi + 1))
         times = np.sort(rng.choice(pool, size=n - 1, replace=False))
@@ -163,8 +165,8 @@ def reference_generate_synthetic(
                 parents = (ids[0],) if target == 0 else (ids[0], ids[target])
                 nodes.append(CascadeNode(id=ids[j], time=t, parents=parents))
                 observed += 1
-        cascade = Cascade(root=root, root_time=0, window_T=window_T, nodes=tuple(nodes))
-        out.append((cascade, GrowthLabel(growth=n - 1 - observed)))
+        cascade = Cascade(root=root, root_time=0, window_T=window_T, nodes=tuple(nodes), growth=n - 1 - observed)
+        out.append(cascade)
     return out
 
 
@@ -227,7 +229,7 @@ def test_ingest_report_counts_duplicate_dates(tmp_path):
                  "--min-observed", "1"]) == 0
     report = json.loads((out / "ingest_report.json").read_text())
     assert report["duplicate_dates"] == 1
-    (c, _), = casc.read_cascades_jsonl(out / "cascades.jsonl")
+    c, = casc.read_cascades_jsonl(out / "cascades.jsonl")
     assert [n.time for n in c.nodes] == [62, 63, 64]  # days after 1999-12-01, the earlier date
 
 
@@ -252,37 +254,36 @@ def test_window_membership_and_growth_bracket():
         {"root": 0, "m1": 10, "m2": 200, "edge": 365, "late": 366},
         ("root", "elsewhere"), ("m1", "root"), ("m2", "root"), ("edge", "root"), ("late", "root"),
     )
-    pairs = casc.build_cascades(events, window_T=365, min_observed=2)
-    roots = {c.root: (c, lb) for c, lb in pairs}
-    c, lb = roots["root"]
+    cascades = casc.build_cascades(events, window_T=365, min_observed=2)
+    roots = {c.root: c for c in cascades}
+    c = roots["root"]
     assert [n.id for n in c.nodes] == ["m1", "m2"]
     assert len(c.nodes) == 2
-    assert lb.growth == 1
+    assert c.growth == 1
 
 
 def test_growth_is_final_minus_observed():
     day = {"root": 0} | {f"in{i}": 5 + i for i in range(5)} | {f"out{i}": 400 + i for i in range(4)}
     events = citations(day, ("root", "x"), *((pid, "root") for pid in day if pid != "root"))
-    (pair,) = [p for p in casc.build_cascades(events, window_T=365, min_observed=1) if p[0].root == "root"]
-    c, lb = pair
-    assert (len(c.nodes), lb.growth) == (5, 4)
+    (c,) = [p for p in casc.build_cascades(events, window_T=365, min_observed=1) if p.root == "root"]
+    assert (len(c.nodes), c.growth) == (5, 4)
 
 
 def test_finite_horizon_caps_the_growth_bracket():
     events = citations({"root": 0, "a": 1, "b": 20, "c": 21},
                        ("root", "x"), ("a", "root"), ("b", "root"), ("c", "root"))
     build = lambda h: casc.build_cascades(events, window_T=10, horizon=h, min_observed=1)
-    (_, lb10) = [p for p in build(10) if p[0].root == "root"][0]
-    assert lb10.growth == 1  # day 20 is inside (10, 20], day 21 is not
-    (_, lb11) = [p for p in build(11) if p[0].root == "root"][0]
-    assert lb11.growth == 2
+    c10 = [p for p in build(10) if p.root == "root"][0]
+    assert c10.growth == 1  # day 20 is inside (10, 20], day 21 is not
+    c11 = [p for p in build(11) if p.root == "root"][0]
+    assert c11.growth == 2
 
 
 def test_undated_root_is_anchored_before_first_citation():
     tally = {}
     events = citations({"a": 50, "b": 60}, ("a", "root"), ("b", "root"))
-    pairs = casc.build_cascades(events, window_T=100, min_observed=1, tally=tally)
-    (c, lb) = pairs[0]
+    cascades = casc.build_cascades(events, window_T=100, min_observed=1, tally=tally)
+    c = cascades[0]
     assert c.root_time == 49
     assert [n.time for n in c.nodes] == [1, 11]
     assert tally["roots_anchored_without_date"] == 1
@@ -293,7 +294,7 @@ def test_root_that_cites_nothing_is_dated_from_the_dates_file(tmp_path):
     # at day 151 and A at day 1
     tally = {}
     events = parse(tmp_path, ["A\tR"], ["R\t2000-01-01", "A\t2000-06-01"], tally=tally)
-    (c, lb), = casc.build_cascades(events, window_T=365, min_observed=1, tally=tally)
+    c, = casc.build_cascades(events, window_T=365, min_observed=1, tally=tally)
     assert (c.root, c.root_time) == ("R", 0)
     assert [(n.id, n.time) for n in c.nodes] == [("A", 152)]
     assert tally["roots_anchored_without_date"] == 0
@@ -312,13 +313,13 @@ def test_dated_roots_keep_their_date_and_only_undated_roots_are_anchored(tmp_pat
     edges = [f"p{i}\tp{j}" for i, j in links if i < len(days) and j < len(days)]
     tally = {}
     events = parse(tmp_path, edges, dates, tally=tally)
-    pairs = casc.build_cascades(events, window_T=365, min_observed=0, tally=tally)
+    cascades = casc.build_cascades(events, window_T=365, min_observed=0, tally=tally)
     epoch = min(d for d in days if d is not None)
-    for c, _ in pairs:
+    for c in cascades:
         day = days[int(c.root[1:])]
         if day is not None:
             assert c.root_time == day - epoch
-    undated = sum(days[int(c.root[1:])] is None for c, _ in pairs)
+    undated = sum(days[int(c.root[1:])] is None for c in cascades)
     assert tally["roots_anchored_without_date"] == undated
 
 
@@ -343,8 +344,8 @@ def test_shifting_every_date_leaves_the_cascades_unchanged(tmp_path, days, links
 def test_citers_at_or_before_root_date_are_dropped():
     tally = {}
     events = citations({"root": 100, "early": 100, "ok": 150}, ("root", "x"), ("early", "root"), ("ok", "root"))
-    pairs = casc.build_cascades(events, window_T=365, min_observed=1, tally=tally)
-    (c, _) = [p for p in pairs if p[0].root == "root"][0]
+    cascades = casc.build_cascades(events, window_T=365, min_observed=1, tally=tally)
+    c = [p for p in cascades if p.root == "root"][0]
     assert [n.id for n in c.nodes] == ["ok"]
     assert tally["citers_not_after_root"] == 1
 
@@ -356,7 +357,7 @@ def test_min_observed_filters_small_cascades():
     assert casc.build_cascades(events, window_T=365, min_observed=5, tally=tally) == []
     assert tally["roots_below_min_observed"] == 2  # "root" and "x"
     kept = casc.build_cascades(events, window_T=365, min_observed=4)
-    assert any(c.root == "root" for c, _ in kept)
+    assert any(c.root == "root" for c in kept)
 
 
 def test_candidate_parents_are_earlier_members_plus_root():
@@ -368,7 +369,7 @@ def test_candidate_parents_are_earlier_members_plus_root():
         ("m2", "root"), ("m2", "m1"), ("m2", "m3"), ("m2", "other"),
         ("m3", "root"),
     )
-    (c, _) = [p for p in casc.build_cascades(events, window_T=365, min_observed=3) if p[0].root == "root"][0]
+    c = [p for p in casc.build_cascades(events, window_T=365, min_observed=3) if p.root == "root"][0]
     by_id = {n.id: n for n in c.nodes}
     assert by_id["m1"].parents == ("root",)
     assert by_id["m2"].parents == ("root", "m1")
@@ -397,10 +398,10 @@ def test_nodes_are_sorted_by_time_then_id_and_output_by_root():
         ("z", "rootB"), ("a", "rootB"), ("b", "rootB"),
         ("q", "rootA"),
     )
-    pairs = casc.build_cascades(events, window_T=100, min_observed=1)
-    roots = [c.root for c, _ in pairs]
+    cascades = casc.build_cascades(events, window_T=100, min_observed=1)
+    roots = [c.root for c in cascades]
     assert roots == sorted(roots)
-    cb = [c for c, _ in pairs if c.root == "rootB"][0]
+    cb = [c for c in cascades if c.root == "rootB"][0]
     assert [n.id for n in cb.nodes] == ["b", "a", "z"]
 
 
@@ -446,8 +447,8 @@ def citation_graphs(draw):
     return events, options
 
 
-def reference_jsonl(pairs):
-    return "".join(json.dumps(cascade_to_dict(c, lb), separators=(",", ":")) + "\n" for c, lb in pairs)
+def reference_jsonl(cascades):
+    return "".join(json.dumps(cascade_to_dict(c), separators=(",", ":")) + "\n" for c in cascades)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -455,16 +456,16 @@ def reference_jsonl(pairs):
 def test_columnar_build_equals_the_dict_build(tmp_path, graph):
     events, options = graph
     tally, expected_tally = {}, {}
-    pairs = casc.build_cascades(events, **options, tally=tally)
+    cascades = casc.build_cascades(events, **options, tally=tally)
     expected = reference_build_cascades(events, **options, tally=expected_tally)
-    assert pairs == expected
-    for c, lb in pairs:
-        assert type(c.root_time) is int and type(lb.growth) is int
+    assert cascades == expected
+    for c in cascades:
+        assert type(c.root_time) is int and type(c.growth) is int
         assert all(type(n.time) is int and type(n.parents) is tuple for n in c.nodes)
     assert tally.pop("duplicate_edges") == len(events) - len({*zip(events.citing, events.cited)})
     assert tally == expected_tally
     path = tmp_path / "c.jsonl"
-    casc.write_cascades_jsonl(path, pairs)
+    casc.write_cascades_jsonl(path, cascades)
     assert path.read_text() == reference_jsonl(expected)
 
 
@@ -472,11 +473,11 @@ def test_repeated_edge_line_is_counted_once_and_changes_no_cascade(tmp_path):
     dates = ["r\t2000-01-01", "a\t2000-01-05", "b\t2000-01-09"]
     edges = ["a\tr", "b\tr", "b\ta"]
     once, twice = {}, {}
-    pairs = casc.build_cascades(parse(tmp_path, edges, dates, tally=once),
-                                window_T=30, min_observed=1, tally=once)
+    cascades = casc.build_cascades(parse(tmp_path, edges, dates, tally=once),
+                                   window_T=30, min_observed=1, tally=once)
     again = casc.build_cascades(parse(tmp_path, edges + ["b\ta"], dates, tally=twice),
                                 window_T=30, min_observed=1, tally=twice)
-    assert again == pairs
+    assert again == cascades
     assert (once["duplicate_edges"], twice["duplicate_edges"]) == (0, 1)
     assert twice["events"] + twice["undated_citer_edges"] + twice["self_citations"] == 4
     assert {k: v for k, v in twice.items() if k not in ("events", "duplicate_edges")} == {
@@ -573,7 +574,7 @@ def test_synthetic_same_seed_is_byte_identical(tmp_path):
     casc.write_cascades_jsonl(pb, b)
     assert pa.read_bytes() == pb.read_bytes()
     c = casc.generate_synthetic(25, seed=12, **kw)
-    assert cascade_to_dict(*a[0]) != cascade_to_dict(*c[0])
+    assert cascade_to_dict(a[0]) != cascade_to_dict(c[0])
 
 
 @st.composite
@@ -604,23 +605,43 @@ def test_generator_spanning_two_blocks_equals_the_per_node_generator():
     (31, (520, (6, 30), 120, 1.0), 60),
     (21, (300, (11, 40), 60, 1.0), 59),
     (0, (200, (10, 60), 2200, 1.0), None),  # the configured defaults
+    (7, (40, (4, 12), 50, 1.0), 50),  # a window as long as the horizon excludes no day
 ])
 def test_generator_reproduces_known_corpora(seed, args, window_T):
     kw = dict(seed=seed, window_T=window_T)
     assert casc.generate_synthetic(*args, **kw) == reference_generate_synthetic(*args, **kw)
 
 
+def test_synth_draws_from_a_long_horizon_without_listing_its_days(tmp_path):
+    out = tmp_path / "long"
+    argv = ["synth", "--out", str(out), "--n", "3", "--size-min", "3", "--size-max", "5", "--seed", "1"]
+    started = time.monotonic()
+    assert main([*argv, "--synth-horizon", str(10**12)]) == 0
+    assert time.monotonic() - started < 5.0
+    assert len(casc.read_cascades_jsonl(out / "cascades.jsonl")) == 3
+
+
+def test_synth_refuses_a_horizon_numpy_cannot_draw_from(tmp_path, capsys):
+    argv = ["synth", "--out", str(tmp_path / "huge"), "--n", "3", "--size-min", "3", "--size-max", "5"]
+    assert main([*argv, "--synth-horizon", str(10**30)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {
+        "error": "ConfigError", "message": f"time_horizon {10**30} exceeds {2**63}, the most days NumPy can draw from",
+        "details": {},
+    }
+
+
 def test_synthetic_sizes_and_labels_reconcile():
-    pairs = casc.generate_synthetic(40, (4, 9), 60, 1.0, seed=2)
-    assert len(pairs) == 40
-    for c, lb in pairs:
-        assert 3 <= len(c.nodes) + lb.growth <= 8  # nodes ever attached, root excluded
-        assert lb.growth >= 0
+    cascades = casc.generate_synthetic(40, (4, 9), 60, 1.0, seed=2)
+    assert len(cascades) == 40
+    for c in cascades:
+        assert 3 <= len(c.nodes) + c.growth <= 8  # nodes ever attached, root excluded
+        assert c.growth >= 0
 
 
 def test_synthetic_observed_nodes_fall_inside_the_window():
-    pairs = casc.generate_synthetic(20, (4, 9), 80, 1.0, seed=5, window_T=30)
-    for c, _ in pairs:
+    cascades = casc.generate_synthetic(20, (4, 9), 80, 1.0, seed=5, window_T=30)
+    for c in cascades:
         assert c.window_T == 30
         assert all(1 <= n.time < 30 for n in c.nodes)
         times = [n.time for n in c.nodes]
@@ -629,13 +650,13 @@ def test_synthetic_observed_nodes_fall_inside_the_window():
 
 
 def test_synthetic_window_defaults_to_half_horizon():
-    pairs = casc.generate_synthetic(3, (3, 5), 50, 1.0, seed=0)
-    assert all(c.window_T == 25 for c, _ in pairs)
+    cascades = casc.generate_synthetic(3, (3, 5), 50, 1.0, seed=0)
+    assert all(c.window_T == 25 for c in cascades)
 
 
 def test_synthetic_candidates_are_root_plus_attachment_target():
-    pairs = casc.generate_synthetic(30, (4, 10), 90, 1.0, seed=8)
-    for c, _ in pairs:
+    cascades = casc.generate_synthetic(30, (4, 10), 90, 1.0, seed=8)
+    for c in cascades:
         members = {c.root} | {n.id for n in c.nodes}
         for n in c.nodes:
             assert n.parents[0] == c.root
@@ -664,9 +685,9 @@ def test_high_attachment_bias_approaches_uniform_choice():
     flat = casc.generate_synthetic(60, (20, 20), 200, 1e9, seed=1)
     skew = casc.generate_synthetic(60, (20, 20), 200, 1e-3, seed=1)
 
-    def mean_max_tree_degree(pairs):
+    def mean_max_tree_degree(cascades):
         vals = []
-        for c, _ in pairs:
+        for c in cascades:
             vals.append(max(Counter(to_tree(c).parent.values()).values(), default=0))
         return float(np.mean(vals))
 
@@ -677,19 +698,19 @@ def test_high_attachment_bias_approaches_uniform_choice():
 
 
 def test_labeled_cascade_jsonl_roundtrip(tmp_path):
-    pairs = casc.generate_synthetic(12, (4, 8), 70, 1.0, seed=3)
+    cascades = casc.generate_synthetic(12, (4, 8), 70, 1.0, seed=3)
     path = tmp_path / "c.jsonl"
-    assert casc.write_cascades_jsonl(path, pairs) == 12
+    assert casc.write_cascades_jsonl(path, cascades) == 12
     back = casc.read_cascades_jsonl(path)
-    assert back == pairs
+    assert back == cascades
 
 
 def test_unlabeled_cascade_roundtrip(tmp_path):
-    c, _ = casc.generate_synthetic(1, (4, 6), 50, 1.0, seed=4)[0]
+    c = dataclasses.replace(casc.generate_synthetic(1, (4, 6), 50, 1.0, seed=4)[0], growth=None)
     path = tmp_path / "u.jsonl"
-    casc.write_cascades_jsonl(path, [(c, None)])
-    ((c2, lb2),) = casc.read_cascades_jsonl(path)
-    assert c2 == c and lb2 is None
+    casc.write_cascades_jsonl(path, [c])
+    (c2,) = casc.read_cascades_jsonl(path)
+    assert c2 == c and c2.growth is None
 
 
 def test_jsonl_parse_errors_carry_line_numbers(tmp_path):
@@ -714,12 +735,10 @@ def cascade_files(draw):
     ))
     ids = st.sampled_from(pool)
     node = st.builds(CascadeNode, ids, st.integers(1, 10**6), st.lists(ids, min_size=1, max_size=3).map(tuple))
-    label = st.builds(GrowthLabel, st.integers(0, 10**12))
-    return draw(st.lists(st.tuples(
+    return draw(st.lists(
         st.builds(Cascade, ids, st.integers(-10**6, 10**9), st.integers(1, 10**5),
-                  st.lists(node, max_size=5).map(tuple)),
-        st.none() | label,
-    ), max_size=4))
+                  st.lists(node, max_size=5).map(tuple), st.none() | st.integers(0, 10**12)),
+        max_size=4))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -761,8 +780,8 @@ def test_reader_accepts_only_json_integers_strings_and_lists(tmp_path, path, val
         casc.read_cascades_jsonl(file)
     assert str(info.value) == f"{file} line 2: {message}"
     file.write_text(json.dumps(GOOD_CASCADE) + "\n")
-    ((c, lb),) = casc.read_cascades_jsonl(file)
-    assert (c.root_time, c.window_T, c.nodes[0].time, lb.growth) == (3, 40, 10, 2)
+    (c,) = casc.read_cascades_jsonl(file)
+    assert (c.root_time, c.window_T, c.nodes[0].time, c.growth) == (3, 40, 10, 2)
 
 
 @pytest.mark.parametrize("times, observed, message", [
@@ -789,8 +808,8 @@ def test_reader_takes_times_at_both_ends_of_the_window(tmp_path):
            "label": {"observed": 2, "growth": 0}}
     file = tmp_path / "ends.jsonl"
     file.write_text(json.dumps(doc) + "\n")
-    ((c, lb),) = casc.read_cascades_jsonl(file)
-    assert [n.time for n in c.nodes] == [1, 39] and lb.growth == 0
+    (c,) = casc.read_cascades_jsonl(file)
+    assert [n.time for n in c.nodes] == [1, 39] and c.growth == 0
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -833,7 +852,7 @@ def test_reader_refuses_exactly_what_to_tree_refuses(tmp_path, rows):
             casc.read_cascades_jsonl(file)
         assert str(info.value) == f"{file} line 1: {exc}"
     else:
-        ((c, _),) = casc.read_cascades_jsonl(file)
+        (c,) = casc.read_cascades_jsonl(file)
         assert [tuple(n) for n in c.nodes] == [(pid, t, tuple(ps)) for pid, t, ps in rows]
 
 
@@ -845,5 +864,6 @@ def test_reader_rejects_a_node_without_parent_candidates(tmp_path):
 
 
 def test_growth_label_validates_arithmetic():
-    with pytest.raises(ContractError):
-        casc.GrowthLabel(growth=-1)
+    doc = {**GOOD_CASCADE, "label": {"observed": 1, "growth": -1}}
+    with pytest.raises(ParseError, match=r"^label growth must be >= 0, got -1$"):
+        casc.cascade_from_dict(doc)

@@ -15,7 +15,7 @@ from cascadecite import config as cf
 from cascadecite import encoding as enc
 from cascadecite.cli import main
 from cascadecite.trees import to_tree
-from cascadecite.errors import ConfigError, ContractError
+from cascadecite.errors import ConfigError, ParseError
 
 
 # ------------------------------------------------------------------- config
@@ -193,7 +193,7 @@ def test_encode_manifest_counts_samples_truncations_and_padding(tmp_path, split_
     }
     assert counters["samples"] == {name: len(r) for name, r in rows.items()}
     assert sum(counters["samples"].values()) == 200
-    trees = {c.root: to_tree(c) for c, _ in casc.read_cascades_jsonl(data / "cascades.jsonl")}
+    trees = {c.root: to_tree(c) for c in casc.read_cascades_jsonl(data / "cascades.jsonl")}
     assert truncated == {
         name: sum(not enc.fits_schema(trees[r["id"]], schema) for r in rows[name])
         for name in ("val", "test")
@@ -460,12 +460,12 @@ def test_a_negative_growth_label_fails_with_a_json_error_naming_its_line(tmp_pat
     doc["label"]["growth"] = -3
     path = tmp_path / "cascades.jsonl"
     path.write_text(json.dumps(doc) + "\n")
-    message = f"{path} line 1: negative label: GrowthLabel(growth=-3)"
-    with pytest.raises(ContractError) as err:
+    message = f"{path} line 1: label growth must be >= 0, got -3"
+    with pytest.raises(ParseError) as err:
         casc.read_cascades_jsonl(path)
     assert str(err.value) == message
     assert main([command, "--cascades", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert _only_error_line(capsys) == {"error": "ContractError", "message": message, "details": {}}
+    assert _only_error_line(capsys) == {"error": "ParseError", "message": message, "details": {}}
 
 
 def test_eval_needs_some_input(pipeline, tmp_path, capsys):
@@ -699,6 +699,65 @@ def test_empty_cascade_file_is_reported_as_holding_no_cascades(pipeline, tmp_pat
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert (err["error"], err["message"]) == ("ParseError", f"{path} holds no cascades")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("encode", []), ("probe", []), ("sweep", ["--bins-list", "2"]), ("stats", []),
+    ("eval", ["--checkpoint", "run/checkpoint.json"]), ("predict", ["--checkpoint", "run/checkpoint.json"]),
+])
+def test_a_repeated_cascade_root_is_refused_naming_the_file_and_root(pipeline, tmp_path, capsys, command, extra):
+    lines = (pipeline / "data" / "cascades.jsonl").read_text().splitlines(keepends=True)
+    path = tmp_path / "cascades.jsonl"
+    path.write_text("".join([*lines, lines[0]]))
+    extra = [str(pipeline / a) if a.endswith(".json") else a for a in extra]
+    assert main([command, "--cascades", str(path), "--out", str(tmp_path / "out"), *extra]) == 1
+    assert _only_error_line(capsys) == {
+        "error": "ParseError", "message": f"{path} holds cascade root 's00000' more than once", "details": {},
+    }
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_a_repeated_encoded_id_is_refused_naming_the_file_and_id(pipeline, tmp_path, capsys, command):
+    enc_dir = tmp_path / "enc"
+    shutil.copytree(pipeline / "enc", enc_dir)
+    path = enc_dir / "test.encoded.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([*lines, lines[0]]))
+    if command == "train":
+        argv = ["train", "--encoded-dir", str(enc_dir), "--max-epochs", "1", "--embed-width", "8"]
+    else:
+        argv = [command, "--checkpoint", str(pipeline / "run" / "checkpoint.json"), "--encoded", str(path),
+                "--schema", str(enc_dir / "schema.json")]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    sid = json.loads(lines[0])["id"]
+    assert _only_error_line(capsys) == {
+        "error": "ParseError", "message": f"{path} holds encoded id {sid!r} more than once", "details": {},
+    }
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_an_empty_encoded_file_is_refused_naming_it(pipeline, tmp_path, capsys, command):
+    path = tmp_path / "test.encoded.jsonl"
+    path.write_text("")
+    assert main([command, "--checkpoint", str(pipeline / "run" / "checkpoint.json"), "--encoded", str(path),
+                 "--schema", str(pipeline / "enc" / "schema.json"), "--out", str(tmp_path / "out")]) == 1
+    assert _only_error_line(capsys) == {
+        "error": "ParseError", "message": f"{path} holds no encoded rows", "details": {},
+    }
+    assert not (tmp_path / "out" / f"{command}_manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_cascades_and_encoded_inputs_together_are_refused(pipeline, tmp_path, capsys, command):
+    enc_dir = pipeline / "enc"
+    assert main([command, "--checkpoint", str(pipeline / "run" / "checkpoint.json"),
+                 "--cascades", str(pipeline / "data" / "cascades.jsonl"),
+                 "--encoded", str(enc_dir / "test.encoded.jsonl"), "--schema", str(enc_dir / "schema.json"),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert _only_error_line(capsys) == {
+        "error": "ConfigError", "message": "pass --cascades FILE or --encoded FILE, not both", "details": {},
+    }
+    assert not (tmp_path / "out" / f"{command}_manifest.json").exists()
 
 
 def test_stats_refuses_mixed_windows_as_encode_does(tmp_path, capsys):

@@ -45,8 +45,8 @@ def test_encoding_carries_edges_and_leaves_exactly():
 
 
 def test_probe_learns_exact_functions_of_the_encoding():
-    pairs = generate_synthetic(120, (6, 25), 120, 1.0, seed=7)
-    trees = [t for t in (to_tree(c) for c, _ in pairs) if t.size >= 2]
+    cascades = generate_synthetic(120, (6, 25), 120, 1.0, seed=7)
+    trees = [t for t in (to_tree(c) for c in cascades) if t.size >= 2]
     rng = np.random.default_rng(0)
     schema = schema_with_slack(trees, bin_count=4, window_T=60, rng=rng)
     degrees, bins = stack_sequences([encode(t, schema) for t in trees], schema.level_lengths)

@@ -1,6 +1,7 @@
 """Training loop, metric fixtures, prediction files, split encoding, sweep."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -207,10 +208,10 @@ def test_predict_rows_empty_is_empty():
 
 
 def test_encode_split_partitions_and_labels():
-    pairs = generate_synthetic(20, (6, 12), 80, 1.0, seed=1)
-    train, val, test, schema = tr.encode_split(pairs, bin_count=3, window_T=40, seed=1)
+    cascades = generate_synthetic(20, (6, 12), 80, 1.0, seed=1)
+    train, val, test, schema = tr.encode_split(cascades, bin_count=3, window_T=40, seed=1)
     assert (len(train), len(val), len(test)) == (14, 3, 3)
-    by_root = {c.root: lb.growth for c, lb in pairs}
+    by_root = {c.root: c.growth for c in cascades}
     for s in train + val + test:
         assert s.growth == by_root[s.id]
     assert schema.window_T == 40
@@ -219,7 +220,7 @@ def test_encode_split_partitions_and_labels():
 
 def test_schema_is_built_from_train_split_only():
     fit_small = generate_synthetic(200, (6, 18), 80, 1.0, seed=11, window_T=40)  # the benchmark corpus
-    for pairs, bin_count, split_seed, cut in [
+    for cascades, bin_count, split_seed, cut in [
         (generate_synthetic(20, (6, 12), 80, 1.0, seed=1), 3, 1, None),
         (generate_synthetic(20, (6, 12), 80, 1.0, seed=1), 1, 4, None),
         (generate_synthetic(60, (6, 25), 120, 0.5, seed=3, window_T=40), 5, 2, None),
@@ -227,8 +228,8 @@ def test_schema_is_built_from_train_split_only():
         (fit_small, 6, 6, (2, 1)),  # a split that cuts 2 val trees and 1 test tree
         (fit_small, 2, 6, (2, 1)),
     ]:
-        train, val, test, schema = tr.encode_split(pairs, bin_count=bin_count, window_T=40, seed=split_seed)
-        trees = {c.root: to_tree(c) for c, _ in pairs}
+        train, val, test, schema = tr.encode_split(cascades, bin_count=bin_count, window_T=40, seed=split_seed)
+        trees = {c.root: to_tree(c) for c in cascades}
         train_trees = [trees[s.id] for s in train]
         widths = [0] * schema.depth
         for t in train_trees:
@@ -245,8 +246,8 @@ def test_schema_is_built_from_train_split_only():
 
 
 def test_encode_split_passes_through_missing_labels():
-    pairs = generate_synthetic(12, (6, 10), 80, 1.0, seed=2)
-    unlabeled = [(c, None) for c, _ in pairs]
+    cascades = generate_synthetic(12, (6, 10), 80, 1.0, seed=2)
+    unlabeled = [dataclasses.replace(c, growth=None) for c in cascades]
     train, val, test, _ = tr.encode_split(unlabeled, bin_count=2, window_T=40, seed=0)
     assert all(s.growth is None for s in train + val + test)
 
@@ -271,13 +272,13 @@ def test_sweep_needs_two_bin_counts():
 
 
 def test_encode_trees_counts_truncated_trees():
-    pairs = generate_synthetic(12, (6, 14), 80, 1.0, seed=4, window_T=40)
-    trees = [(to_tree(c), lb) for c, lb in pairs]
-    narrow = schema_from_corpus([t for t, _ in trees[:3]], bin_count=3, window_T=40)
+    cascades = generate_synthetic(12, (6, 14), 80, 1.0, seed=4, window_T=40)
+    trees = [to_tree(c) for c in cascades]
+    narrow = schema_from_corpus(trees[:3], bin_count=3, window_T=40)
     samples, clipped = tr.encode_trees(trees, narrow)
-    assert clipped == sum(not fits_schema(t, narrow) for t, _ in trees) > 0
-    assert [s.id for s in samples] == [c.root for c, _ in pairs]
-    assert [s.growth for s in samples] == [lb.growth for _, lb in pairs]
+    assert clipped == sum(not fits_schema(t, narrow) for t in trees) > 0
+    assert [s.id for s in samples] == [c.root for c in cascades]
+    assert [s.growth for s in samples] == [c.growth for c in cascades]
     assert all(tuple(map(len, s.seq.levels)) == narrow.level_lengths for s in samples)
     _, none_clipped = tr.encode_trees(trees[:3], narrow)  # the trees that sized the schema
     assert none_clipped == 0
