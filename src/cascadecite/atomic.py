@@ -35,13 +35,14 @@ def atomic_write(path: str | Path) -> Iterator[IO[str]]:
         raise
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """A CSV file with Unix line ends and minimal quoting, written whole.
-    The csv module writes a float with repr, which keeps every bit."""
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> str | Path:
+    """A CSV file with Unix line ends and minimal quoting, written whole,
+    each float by repr so that every bit is kept; returns `path`."""
     with atomic_write(path) as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
         out.writerows(rows)
+    return path
 
 
 def write_json(path: str | Path, doc) -> str | Path:

@@ -22,9 +22,9 @@ from . import cascades as casc
 from . import encoding as enc
 from .atomic import atomic_write, write_csv, write_json
 from .config import TOOL_VERSION, VALID_KEYS, parse_horizon, resolve_config, utc_now, write_manifest
-from .errors import CascadeCiteError, ConfigError, ParseError, SchemaMismatchError
+from .errors import CascadeCiteError, ConfigError, EvaluationError, ParseError, SchemaMismatchError
 from .model import ModelConfig, load_model, save_model
-from .probe import FEATURE_NAMES, probe as run_probe
+from .probe import FEATURE_NAMES, MIN_SAMPLES, probe as run_probe
 from .training import (
     TrainConfig,
     encode_split,
@@ -39,12 +39,6 @@ from .training import (
 from .trees import to_tree, tree_to_dict
 
 log = logging.getLogger(__name__)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _settings(cls, cfg: dict) -> dict:
@@ -86,6 +80,20 @@ def _read_cascades(path, schema: enc.EncodingSchema | None = None) -> tuple[list
             details={"expected_window": schema.window_T, "got_window": window},
         )
     return cascades, window
+
+
+def _require_labels(path, rows) -> None:
+    """Refuse `path` unless each of its (id, growth) rows has a growth:
+    train, eval and sweep score every row they read."""
+    for rid, growth in rows:
+        if growth is None:
+            raise EvaluationError(f"{path}: {rid!r} has no growth label; train, eval and sweep need one on every row")
+
+
+def _read_labeled(path, schema: enc.EncodingSchema) -> list[enc.EncodedSample]:
+    samples = enc.read_encoded_jsonl(path, schema)
+    _require_labels(path, ((s.id, s.growth) for s in samples))
+    return samples
 
 
 def _encode_against(trees, schema: enc.EncodingSchema) -> list[enc.EncodedSample]:
@@ -132,8 +140,7 @@ def _load_eval_samples(args, ckpt_schema: enc.EncodingSchema) -> list[enc.Encode
 # ------------------------------------------------------------------ commands
 
 
-def _cmd_synth(args, cfg, counters) -> list[Path]:
-    out = _out_dir(args)
+def _cmd_synth(args, cfg, out: Path, counters) -> list[Path]:
     cascades = casc.generate_synthetic(
         cfg["synth_n"],
         (cfg["synth_size_min"], cfg["synth_size_max"]),
@@ -148,8 +155,7 @@ def _cmd_synth(args, cfg, counters) -> list[Path]:
     return [path]
 
 
-def _cmd_ingest(args, cfg, counters) -> list[Path]:
-    out = _out_dir(args)
+def _cmd_ingest(args, cfg, out: Path, counters) -> list[Path]:
     citations = casc.parse_citation_files(args.edges, args.dates, tally=counters)
     cascades = casc.build_cascades(
         citations,
@@ -163,8 +169,7 @@ def _cmd_ingest(args, cfg, counters) -> list[Path]:
     return [path, write_json(out / "ingest_report.json", counters)]
 
 
-def _cmd_stats(args, cfg, counters) -> list[Path]:
-    out = _out_dir(args)
+def _cmd_stats(args, cfg, out: Path, counters) -> list[Path]:
     cascades, _ = _read_cascades(args.cascades)
     tr, va, te = casc.split_dataset(cascades, cfg["seed"])
     doc = {}
@@ -177,12 +182,10 @@ def _cmd_stats(args, cfg, counters) -> list[Path]:
     return [write_json(out / "stats.json", doc)]
 
 
-def _cmd_encode(args, cfg, counters) -> list[Path]:
-    out = _out_dir(args)
+def _cmd_encode(args, cfg, out: Path, counters) -> list[Path]:
     cascades, window = _read_cascades(args.cascades)
     tr, va, te, schema = encode_split(cascades, cfg["bins"], window, cfg["seed"], tally=counters)
-    outputs = [out / "schema.json"]
-    enc.save_schema(outputs[0], schema)
+    outputs = [enc.save_schema(out / "schema.json", schema)]
     for name, samples in (("train", tr), ("val", va), ("test", te)):
         path = out / f"{name}.encoded.jsonl"
         enc.write_encoded_jsonl(path, samples)
@@ -197,56 +200,55 @@ def _cmd_encode(args, cfg, counters) -> list[Path]:
     return outputs
 
 
-def _cmd_train(args, cfg, counters) -> list[Path]:
-    out = _out_dir(args)
+def _cmd_train(args, cfg, out: Path, counters) -> list[Path]:
     d = Path(args.encoded_dir)
     schema = enc.load_schema(d / "schema.json")
-    tr = enc.read_encoded_jsonl(d / "train.encoded.jsonl", schema)
-    va = enc.read_encoded_jsonl(d / "val.encoded.jsonl", schema)
+    tr = _read_labeled(d / "train.encoded.jsonl", schema)
+    va = _read_labeled(d / "val.encoded.jsonl", schema)
     test_path = d / "test.encoded.jsonl"
-    te = enc.read_encoded_jsonl(test_path, schema) if test_path.exists() else []
+    te = _read_labeled(test_path, schema) if test_path.exists() else []
     mcfg = ModelConfig.from_schema(schema, **_settings(ModelConfig, cfg))
     params, report = train(tr, va, TrainConfig(**_settings(TrainConfig, cfg)), mcfg)
     if te:
         report.test_msle = evaluate(params, te)
     report.reference_msle = reference_msles(tr, va, te)
-
-    ckpt = out / "checkpoint.json"
-    save_model(ckpt, params, schema)
-    metrics = out / "metrics.csv"
     rows = ((i, *pair) for i, pair in enumerate(zip(report.train_losses, report.val_msles), 1))
-    write_csv(metrics, ("epoch", "train_loss", "val_msle"), rows)
-    return [ckpt, metrics, write_json(out / "report.json", report.to_dict())]
+    return [
+        save_model(out / "checkpoint.json", params, schema),
+        write_csv(out / "metrics.csv", ("epoch", "train_loss", "val_msle"), rows),
+        write_json(out / "report.json", report.to_dict()),
+    ]
 
 
-def _cmd_eval(args, cfg, counters) -> list[Path]:
-    out = _out_dir(args)
+def _cmd_eval(args, cfg, out: Path, counters) -> list[Path]:
     params, schema = load_model(args.checkpoint)
     samples = _load_eval_samples(args, schema)
+    _require_labels(args.cascades or args.encoded, ((s.id, s.growth) for s in samples))
     value = evaluate(params, samples)
     return [write_json(out / "eval.json", {"msle": value, "count": len(samples)})]
 
 
-def _cmd_predict(args, cfg, counters) -> list[Path]:
-    out = _out_dir(args)
+def _cmd_predict(args, cfg, out: Path, counters) -> list[Path]:
     params, schema = load_model(args.checkpoint)
     samples = _load_eval_samples(args, schema)
-    rows = predict_rows(params, samples)
-    path = out / "predictions.csv"
-    write_predictions(path, rows)
-    return [path]
+    return [write_predictions(out / "predictions.csv", predict_rows(params, samples))]
 
 
-def _cmd_probe(args, cfg, counters) -> list[Path]:
-    out = _out_dir(args)
+def _cmd_probe(args, cfg, out: Path, counters) -> list[Path]:
     if args.decayed and not args.checkpoint:
         raise ConfigError("--decayed needs --checkpoint to supply the trained decay")
     params, schema = load_model(args.checkpoint) if args.checkpoint else (None, None)
     cascades, window = _read_cascades(args.cascades, schema)
     trees = [to_tree(c) for c in cascades]
     usable = [t for t in trees if t.size >= 2]
-    if len(usable) < len(trees):
-        log.warning("skipping %d root-only cascades", len(trees) - len(usable))
+    skipped = len(trees) - len(usable)
+    if skipped:
+        log.warning("skipping %d root-only cascades", skipped)
+    if len(usable) < MIN_SAMPLES:
+        raise ConfigError(
+            f"probe needs at least {MIN_SAMPLES} cascades with a citer; "
+            f"{args.cascades} holds {len(usable)} besides {skipped} root-only cascades"
+        )
     if schema is None:
         schema = enc.schema_from_corpus(usable, cfg["bins"], window)
 
@@ -254,22 +256,20 @@ def _cmd_probe(args, cfg, counters) -> list[Path]:
     feats = [t.shape for t in usable]
     decay = params.decay.values if args.decayed else None
     report = run_probe(*enc.stack_sequences(seqs, schema.level_lengths), feats, seed=cfg["seed"], decay=decay)
+    return [
+        write_csv(out / "probe.csv", FEATURE_NAMES, [[report.mse[name] for name in FEATURE_NAMES]]),
+        write_json(out / "probe.json", dataclasses.asdict(report)),
+    ]
 
-    csv_path = out / "probe.csv"
-    write_csv(csv_path, FEATURE_NAMES, [[report.mse[name] for name in FEATURE_NAMES]])
-    return [csv_path, write_json(out / "probe.json", report.to_dict())]
 
-
-def _cmd_sweep(args, cfg, counters) -> list[Path]:
-    out = _out_dir(args)
+def _cmd_sweep(args, cfg, out: Path, counters) -> list[Path]:
     cascades, window = _read_cascades(args.cascades)
+    _require_labels(args.cascades, ((c.root, c.growth) for c in cascades))
     rows = sweep_time_interval(
         cascades, _bin_counts(args.bins_list), window, TrainConfig(**_settings(TrainConfig, cfg)),
         model_overrides=_settings(ModelConfig, cfg),
     )
-    path = out / "sweep.csv"
-    write_csv(path, ("bins", "test_msle"), rows)
-    return [path]
+    return [write_csv(out / "sweep.csv", ("bins", "test_msle"), rows)]
 
 
 _HANDLERS = {
@@ -288,6 +288,7 @@ _HANDLERS = {
 @functools.cache  # every call of main parses with the one parser
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", required=True, help="directory for the artifacts and the run manifest")
     common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("--window-years", type=float, default=None, dest="window_years")
     common.add_argument("--window-days", type=int, default=None, dest="window_days")
@@ -316,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", parents=[common], help="generate a synthetic labeled corpus")
-    sp.add_argument("--out", required=True)
     sp.add_argument("--n", type=int, default=None, dest="synth_n")
     sp.add_argument("--size-min", type=int, default=None, dest="synth_size_min")
     sp.add_argument("--size-max", type=int, default=None, dest="synth_size_max")
@@ -326,20 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ingest", parents=[common], help="edges+dates TSV -> labeled cascades")
     sp.add_argument("--edges", required=True)
     sp.add_argument("--dates", required=True)
-    sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("stats", parents=[common], help="per-split corpus statistics")
     sp.add_argument("--cascades", required=True)
-    sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("encode", parents=[common], help="split, build schema, encode")
     sp.add_argument("--cascades", required=True)
-    sp.add_argument("--out", required=True)
     sp.add_argument("--dump-trees", action="store_true", dest="dump_trees")
 
     sp = sub.add_parser("train", parents=[common, fit], help="train on an encoded dataset")
     sp.add_argument("--encoded-dir", required=True, dest="encoded_dir")
-    sp.add_argument("--out", required=True)
 
     for name in ("eval", "predict"):
         sp = sub.add_parser(name, parents=[common], help=f"{name} with a trained checkpoint")
@@ -347,18 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cascades", default=None)
         sp.add_argument("--encoded", default=None)
         sp.add_argument("--schema", default=None)
-        sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("probe", parents=[common], help="structural readout from encodings")
     sp.add_argument("--cascades", required=True)
-    sp.add_argument("--out", required=True)
     sp.add_argument("--checkpoint", default=None)
     sp.add_argument("--decayed", action="store_true")
 
     sp = sub.add_parser("sweep", parents=[common, fit], help="retrain across bin counts")
     sp.add_argument("--cascades", required=True)
     sp.add_argument("--bins-list", required=True, dest="bins_list")
-    sp.add_argument("--out", required=True)
 
     return p
 
@@ -380,7 +373,9 @@ def main(argv=None) -> int:
     try:
         overrides = {key: value for key, value in vars(args).items() if key in VALID_KEYS}
         cfg = resolve_config(args.config, overrides)
-        outputs = _HANDLERS[args.command](args, cfg, counters)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        outputs = _HANDLERS[args.command](args, cfg, out, counters)
         inputs = [
             p for p in (
                 getattr(args, "edges", None), getattr(args, "dates", None),
@@ -393,7 +388,7 @@ def main(argv=None) -> int:
             d = Path(args.encoded_dir)
             names = ("schema.json", "train.encoded.jsonl", "val.encoded.jsonl", "test.encoded.jsonl")
             inputs.extend(str(d / n) for n in names if (d / n).exists())
-        write_manifest(Path(args.out), args.command, cfg, inputs, outputs, started, counters=counters)
+        write_manifest(out, args.command, cfg, inputs, outputs, started, counters=counters)
     except (CascadeCiteError, OSError) as exc:
         print(_error_json(exc), file=sys.stderr)
         return 1

@@ -227,8 +227,8 @@ def schema_from_dict(doc: dict) -> EncodingSchema:
     return EncodingSchema(tuple(lengths), bins, window, tuple(map(float, edges)))
 
 
-def save_schema(path: str | Path, schema: EncodingSchema) -> None:
-    write_json(path, schema_to_dict(schema))
+def save_schema(path: str | Path, schema: EncodingSchema) -> str | Path:
+    return write_json(path, schema_to_dict(schema))
 
 
 def load_schema(path: str | Path) -> EncodingSchema:

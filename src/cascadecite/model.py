@@ -289,7 +289,7 @@ def loss(preds: Tensor, growths, params: ModelParams) -> Tensor:
 # -------------------------------------------------------------- checkpoints
 
 
-def save_model(path: str | Path, params: ModelParams, schema: EncodingSchema) -> None:
+def save_model(path: str | Path, params: ModelParams, schema: EncodingSchema) -> str | Path:
     arrays = {name: t.values for name, t in params.named()}
     _ckpt.save_arrays(
         path,
@@ -299,6 +299,7 @@ def save_model(path: str | Path, params: ModelParams, schema: EncodingSchema) ->
             "schema": schema_to_dict(schema),
         },
     )
+    return path
 
 
 def load_model(path: str | Path) -> tuple[ModelParams, EncodingSchema]:

@@ -23,6 +23,7 @@ FEATURE_NAMES = TreeShape._fields
 _HIDDEN = 64  # readout width
 _EPOCHS = 200  # full-batch Adam steps
 _STEP_SIZE = 1e-2
+MIN_SAMPLES = 5  # the fewest trees a probe runs on
 
 
 @dataclass
@@ -31,9 +32,6 @@ class ProbeReport:
     flags: dict[str, str]
     n_train: int
     n_test: int
-
-    def to_dict(self) -> dict:
-        return {"mse": self.mse, "flags": self.flags, "n_train": self.n_train, "n_test": self.n_test}
 
 
 def probe(
@@ -53,8 +51,8 @@ def probe(
     """
     if len(degrees) != len(features):
         raise ConfigError(f"{len(degrees)} encodings vs {len(features)} feature rows")
-    if len(degrees) < 5:
-        raise ConfigError(f"probe needs at least 5 samples, got {len(degrees)}")
+    if len(degrees) < MIN_SAMPLES:
+        raise ConfigError(f"probe needs at least {MIN_SAMPLES} samples, got {len(degrees)}")
     if decay is None:
         decay = np.ones(1 + bins.max())
         decay[0] = 0.0

@@ -253,10 +253,10 @@ def predict_rows(params: ModelParams, samples: Sequence[EncodedSample]) -> list[
     ]
 
 
-def write_predictions(path: str | Path, rows: Sequence[tuple[str, float, float]]) -> None:
+def write_predictions(path: str | Path, rows: Sequence[tuple[str, float, float]]) -> str | Path:
     """CSV with minimal quoting, so an id holding a comma or a quote
-    survives; floats are written with repr, which keeps every bit."""
-    write_csv(path, ("id", "pred_log2", "pred_growth"), rows)
+    survives; floats are written with repr, which keeps every bit; returns `path`."""
+    return write_csv(path, ("id", "pred_log2", "pred_growth"), rows)
 
 
 # ------------------------------------------------------------------ encoding

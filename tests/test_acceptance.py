@@ -208,8 +208,8 @@ def test_msle_fixtures_and_prediction_file_round_trip(tmp_path):
     # targets log2(4), log2(2) = 2, 1; errors 0 and -1; mean of squares 0.5
     assert abs(tr.msle(np.array([2.0, 0.0]), np.array([3.0, 1.0])) - 0.5) <= 1e-12
 
-    pairs = generate_synthetic(30, (5, 12), 60, 1.0, seed=13, window_T=30)
-    train_s, val_s, test_s, schema = tr.encode_split(pairs, 4, 30, seed=13)
+    cascades = generate_synthetic(30, (5, 12), 60, 1.0, seed=13, window_T=30)
+    train_s, val_s, test_s, schema = tr.encode_split(cascades, 4, 30, seed=13)
     mcfg = md.ModelConfig.from_schema(schema, embed_width=8, head_widths=(6,))
     params, _ = tr.train(train_s, val_s, tr.TrainConfig(max_epochs=5, seed=13), mcfg)
 

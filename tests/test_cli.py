@@ -382,7 +382,105 @@ def test_sweep_writes_one_row_per_bin_count(pipeline):
     assert [l.split(",")[0] for l in lines[1:]] == ["2", "3"]
 
 
+def test_each_manifest_lists_exactly_the_files_its_command_wrote(pipeline, tmp_path):
+    edges, dates = tmp_path / "edges.tsv", tmp_path / "dates.tsv"
+    edges.write_text("".join(f"c{i}\tr\n" for i in range(3)))
+    dates.write_text("r\t2000-01-01\n" + "".join(f"c{i}\t2000-02-0{i + 1}\n" for i in range(3)))
+    data, ckpt = pipeline / "data" / "cascades.jsonl", pipeline / "run" / "checkpoint.json"
+    fit = ["--max-epochs", "1", "--embed-width", "8"]
+    commands = {
+        "synth": ["--n", "5", "--size-min", "3", "--size-max", "5", "--synth-horizon", "20", "--window-days", "10"],
+        "ingest": ["--edges", edges, "--dates", dates, "--min-observed", "1"],
+        "stats": ["--cascades", data],
+        "encode": ["--cascades", data, "--bins", "4", "--dump-trees"],
+        "train": ["--encoded-dir", pipeline / "enc", *fit],
+        "eval": ["--checkpoint", ckpt, "--cascades", data],
+        "predict": ["--checkpoint", ckpt, "--encoded", pipeline / "enc" / "test.encoded.jsonl",
+                    "--schema", pipeline / "enc" / "schema.json"],
+        "probe": ["--cascades", data, "--checkpoint", ckpt, "--decayed"],
+        "sweep": ["--cascades", data, "--bins-list", "2,3", *fit],
+    }
+    for command, extra in commands.items():
+        out = tmp_path / command / ("a/b/c" if command == "stats" else "")  # a nested --out is made whole
+        assert main([command, *map(str, extra), "--out", str(out)]) == 0, command
+        manifest = out / f"{command}_manifest.json"
+        outputs = json.loads(manifest.read_text())["outputs"]
+        assert sorted(outputs) == sorted(str(p) for p in out.iterdir() if p != manifest), command
+
+
 # ------------------------------------------------------------- error paths
+
+
+def _unlabeled_copy(src: Path, dst: Path) -> Path:
+    """`src`, a cascades or encoded JSONL file, with every label null."""
+    rows = [{**json.loads(line), "label": None} for line in src.read_text().splitlines()]
+    dst.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return dst
+
+
+def _unlabeled_message(path: Path) -> str:
+    first = json.loads(path.read_text().splitlines()[0])
+    rid = first["id"] if "id" in first else first["root"]
+    return f"{path}: {rid!r} has no growth label; train, eval and sweep need one on every row"
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_train_refuses_an_unlabeled_split_before_training(pipeline, tmp_path, capsys, monkeypatch, split):
+    enc_dir = tmp_path / "enc"
+    shutil.copytree(pipeline / "enc", enc_dir)
+    path = _unlabeled_copy(enc_dir / f"{split}.encoded.jsonl", enc_dir / f"{split}.encoded.jsonl")
+    monkeypatch.setattr("cascadecite.cli.train", lambda *a, **k: pytest.fail("train ran"))
+    assert main(["train", "--encoded-dir", str(enc_dir), "--out", str(tmp_path / "run"),
+                 "--max-epochs", "1", "--embed-width", "8"]) == 1
+    assert _only_error_line(capsys) == {"error": "EvaluationError", "message": _unlabeled_message(path), "details": {}}
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("source", ["cascades", "encoded"])
+def test_eval_refuses_unlabeled_input_naming_the_file(pipeline, tmp_path, capsys, source):
+    if source == "cascades":
+        path = _unlabeled_copy(pipeline / "data" / "cascades.jsonl", tmp_path / "cascades.jsonl")
+        inputs = ["--cascades", str(path)]
+    else:
+        path = _unlabeled_copy(pipeline / "enc" / "test.encoded.jsonl", tmp_path / "test.encoded.jsonl")
+        inputs = ["--encoded", str(path), "--schema", str(pipeline / "enc" / "schema.json")]
+    assert main(["eval", "--checkpoint", str(pipeline / "run" / "checkpoint.json"), *inputs,
+                 "--out", str(tmp_path / "ev")]) == 1
+    assert _only_error_line(capsys) == {"error": "EvaluationError", "message": _unlabeled_message(path), "details": {}}
+    assert not (tmp_path / "ev" / "eval.json").exists()
+
+
+def test_sweep_refuses_unlabeled_cascades_naming_the_file(pipeline, tmp_path, capsys, monkeypatch):
+    path = _unlabeled_copy(pipeline / "data" / "cascades.jsonl", tmp_path / "cascades.jsonl")
+    monkeypatch.setattr("cascadecite.cli.sweep_time_interval", lambda *a, **k: pytest.fail("sweep ran"))
+    assert main(["sweep", "--cascades", str(path), "--bins-list", "2,3", "--out", str(tmp_path / "sweep")]) == 1
+    assert _only_error_line(capsys) == {"error": "EvaluationError", "message": _unlabeled_message(path), "details": {}}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("predict", ["--checkpoint", "run/checkpoint.json"]), ("probe", ["--bins", "4"]), ("stats", []), ("encode", []),
+])
+def test_commands_that_score_nothing_take_unlabeled_cascades(pipeline, tmp_path, command, extra):
+    path = _unlabeled_copy(pipeline / "data" / "cascades.jsonl", tmp_path / "cascades.jsonl")
+    extra = [str(pipeline / a) if a.endswith(".json") else a for a in extra]
+    assert main([command, "--cascades", str(path), "--out", str(tmp_path / "out"), *extra]) == 0
+
+
+@pytest.mark.parametrize("usable", [0, 3])
+@pytest.mark.parametrize("with_checkpoint", [False, True], ids=["raw", "checkpoint"])
+def test_probe_refuses_too_few_cascades_with_a_citer_in_one_way(pipeline, tmp_path, capsys, usable, with_checkpoint):
+    path = tmp_path / "cascades.jsonl"
+    docs = [{"root": f"r{i}", "root_time": 0, "window_T": 150, "nodes": [], "label": None} for i in range(8)]
+    docs += [{"root": f"u{i}", "root_time": 0, "window_T": 150, "label": None,
+              "nodes": [{"id": f"u{i}.1", "t": 1, "parents": [f"u{i}"]}]} for i in range(usable)]
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    extra = ["--checkpoint", str(pipeline / "run" / "checkpoint.json")] if with_checkpoint else []
+    assert main(["probe", "--cascades", str(path), "--out", str(tmp_path / "probe"), *extra]) == 1
+    assert _only_error_line(capsys) == {
+        "error": "ConfigError",
+        "message": f"probe needs at least 5 cascades with a citer; {path} holds {usable} besides 8 root-only cascades",
+        "details": {},
+    }
 
 
 def test_schema_mismatch_is_reported_as_json(pipeline, tmp_path, capsys):
