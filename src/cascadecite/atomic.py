@@ -52,10 +52,17 @@ def write_json(path: str | Path, doc) -> str | Path:
     return path
 
 
+def not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ParseError:
+    """The error for a text file holding bytes that are not UTF-8. It names
+    the file but no line: a text stream decodes in chunks, so the line being
+    read when the error surfaces need not hold the byte."""
+    return ParseError(f"{path} is not UTF-8 text: {exc.reason}")
+
+
 def read_json(path: str | Path, error: Callable[[str], CascadeCiteError]):
     """The JSON document in `path`; text that is not JSON raises `error(message)`."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise error(f"{path} is not valid JSON: {exc}") from None
 
@@ -66,15 +73,18 @@ def read_jsonl(path: str | Path, parse: Callable) -> list:
     from `parse` is raised again as its own type; either way with
     `{path} line N: ` in front of the message."""
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(parse(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path} line {lineno}: {exc}") from None
-            except (ParseError, ContractError, ShapeError) as exc:
-                raise type(exc)(f"{path} line {lineno}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    out.append(parse(json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"{path} line {lineno}: {exc}") from None
+                except (ParseError, ContractError, ShapeError) as exc:
+                    raise type(exc)(f"{path} line {lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
     return out

@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .atomic import atomic_write, read_jsonl
+from .atomic import atomic_write, not_utf8, read_jsonl
 from .config import DEFAULTS, MAX_WINDOW_DAYS
 from .errors import (
     ConfigError,
@@ -80,25 +80,30 @@ def _parse_dates(dates: str | Path) -> tuple[dict[str, _dt.date], int]:
     a repeated id keeps the earliest of its dates."""
     out: dict[str, _dt.date] = {}
     repeats = 0
-    with open(dates) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"dates line {lineno}: expected 'id<TAB>YYYY-MM-DD', got {line!r}")
-            pid, datestr = parts[0].strip(), parts[1].strip()
-            try:
-                d = _dt.date.fromisoformat(datestr)
-            except ValueError:
-                raise ParseError(f"dates line {lineno}: bad date {datestr!r}") from None
-            seen = out.get(pid)
-            if seen is not None:
-                repeats += 1
-                if seen <= d:
+    try:
+        with open(dates, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
                     continue
-            out[pid] = d
+                parts = line.split("\t")
+                if len(parts) != 2:
+                    raise ParseError(f"dates line {lineno}: expected 'id<TAB>YYYY-MM-DD', got {line!r}")
+                pid, datestr = parts[0].strip(), parts[1].strip()
+                try:  # from Python 3.11 on, fromisoformat also takes 20000101 and week dates
+                    if len(datestr) != 10 or datestr[4] != "-" or datestr[7] != "-":
+                        raise ValueError
+                    d = _dt.date.fromisoformat(datestr)
+                except ValueError:
+                    raise ParseError(f"dates line {lineno}: bad date {datestr!r}") from None
+                seen = out.get(pid)
+                if seen is not None:
+                    repeats += 1
+                    if seen <= d:
+                        continue
+                out[pid] = d
+    except UnicodeDecodeError as exc:
+        raise not_utf8(dates, exc) from None
     return out, repeats
 
 
@@ -121,24 +126,27 @@ def parse_citation_files(edges: str | Path, dates: str | Path, tally: dict | Non
     undated = 0
     self_loops = 0
     table = Citations(day_of, [], [])
-    with open(edges) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line[0] == "#":
-                continue
-            try:  # a stripped line with one tab has text on both sides of it
-                citing, cited = line.split("\t")
-            except ValueError:
-                raise ParseError(f"edges line {lineno}: expected 'citing<TAB>cited', got {line!r}") from None
-            citing, cited = sys.intern(citing.rstrip()), sys.intern(cited.lstrip())  # one object per id
-            if citing == cited:
-                self_loops += 1
-                continue
-            if citing not in day_of:
-                undated += 1
-                continue
-            table.citing.append(citing)
-            table.cited.append(cited)
+    try:
+        with open(edges, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line[0] == "#":
+                    continue
+                try:  # a stripped line with one tab has text on both sides of it
+                    citing, cited = line.split("\t")
+                except ValueError:
+                    raise ParseError(f"edges line {lineno}: expected 'citing<TAB>cited', got {line!r}") from None
+                citing, cited = sys.intern(citing.rstrip()), sys.intern(cited.lstrip())  # one object per id
+                if citing == cited:
+                    self_loops += 1
+                    continue
+                if citing not in day_of:
+                    undated += 1
+                    continue
+                table.citing.append(citing)
+                table.cited.append(cited)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(edges, exc) from None
 
     if undated or self_loops:
         log.warning("dropped %d undated-citer edges and %d self-citations", undated, self_loops)

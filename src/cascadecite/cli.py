@@ -110,13 +110,16 @@ def _schema_diff(a: enc.EncodingSchema, b: enc.EncodingSchema) -> list[str]:
     return [f"{key}: {da[key]!r} != {db[key]!r}" for key in da if da[key] != db[key]]
 
 
-def _load_eval_samples(args, ckpt_schema: enc.EncodingSchema) -> list[enc.EncodedSample]:
-    """Samples for eval/predict: raw cascades re-encoded, or pre-encoded + schema."""
+def _load_eval_samples(args, ckpt_schema: enc.EncodingSchema) -> tuple[list[enc.EncodedSample], list]:
+    """Samples for eval/predict, and the files they came from: raw cascades
+    re-encoded, or pre-encoded + schema."""
     if args.cascades and args.encoded:
         raise ConfigError("pass --cascades FILE or --encoded FILE, not both")
+    if args.schema and not args.encoded:
+        raise ConfigError("--schema goes only with --encoded; re-encoded --cascades use the checkpoint's schema")
     if args.cascades:
         cascades, _ = _read_cascades(args.cascades, ckpt_schema)
-        return _encode_against([to_tree(c) for c in cascades], ckpt_schema)
+        return _encode_against([to_tree(c) for c in cascades], ckpt_schema), [args.cascades]
     if args.encoded:
         if not args.schema:
             raise ConfigError("--encoded requires --schema so the encoding can be verified")
@@ -133,14 +136,14 @@ def _load_eval_samples(args, ckpt_schema: enc.EncodingSchema) -> list[enc.Encode
         samples = enc.read_encoded_jsonl(args.encoded, ckpt_schema)
         if not samples:
             raise ParseError(f"{args.encoded} holds no encoded rows")
-        return samples
+        return samples, [args.schema, args.encoded]
     raise ConfigError("pass --cascades FILE, or --encoded FILE with --schema FILE")
 
 
 # ------------------------------------------------------------------ commands
 
 
-def _cmd_synth(args, cfg, out: Path, counters) -> list[Path]:
+def _cmd_synth(args, cfg, out: Path, counters) -> tuple[list, list]:
     cascades = casc.generate_synthetic(
         cfg["synth_n"],
         (cfg["synth_size_min"], cfg["synth_size_max"]),
@@ -152,10 +155,10 @@ def _cmd_synth(args, cfg, out: Path, counters) -> list[Path]:
     path = out / "cascades.jsonl"
     n = casc.write_cascades_jsonl(path, cascades)
     log.info("wrote %d synthetic cascades to %s", n, path)
-    return [path]
+    return [], [path]
 
 
-def _cmd_ingest(args, cfg, out: Path, counters) -> list[Path]:
+def _cmd_ingest(args, cfg, out: Path, counters) -> tuple[list, list]:
     citations = casc.parse_citation_files(args.edges, args.dates, tally=counters)
     cascades = casc.build_cascades(
         citations,
@@ -166,10 +169,10 @@ def _cmd_ingest(args, cfg, out: Path, counters) -> list[Path]:
     )
     path = out / "cascades.jsonl"
     casc.write_cascades_jsonl(path, cascades)
-    return [path, write_json(out / "ingest_report.json", counters)]
+    return [args.edges, args.dates], [path, write_json(out / "ingest_report.json", counters)]
 
 
-def _cmd_stats(args, cfg, out: Path, counters) -> list[Path]:
+def _cmd_stats(args, cfg, out: Path, counters) -> tuple[list, list]:
     cascades, _ = _read_cascades(args.cascades)
     tr, va, te = casc.split_dataset(cascades, cfg["seed"])
     doc = {}
@@ -179,10 +182,10 @@ def _cmd_stats(args, cfg, out: Path, counters) -> list[Path]:
             continue
         stats = casc.compute_stats([to_tree(c) for c in chunk])
         doc[name] = dataclasses.asdict(stats)
-    return [write_json(out / "stats.json", doc)]
+    return [args.cascades], [write_json(out / "stats.json", doc)]
 
 
-def _cmd_encode(args, cfg, out: Path, counters) -> list[Path]:
+def _cmd_encode(args, cfg, out: Path, counters) -> tuple[list, list]:
     cascades, window = _read_cascades(args.cascades)
     tr, va, te, schema = encode_split(cascades, cfg["bins"], window, cfg["seed"], tally=counters)
     outputs = [enc.save_schema(out / "schema.json", schema)]
@@ -197,44 +200,44 @@ def _cmd_encode(args, cfg, out: Path, counters) -> list[Path]:
                 fh.write(json.dumps(tree_to_dict(to_tree(c)), separators=(",", ":")))
                 fh.write("\n")
         outputs.append(path)
-    return outputs
+    return [args.cascades], outputs
 
 
-def _cmd_train(args, cfg, out: Path, counters) -> list[Path]:
+def _cmd_train(args, cfg, out: Path, counters) -> tuple[list, list]:
     d = Path(args.encoded_dir)
-    schema = enc.load_schema(d / "schema.json")
-    tr = _read_labeled(d / "train.encoded.jsonl", schema)
-    va = _read_labeled(d / "val.encoded.jsonl", schema)
-    test_path = d / "test.encoded.jsonl"
-    te = _read_labeled(test_path, schema) if test_path.exists() else []
+    read = [d / "schema.json", d / "train.encoded.jsonl", d / "val.encoded.jsonl", d / "test.encoded.jsonl"]
+    if not read[-1].exists():  # the test split is optional
+        read.pop()
+    schema = enc.load_schema(read[0])
+    tr, va, te = ([_read_labeled(path, schema) for path in read[1:]] + [[]])[:3]  # te is [] without a test split
     mcfg = ModelConfig.from_schema(schema, **_settings(ModelConfig, cfg))
     params, report = train(tr, va, TrainConfig(**_settings(TrainConfig, cfg)), mcfg)
     if te:
         report.test_msle = evaluate(params, te)
     report.reference_msle = reference_msles(tr, va, te)
     rows = ((i, *pair) for i, pair in enumerate(zip(report.train_losses, report.val_msles), 1))
-    return [
+    return read, [
         save_model(out / "checkpoint.json", params, schema),
         write_csv(out / "metrics.csv", ("epoch", "train_loss", "val_msle"), rows),
         write_json(out / "report.json", report.to_dict()),
     ]
 
 
-def _cmd_eval(args, cfg, out: Path, counters) -> list[Path]:
+def _cmd_eval(args, cfg, out: Path, counters) -> tuple[list, list]:
     params, schema = load_model(args.checkpoint)
-    samples = _load_eval_samples(args, schema)
+    samples, read = _load_eval_samples(args, schema)
     _require_labels(args.cascades or args.encoded, ((s.id, s.growth) for s in samples))
     value = evaluate(params, samples)
-    return [write_json(out / "eval.json", {"msle": value, "count": len(samples)})]
+    return [args.checkpoint, *read], [write_json(out / "eval.json", {"msle": value, "count": len(samples)})]
 
 
-def _cmd_predict(args, cfg, out: Path, counters) -> list[Path]:
+def _cmd_predict(args, cfg, out: Path, counters) -> tuple[list, list]:
     params, schema = load_model(args.checkpoint)
-    samples = _load_eval_samples(args, schema)
-    return [write_predictions(out / "predictions.csv", predict_rows(params, samples))]
+    samples, read = _load_eval_samples(args, schema)
+    return [args.checkpoint, *read], [write_predictions(out / "predictions.csv", predict_rows(params, samples))]
 
 
-def _cmd_probe(args, cfg, out: Path, counters) -> list[Path]:
+def _cmd_probe(args, cfg, out: Path, counters) -> tuple[list, list]:
     if args.decayed and not args.checkpoint:
         raise ConfigError("--decayed needs --checkpoint to supply the trained decay")
     params, schema = load_model(args.checkpoint) if args.checkpoint else (None, None)
@@ -256,22 +259,23 @@ def _cmd_probe(args, cfg, out: Path, counters) -> list[Path]:
     feats = [t.shape for t in usable]
     decay = params.decay.values if args.decayed else None
     report = run_probe(*enc.stack_sequences(seqs, schema.level_lengths), feats, seed=cfg["seed"], decay=decay)
-    return [
+    return ([args.checkpoint, args.cascades] if args.checkpoint else [args.cascades]), [
         write_csv(out / "probe.csv", FEATURE_NAMES, [[report.mse[name] for name in FEATURE_NAMES]]),
         write_json(out / "probe.json", dataclasses.asdict(report)),
     ]
 
 
-def _cmd_sweep(args, cfg, out: Path, counters) -> list[Path]:
+def _cmd_sweep(args, cfg, out: Path, counters) -> tuple[list, list]:
     cascades, window = _read_cascades(args.cascades)
     _require_labels(args.cascades, ((c.root, c.growth) for c in cascades))
     rows = sweep_time_interval(
         cascades, _bin_counts(args.bins_list), window, TrainConfig(**_settings(TrainConfig, cfg)),
         model_overrides=_settings(ModelConfig, cfg),
     )
-    return [write_csv(out / "sweep.csv", ("bins", "test_msle"), rows)]
+    return [args.cascades], [write_csv(out / "sweep.csv", ("bins", "test_msle"), rows)]
 
 
+# each returns (the files it read, the files it wrote), which main records in the manifest
 _HANDLERS = {
     "synth": _cmd_synth,
     "ingest": _cmd_ingest,
@@ -363,11 +367,9 @@ def _error_json(exc: Exception) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    # basicConfig adds its handler on the first call only, so the level is set apart on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+    logging.getLogger().setLevel(logging.INFO if args.verbose else logging.WARNING)
     started = utc_now()
     counters: dict = {}
     try:
@@ -375,20 +377,10 @@ def main(argv=None) -> int:
         cfg = resolve_config(args.config, overrides)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        outputs = _HANDLERS[args.command](args, cfg, out, counters)
-        inputs = [
-            p for p in (
-                getattr(args, "edges", None), getattr(args, "dates", None),
-                getattr(args, "cascades", None), getattr(args, "checkpoint", None),
-                getattr(args, "encoded", None), getattr(args, "schema", None),
-                args.config,
-            ) if p
-        ]
-        if getattr(args, "encoded_dir", None):
-            d = Path(args.encoded_dir)
-            names = ("schema.json", "train.encoded.jsonl", "val.encoded.jsonl", "test.encoded.jsonl")
-            inputs.extend(str(d / n) for n in names if (d / n).exists())
-        write_manifest(out, args.command, cfg, inputs, outputs, started, counters=counters)
+        read, written = _HANDLERS[args.command](args, cfg, out, counters)
+        if args.config:
+            read.append(args.config)
+        write_manifest(out, args.command, cfg, read, written, started, counters=counters)
     except (CascadeCiteError, OSError) as exc:
         print(_error_json(exc), file=sys.stderr)
         return 1

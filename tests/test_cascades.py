@@ -209,6 +209,13 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         parse(tmp_path, ["a\tb"], ["# only comments"])
 
 
+@pytest.mark.parametrize("date", ["20000101", "2000-W01-1"])
+def test_dates_are_read_as_yyyy_mm_dd_only(tmp_path, date):
+    # from Python 3.11 on, date.fromisoformat alone reads the first two as dates
+    with pytest.raises(ParseError, match=f"^dates line 2: bad date '{date}'$"):
+        parse(tmp_path, ["a\tb"], ["a\t2000-01-01", f"b\t{date}"])
+
+
 def test_duplicate_dates_keep_the_earliest_and_are_counted(tmp_path):
     dates = ["a\t2000-03-01", "b\t2000-02-01", "a\t2000-01-01", "a\t2000-05-01"]
     edges = ["a\tx", "b\ta"]

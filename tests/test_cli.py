@@ -1,6 +1,7 @@
 """Config resolution and the command line surface, end to end on tiny data."""
 
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -382,30 +383,35 @@ def test_sweep_writes_one_row_per_bin_count(pipeline):
     assert [l.split(",")[0] for l in lines[1:]] == ["2", "3"]
 
 
-def test_each_manifest_lists_exactly_the_files_its_command_wrote(pipeline, tmp_path):
+def test_each_manifest_lists_exactly_the_files_its_command_read_and_wrote(pipeline, tmp_path):
     edges, dates = tmp_path / "edges.tsv", tmp_path / "dates.tsv"
     edges.write_text("".join(f"c{i}\tr\n" for i in range(3)))
     dates.write_text("r\t2000-01-01\n" + "".join(f"c{i}\t2000-02-0{i + 1}\n" for i in range(3)))
-    data, ckpt = pipeline / "data" / "cascades.jsonl", pipeline / "run" / "checkpoint.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 5}))
+    data, ckpt, enc_dir = pipeline / "data" / "cascades.jsonl", pipeline / "run" / "checkpoint.json", pipeline / "enc"
+    splits = [enc_dir / f"{name}.encoded.jsonl" for name in ("train", "val", "test")]
     fit = ["--max-epochs", "1", "--embed-width", "8"]
-    commands = {
-        "synth": ["--n", "5", "--size-min", "3", "--size-max", "5", "--synth-horizon", "20", "--window-days", "10"],
-        "ingest": ["--edges", edges, "--dates", dates, "--min-observed", "1"],
-        "stats": ["--cascades", data],
-        "encode": ["--cascades", data, "--bins", "4", "--dump-trees"],
-        "train": ["--encoded-dir", pipeline / "enc", *fit],
-        "eval": ["--checkpoint", ckpt, "--cascades", data],
-        "predict": ["--checkpoint", ckpt, "--encoded", pipeline / "enc" / "test.encoded.jsonl",
-                    "--schema", pipeline / "enc" / "schema.json"],
-        "probe": ["--cascades", data, "--checkpoint", ckpt, "--decayed"],
-        "sweep": ["--cascades", data, "--bins-list", "2,3", *fit],
+    commands = {  # command: (its arguments, the files it reads)
+        "synth": (["--n", "5", "--size-min", "3", "--size-max", "5", "--synth-horizon", "20", "--window-days", "10"],
+                  []),
+        "ingest": (["--edges", edges, "--dates", dates, "--min-observed", "1"], [edges, dates]),
+        "stats": (["--cascades", data], [data]),
+        "encode": (["--cascades", data, "--bins", "4", "--dump-trees", "--config", config], [data, config]),
+        "train": (["--encoded-dir", enc_dir, *fit], [enc_dir / "schema.json", *splits]),
+        "eval": (["--checkpoint", ckpt, "--cascades", data], [ckpt, data]),
+        "predict": (["--checkpoint", ckpt, "--encoded", splits[2], "--schema", enc_dir / "schema.json"],
+                    [ckpt, splits[2], enc_dir / "schema.json"]),
+        "probe": (["--cascades", data, "--checkpoint", ckpt, "--decayed"], [data, ckpt]),
+        "sweep": (["--cascades", data, "--bins-list", "2,3", *fit], [data]),
     }
-    for command, extra in commands.items():
+    for command, (extra, read) in commands.items():
         out = tmp_path / command / ("a/b/c" if command == "stats" else "")  # a nested --out is made whole
         assert main([command, *map(str, extra), "--out", str(out)]) == 0, command
         manifest = out / f"{command}_manifest.json"
-        outputs = json.loads(manifest.read_text())["outputs"]
-        assert sorted(outputs) == sorted(str(p) for p in out.iterdir() if p != manifest), command
+        doc = json.loads(manifest.read_text())
+        assert doc["inputs"] == {str(p): cf.file_digest(p) for p in read}, command
+        assert sorted(doc["outputs"]) == sorted(str(p) for p in out.iterdir() if p != manifest), command
 
 
 # ------------------------------------------------------------- error paths
@@ -856,6 +862,57 @@ def test_cascades_and_encoded_inputs_together_are_refused(pipeline, tmp_path, ca
         "error": "ConfigError", "message": "pass --cascades FILE or --encoded FILE, not both", "details": {},
     }
     assert not (tmp_path / "out" / f"{command}_manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_schema_without_encoded_inputs_is_refused(pipeline, tmp_path, capsys, command):
+    # re-encoded cascades use the checkpoint's schema, so a --schema beside them would go unread
+    assert main([command, "--checkpoint", str(pipeline / "run" / "checkpoint.json"),
+                 "--cascades", str(pipeline / "data" / "cascades.jsonl"),
+                 "--schema", str(pipeline / "enc" / "schema.json"), "--out", str(tmp_path / "out")]) == 1
+    assert _only_error_line(capsys) == {
+        "error": "ConfigError",
+        "message": "--schema goes only with --encoded; re-encoded --cascades use the checkpoint's schema",
+        "details": {},
+    }
+    assert not (tmp_path / "out" / f"{command}_manifest.json").exists()
+
+
+@pytest.mark.parametrize("bad", ["edges", "dates", "cascades", "encoded"])
+def test_text_that_is_not_utf8_is_refused_naming_the_file(pipeline, tmp_path, capsys, bad):
+    """A byte that is not UTF-8 gives one JSON error line naming the file,
+    whichever reader meets it: the edges and dates parsers or the JSONL reader."""
+    files = {
+        "edges": tmp_path / "edges.tsv", "dates": tmp_path / "dates.tsv",
+        "cascades": tmp_path / "cascades.jsonl", "encoded": tmp_path / "enc" / "val.encoded.jsonl",
+    }
+    files["edges"].write_text("a\tr\n")
+    files["dates"].write_text("r\t2000-01-01\na\t2000-01-05\n")
+    shutil.copy(pipeline / "data" / "cascades.jsonl", files["cascades"])
+    shutil.copytree(pipeline / "enc", tmp_path / "enc")
+    with open(files[bad], "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    ingest = ["ingest", "--edges", files["edges"], "--dates", files["dates"], "--min-observed", "1"]
+    command = {
+        "edges": ingest,
+        "dates": ingest,
+        "cascades": ["encode", "--cascades", files["cascades"]],
+        "encoded": ["train", "--encoded-dir", tmp_path / "enc", "--max-epochs", "1"],
+    }[bad]
+    out = tmp_path / "out"
+    assert main([*map(str, command), "--out", str(out)]) == 1
+    assert _only_error_line(capsys) == {
+        "error": "ParseError", "message": f"{files[bad]} is not UTF-8 text: invalid start byte", "details": {},
+    }
+    assert not (out / f"{command[0]}_manifest.json").exists()
+
+
+def test_verbose_sets_the_log_level_of_each_call(tmp_path):
+    root = logging.getLogger()
+    for n, (flags, level) in enumerate([([], logging.WARNING), (["--verbose"], logging.INFO), ([], logging.WARNING)]):
+        assert main(["synth", "--n", "3", "--size-min", "3", "--size-max", "4", "--synth-horizon", "20",
+                     "--window-days", "10", "--out", str(tmp_path / str(n)), *flags]) == 0
+        assert root.getEffectiveLevel() == level, flags
 
 
 def test_stats_refuses_mixed_windows_as_encode_does(tmp_path, capsys):
